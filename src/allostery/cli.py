@@ -34,18 +34,7 @@ from .certificates import (
 )
 from .config import ENV_BUDGET, RunConfig, apply_env, load_config, parse_epsilon_mode
 from .dynamics import Window
-from .errors import (
-    AllosteryError,
-    BudgetExceededError,
-    CertificateError,
-    DatumInvariantError,
-    ForgeError,
-    MalformedCastleError,
-    MeasureConditionError,
-    RankMismatchError,
-    TextParseError,
-    WindowError,
-)
+from .errors import AllosteryError, MalformedCastleError, TextParseError
 from .forge import SubgroupDatum, default_epsilon, forge
 from .wreath import WreathElement, WreathGroup
 
@@ -383,19 +372,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _config_from_args(args)
         return args.func(args, cfg)
-    except (
-        TextParseError,
-        ForgeError,
-        DatumInvariantError,
-        RankMismatchError,
-        WindowError,
-        MeasureConditionError,
-        CertificateError,
-        FileNotFoundError,
-    ) as exc:
-        _say(f"error: {exc}")
+    except KeyError as exc:
+        _say(f"error: missing key {exc}")
         return EXIT_MALFORMED
-    except BudgetExceededError as exc:
+    except (AllosteryError, OSError, TypeError, ValueError) as exc:
         _say(f"error: {exc}")
         return EXIT_MALFORMED
 

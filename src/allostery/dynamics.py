@@ -8,9 +8,24 @@ sum over that class translated by the shift:
     state(f, lam) = (lam mod p^k,  (sum of f over lam+q, mod p) for q in E)
 
 Two elements lie in the same coset exactly when these data agree, and every
-combination occurs, so the state count equals the subgroup index.  Acting by
-x = (g, delta) moves the base residue by delta and adds g's class sums at the
-new base, which is a left action.
+combination occurs, so the state count equals the subgroup index.
+
+States are numbered in mixed radix.  The index of a state is
+
+    base_block * p^{ld} + lamp_offset
+
+where the base block spells the residue as m digits in radix M = p^k (first
+coordinate most significant) and the lamp offset spells the l sums as l*d
+digits in radix p (class E[0] most significant).
+
+Acting by x = (g, delta) is arithmetic on these digits.  Base block b goes to
+block b + delta.  If no class (b + delta) + c with c in E lies in the class
+support of g, the lamp offset is unchanged; otherwise g's class sum at
+(b + delta) + E[j] is added digit-wise to lamp digit group j.  A level
+therefore turns x into an index map block by block, with one lamp-offset
+permutation per distinct pattern of added sums, and reads fixed states off
+the same blocks.  :class:`CosetState` and per-state application remain for
+the state text format and for acting on single states.
 
 A window is a finite list of levels acted on diagonally; its states are
 tuples of per-level state indices.  With pairwise distinct primes this is the
@@ -19,7 +34,8 @@ finite stage of the inverse system whose limit the certificates speak about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -33,7 +49,7 @@ from .errors import (
     WindowError,
 )
 from .forge import SubgroupDatum
-from .wreath import Word, WreathElement, WreathGroup, format_vec, _parse_vec
+from .wreath import WreathElement, WreathGroup, format_vec, _parse_vec
 
 DEFAULT_STATE_BUDGET = 10**6
 
@@ -134,6 +150,7 @@ class FiniteLevel:
         self.size = datum.index()
         self.group = WreathGroup(datum.d, datum.m)
         self._lamp_digits = self.l * self.d
+        self._lamp_size = self.p**self._lamp_digits
         self._tables: Dict[int, List[int]] = {}
 
     def identity_state(self) -> CosetState:
@@ -185,13 +202,61 @@ class FiniteLevel:
         """The coset of x itself: x acting on the identity coset."""
         return self.act(x, self.identity_state())
 
+    def _blocks(self, x: WreathElement) -> Tuple[List[int], Dict[int, List[int]]]:
+        """x as block arithmetic: the image block of every base block, in
+        index order, and the lamp-offset permutation of each block whose
+        lamp offset changes.  Blocks sharing a pattern of added class sums
+        share one permutation."""
+        prepared = self.prepare(x)
+        M = self.modulus
+        targets = [0]
+        for t in prepared.delta:
+            targets = [hi * M + (b + t) % M for hi in targets for b in range(M)]
+        # Source block of each target block whose classes meet the support.
+        patterns: Dict[int, list] = {}
+        for q, g in prepared.class_sums.items():
+            for j, c in enumerate(self.E):
+                source = self._flat_base(tuple(a - t - e for a, t, e in zip(q, prepared.delta, c)))
+                patterns.setdefault(source, [None] * self.l)[j] = g
+        perms: Dict[tuple, List[int]] = {}
+        moved: Dict[int, List[int]] = {}
+        for source, pattern in patterns.items():
+            key = tuple(pattern)
+            if key not in perms:
+                perms[key] = self._lamp_permutation(key)
+            moved[source] = perms[key]
+        return targets, moved
+
+    def _flat_base(self, residue: Vec) -> int:
+        idx = 0
+        for b in residue:
+            idx = idx * self.modulus + b % self.modulus
+        return idx
+
+    def _lamp_permutation(self, pattern: Sequence[Optional[Vec]]) -> List[int]:
+        """Lamp offsets after adding pattern[j] (None for zero) to digit group j."""
+        p = self.p
+        perm = [0]
+        for g in pattern:
+            for c in g if g is not None else (0,) * self.d:
+                perm = [hi * p + (u + c) % p for hi in perm for u in range(p)]
+        return perm
+
+    def index_map(self, x: WreathElement) -> List[int]:
+        """The image of every state index under x."""
+        L = self._lamp_size
+        offsets = range(L)
+        targets, moved = self._blocks(x)
+        out = [t * L + o for t in targets for o in offsets]
+        for b, perm in moved.items():
+            start = targets[b] * L
+            out[b * L : (b + 1) * L] = [start + o for o in perm]
+        return out
+
     def table(self, g: int) -> List[int]:
         """Permutation of state indices induced by group generator g."""
         if g not in self._tables:
-            prepared = self.prepare(self.group.generators()[g])
-            self._tables[g] = [
-                self.state_index(prepared.apply(s)) for s in self.iter_states()
-            ]
+            self._tables[g] = self.index_map(self.group.generators()[g])
         return self._tables[g]
 
     def orbit(
@@ -204,28 +269,42 @@ class FiniteLevel:
         if self.size > budget:
             raise BudgetExceededError(self.size, budget)
         gens = range(len(self.group.generators())) if gen_indices is None else gen_indices
-        tables = {g: self.table(g) for g in gens}
-        words: Dict[int, Word] = {start: ()}
+        steps = [(g, self.table(g)) for g in gens]
+        seen = bytearray(self.size)
+        seen[start] = 1
         order = [start]
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for g in gens:
-                    t = tables[g][s]
-                    if t not in words:
-                        words[t] = (g,) + words[s]
-                        order.append(t)
-                        nxt.append(t)
-            frontier = nxt
-        return OrbitResult(start=start, words=words, order=order)
+        parents: List[int] = []
+        letters: List[int] = []
+        # The loop also visits the states appended while it runs.
+        for s in order:
+            for g, table in steps:
+                t = table[s]
+                if not seen[t]:
+                    seen[t] = 1
+                    order.append(t)
+                    parents.append(s)
+                    letters.append(g)
+        return OrbitResult(start, order, parents, letters)
 
     def brute_fixed_indices(self, x: WreathElement, budget: int = DEFAULT_STATE_BUDGET) -> List[int]:
-        """Indices of all states fixed by x, by direct application."""
+        """Indices of all states fixed by x, by applying x block by block.
+
+        A block whose base moves holds no fixed state; in any other block
+        the fixed states are the lamp offsets its permutation fixes."""
         if self.size > budget:
             raise BudgetExceededError(self.size, budget)
-        prepared = self.prepare(x)
-        return [i for i, s in enumerate(self.iter_states()) if prepared.apply(s) == s]
+        L = self._lamp_size
+        targets, moved = self._blocks(x)
+        fixed: List[int] = []
+        for b, t in enumerate(targets):
+            if t != b:
+                continue
+            perm = moved.get(b)
+            if perm is None:
+                fixed.extend(range(b * L, (b + 1) * L))
+            else:
+                fixed.extend(b * L + o for o, image in enumerate(perm) if image == o)
+        return fixed
 
     def state_text(self, idx: int) -> str:
         return format_state(self.state_at(idx))
@@ -243,15 +322,30 @@ class FiniteLevel:
         return self.state_index(s)
 
 
-@dataclass(frozen=True)
 class OrbitResult:
-    start: object
-    words: Dict
-    order: List
+    """The states a BFS reached from `start`, in discovery order.
+
+    Every state after the first was discovered from ``parents[i]`` by
+    generator ``letters[i]``; its word is that generator followed by the
+    parent's word.  The words are built on first access.
+    """
+
+    def __init__(self, start, order: List, parents: List, letters: List[int]):
+        self.start = start
+        self.order = order
+        self._parents = parents
+        self._letters = letters
 
     @property
     def size(self) -> int:
-        return len(self.words)
+        return len(self.order)
+
+    @cached_property
+    def words(self) -> Dict:
+        words: Dict = {self.start: ()}
+        for t, s, g in zip(self.order[1:], self._parents, self._letters):
+            words[t] = (g,) + words[s]
+        return words
 
 
 class _WindowAction:
@@ -317,22 +411,20 @@ class Window:
     def orbit(self, start: Tuple[int, ...], budget: int = DEFAULT_STATE_BUDGET) -> OrbitResult:
         if self.size > budget:
             raise BudgetExceededError(self.size, budget)
-        gens = range(len(self.group.generators()))
-        tables = [self.tables(g) for g in gens]
-        words: Dict[Tuple[int, ...], Word] = {start: ()}
+        steps = list(enumerate(self.tables(g) for g in range(len(self.group.generators()))))
+        seen = {start}
         order = [start]
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for g in gens:
-                    t = tuple(tab[i] for tab, i in zip(tables[g], s))
-                    if t not in words:
-                        words[t] = (g,) + words[s]
-                        order.append(t)
-                        nxt.append(t)
-            frontier = nxt
-        return OrbitResult(start=start, words=words, order=order)
+        parents: List[Tuple[int, ...]] = []
+        letters: List[int] = []
+        for s in order:
+            for g, tables in steps:
+                t = tuple(tab[i] for tab, i in zip(tables, s))
+                if t not in seen:
+                    seen.add(t)
+                    order.append(t)
+                    parents.append(s)
+                    letters.append(g)
+        return OrbitResult(start, order, parents, letters)
 
     def is_transitive(self, budget: int = DEFAULT_STATE_BUDGET) -> bool:
         """BFS from the identity thread; true iff every product state is reached."""
@@ -345,19 +437,6 @@ class Window:
             out *= dat.fixed_fraction()
         return out
 
-    def brute_s_fixed_count(self, budget: int = DEFAULT_STATE_BUDGET) -> int:
-        """Count window states fixed by every lamp generator, by application."""
-        if self.size > budget:
-            raise BudgetExceededError(self.size, budget)
-        per_level: list[set[int]] = []
-        for level in self.levels:
-            fixed: Optional[set[int]] = None
-            for s in self.group.lamp_generators():
-                cur = set(level.brute_fixed_indices(s, budget))
-                fixed = cur if fixed is None else fixed & cur
-            per_level.append(fixed if fixed is not None else set(range(level.size)))
-        return prod(len(f) for f in per_level)
-
     def fixed_points(
         self,
         x: WreathElement,
@@ -368,7 +447,7 @@ class Window:
 
         The diagonal action fixes a product state exactly when every
         coordinate is fixed, so the count is the product of per-level counts;
-        each per-level count is obtained by direct application.
+        each level finds its fixed states by applying x block by block.
         """
         per_level = []
         for level in self.levels:
@@ -381,10 +460,6 @@ class Window:
         if count > budget:
             raise BudgetExceededError(count, budget)
         return count, [tuple(s) for s in product(*per_level)]
-
-    def lamp_fixed_count_closed(self) -> int:
-        """Closed-form count of states fixed by a lamp generator."""
-        return prod(dat.lamp_fixed_count() for dat in self.data)
 
     def flat_index(self, state: Tuple[int, ...]) -> int:
         idx = 0

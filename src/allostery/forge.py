@@ -111,9 +111,13 @@ class SubgroupDatum:
             return False
         return all(is_zero(s) for s in self.coset_sums(x))
 
-    def validate(self) -> None:
+    def validate(self, tolerance: bool = True) -> None:
         """Check every structural invariant; raise DatumInvariantError on the
-        first violation."""
+        first violation.
+
+        With ``tolerance=False`` the bound l < epsilon * p^{km} is not
+        checked: a datum that misses it is well formed, and the criterion
+        certificate reports it as invalid."""
         if not is_prime(self.p):
             raise DatumInvariantError(f"p={self.p} is not prime")
         if self.k < 1:
@@ -126,7 +130,7 @@ class SubgroupDatum:
         supp = self.gamma.lamp.support
         if self.l <= len(supp):
             raise DatumInvariantError(f"l={self.l} must exceed |supp|={len(supp)}")
-        if not Fraction(self.l) < self.epsilon * self.shift_index:
+        if tolerance and not Fraction(self.l) < self.epsilon * self.shift_index:
             raise DatumInvariantError(
                 f"l={self.l} not below epsilon*index = {self.epsilon * self.shift_index}"
             )
@@ -164,7 +168,9 @@ class SubgroupDatum:
 
     @classmethod
     def from_dict(cls, rec: dict) -> "SubgroupDatum":
-        return cls(
+        """Read a datum back from :meth:`to_dict` form and validate it; the
+        tolerance bound is left to the certificates that measure it."""
+        datum = cls(
             gamma=parse_element(rec["gamma"], d=rec["d"], m=rec["m"]),
             p=rec["p"],
             k=rec["k"],
@@ -174,6 +180,8 @@ class SubgroupDatum:
             d=rec["d"],
             m=rec["m"],
         )
+        datum.validate(tolerance=False)
+        return datum
 
 
 def forge(gamma: WreathElement, p: int, epsilon: EpsilonLike, d: int, m: int) -> SubgroupDatum:

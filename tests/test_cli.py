@@ -390,3 +390,39 @@ def test_unknown_format_flag(capsys):
         main(["report", "--format", "xml"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def _window_with(tmp_path, datum, **changes):
+    rec = datum.to_dict()
+    for key, value in changes.items():
+        if value is None:
+            del rec[key]
+        else:
+            rec[key] = value
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps([rec]))
+    return str(path)
+
+
+def test_compare_rejects_datum_violating_invariants(capsys, tmp_path, d81):
+    # l must exceed the support size of gamma = {(0):(1)};(0), which is 1.
+    window = _window_with(tmp_path, d81, l=1)
+    code, out, err = run(capsys, "compare", "--window", window, "--a", "idx:0", "--b", "idx:1,2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_window_file_missing_key(capsys, tmp_path, d81):
+    window = _window_with(tmp_path, d81, l=None)
+    code, out, err = run(capsys, "compare", "--window", window, "--a", "idx:0", "--b", "idx:1,2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_check_of_a_directory(capsys, tmp_path):
+    code, out, err = run(capsys, "report", "--check", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -154,8 +155,8 @@ def test_s_fixed_fraction(w32, w9, w288, d25):
     assert w32.s_fixed_fraction() == Fraction(3, 4)
     assert w9.s_fixed_fraction() == Fraction(2, 3)
     assert w288.s_fixed_fraction() == Fraction(1, 2)
-    assert w288.brute_s_fixed_count() == 144
-    assert w288.lamp_fixed_count_closed() == 144
+    s1 = w288.group.lamp_generators()[0]
+    assert w288.fixed_points(s1)[0] == 144 == prod(dat.lamp_fixed_count() for dat in w288.data)
     wider = Window(list(w288.data) + [d25])
     assert wider.s_fixed_fraction() == Fraction(2, 5)
     assert wider.s_fixed_fraction() <= w288.s_fixed_fraction() <= w32.s_fixed_fraction()

@@ -1,0 +1,106 @@
+"""Stdout of fixed CLI commands, byte for byte, against files in tests/golden/.
+
+The window files are forged afresh for each run; the castle file is kept in
+tests/golden/ next to the outputs.  To regenerate after a deliberate and
+documented change of output, run from the repository root:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from allostery import Window, WreathGroup, forge, parse_castle_file
+from allostery.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASTLE = GOLDEN / "castle_w288.txt"
+GAMMA = "{(0):(1)};(0)"
+
+# name -> (arguments, exit code); W81, W288 and CASTLE stand for input paths.
+CASES = {
+    "verify": (("verify",), 0),
+    "report_radius2": (("report", "--radius", "2", "--epsilon", "1/2"), 0),
+    "verify_d2m2": (("verify", "--d", "2", "--m", "2", "--epsilon", "1/2"), 0),
+    "compare_w81": (
+        ("compare", "--window", "W81", "--a", "random:2", "--b", "random:5", "--seed", "3"),
+        0,
+    ),
+    "audit_w288": (("audit", "CASTLE", "--window", "W288", "--gamma", GAMMA), 0),
+}
+
+
+def forge_windows():
+    group = WreathGroup(1, 1)
+    half = Fraction(1, 2)
+    d81 = forge(group.parse_element(GAMMA), 3, half, 1, 1)
+    d32 = forge(group.parse_element(GAMMA), 2, half, 1, 1)
+    d9 = forge(group.parse_element("{};(1)"), 3, half, 1, 1)
+    return {"W81": Window([d81]), "W288": Window([d32, d9])}
+
+
+def transversal_castle_text(window):
+    """One tower over the identity thread whose shapes are the Schreier
+    transversal words, in BFS order: the castle of conftest's
+    ``make_transversal_castle`` as a castle file."""
+    orb = window.orbit(window.identity_thread())
+    names = " ".join(window.group.word_name(orb.words[s]) for s in orb.order)
+    return f"V= {window.state_text(orb.start)} ; S= {names}\n"
+
+
+def write_inputs(directory):
+    paths = {"CASTLE": str(CASTLE)}
+    for name, window in forge_windows().items():
+        path = Path(directory) / f"{name}.json"
+        path.write_text(json.dumps([dat.to_dict() for dat in window.data]))
+        paths[name] = str(path)
+    return paths
+
+
+def run_case(name, paths):
+    args, _ = CASES[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([paths.get(a, a) for a in args])
+    return code, out.getvalue().encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(name, paths):
+    code, out = run_case(name, paths)
+    assert code == CASES[name][1]
+    assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_castle_file_is_the_transversal_castle(w288):
+    from conftest import make_transversal_castle
+
+    text = CASTLE.read_text()
+    assert transversal_castle_text(w288) == text
+    assert parse_castle_file(text, w288) == make_transversal_castle(w288)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    CASTLE.write_text(transversal_castle_text(forge_windows()["W288"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = write_inputs(tmp)
+        for case in CASES:
+            code, out = run_case(case, inputs)
+            if code != CASES[case][1]:
+                sys.exit(f"{case}: exit code {code}")
+            (GOLDEN / f"{case}.out").write_bytes(out)
+            print(case, len(out), "bytes")

@@ -1,0 +1,102 @@
+"""The index-arithmetic action of a level against per-state application.
+
+The oracles below act on :class:`CosetState` objects one state at a time and
+build orbit words eagerly, as the level did before it worked on indices.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from allostery import FiniteLevel, WreathGroup, assign_primes
+
+MAX_ORACLE_STATES = 3200
+
+
+def small_levels():
+    """Levels forged for the radius-1 ball at epsilon 1/2, for each (d, m)
+    in {1, 2}^2, up to MAX_ORACLE_STATES states."""
+    levels = []
+    for d in (1, 2):
+        for m in (1, 2):
+            group = WreathGroup(d, m)
+            gammas = [e.element for e in group.ball(1) if not e.element.is_identity()]
+            data = assign_primes(gammas, epsilons=Fraction(1, 2), d=d).forge_all(d, m)
+            levels += [FiniteLevel(dat) for dat in data if dat.index() <= MAX_ORACLE_STATES]
+    return levels
+
+
+LEVELS = small_levels()
+
+
+def oracle_index_map(level, x):
+    prepared = level.prepare(x)
+    return [level.state_index(prepared.apply(s)) for s in level.iter_states()]
+
+
+def oracle_fixed_indices(level, x):
+    prepared = level.prepare(x)
+    return [i for i, s in enumerate(level.iter_states()) if prepared.apply(s) == s]
+
+
+def oracle_orbit(level, start, gen_indices):
+    """Frontier BFS that builds every word as it discovers the state."""
+    tables = {g: oracle_index_map(level, level.group.generators()[g]) for g in gen_indices}
+    words = {start: ()}
+    order = [start]
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for g in gen_indices:
+                t = tables[g][s]
+                if t not in words:
+                    words[t] = (g,) + words[s]
+                    order.append(t)
+                    nxt.append(t)
+        frontier = nxt
+    return words, order
+
+
+def test_levels_cover_every_rank_pair():
+    assert {(level.d, level.m) for level in LEVELS} == {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LEVELS), st.lists(st.integers(0, 7), max_size=8))
+def test_index_map_matches_per_state_action(level, letters):
+    n_gens = len(level.group.generators())
+    x = level.group.word_element([g % n_gens for g in letters])
+    assert level.index_map(x) == oracle_index_map(level, x)
+    assert level.brute_fixed_indices(x) == oracle_fixed_indices(level, x)
+
+
+def test_tables_and_lamp_fixed_points_match_oracle():
+    for level in LEVELS:
+        for g, x in enumerate(level.group.generators()):
+            assert level.table(g) == oracle_index_map(level, x)
+        for s in level.group.lamp_generators():
+            assert level.brute_fixed_indices(s) == oracle_fixed_indices(level, s)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(LEVELS), st.integers(0, MAX_ORACLE_STATES), st.data())
+def test_orbit_matches_word_building_bfs(level, start, data):
+    start %= level.size
+    n_gens = len(level.group.generators())
+    gens = data.draw(
+        st.one_of(st.just(list(range(n_gens))), st.lists(st.integers(0, n_gens - 1), unique=True))
+    )
+    words, order = oracle_orbit(level, start, gens)
+    orb = level.orbit(start, gen_indices=gens)
+    assert orb.start == start
+    assert orb.size == len(order)
+    assert orb.order == order
+    assert orb.words == words
+
+
+def test_orbit_without_generators_matches_oracle():
+    level = LEVELS[0]
+    words, order = oracle_orbit(level, 5, [])
+    orb = level.orbit(5, gen_indices=[])
+    assert (orb.words, orb.order) == (words, order) == ({5: ()}, [5])
