@@ -408,6 +408,14 @@ class Window:
     def tables(self, g: int) -> List[List[int]]:
         return [level.table(g) for level in self.levels]
 
+    def flat_table(self, g: int) -> List[int]:
+        """Generator g as a permutation of flat indices (see :meth:`flat_index`)."""
+        flat = [0]
+        for level in self.levels:
+            n, tab = level.size, level.table(g)
+            flat = [f * n + t for f in flat for t in tab]
+        return flat
+
     def orbit(self, start: Tuple[int, ...], budget: int = DEFAULT_STATE_BUDGET) -> OrbitResult:
         if self.size > budget:
             raise BudgetExceededError(self.size, budget)

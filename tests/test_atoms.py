@@ -1,0 +1,131 @@
+"""Comparison atoms by partition refinement against the translate closure.
+
+The oracles are the earlier algorithms: atoms as the classes of states with
+equal membership in every translate that ``translate_closure`` lists, and
+transporter words from a breadth-first search over frozenset images of
+atoms.  Set sizes are kept small per window so that the closure stays cheap.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from allostery import (
+    Window,
+    WreathGroup,
+    boolean_atoms,
+    comparison_certificate,
+    forge,
+    translate_closure,
+)
+
+GAMMA = "{(0):(1)};(0)"
+
+
+def small_windows():
+    """W9, W32, W81 and W288."""
+    group = WreathGroup(1, 1)
+    half = Fraction(1, 2)
+    d32 = forge(group.parse_element(GAMMA), 2, half, 1, 1)
+    d9 = forge(group.parse_element("{};(1)"), 3, half, 1, 1)
+    d81 = forge(group.parse_element(GAMMA), 3, half, 1, 1)
+    return Window([d9]), Window([d32]), Window([d81]), Window([d32, d9])
+
+
+def oracle_atoms(window, sets):
+    closure = translate_closure(window, sets)
+    blocks = {}
+    for s in window.iter_states():
+        blocks.setdefault(tuple(s in t for t in closure), []).append(s)
+    return [frozenset(b) for b in blocks.values()]
+
+
+def oracle_words(window, pieces, targets):
+    gens = range(len(window.group.generators()))
+    tables = [window.tables(g) for g in gens]
+
+    def image(atom, g):
+        return frozenset(tuple(tab[i] for tab, i in zip(tables[g], s)) for s in atom)
+
+    words = []
+    for piece, target in zip(pieces, targets):
+        found = {piece: ()}
+        frontier = [piece]
+        while target not in found and frontier:
+            nxt = []
+            for cur in frontier:
+                for g in gens:
+                    img = image(cur, g)
+                    if img not in found:
+                        found[img] = (g,) + found[cur]
+                        nxt.append(img)
+            frontier = nxt
+        words.append(found[target])
+    return words
+
+
+def fixed_set_atoms(window):
+    """Atoms of the fixed set of the first lamp generator: 3, 8, 9 and 24
+    atoms of 3, 4, 9 and 12 states on W9, W32, W81 and W288."""
+    _, fixed = window.fixed_points(window.group.lamp_generators()[0], want_states=True)
+    return oracle_atoms(window, [frozenset(fixed)])
+
+
+def input_cases():
+    """(window, parts, largest A, largest B): A and B are unions of parts,
+    counted in parts.  Single states are drawn only where the closure of
+    every such {A, B} stays cheap."""
+    w9, w32, w81, w288 = small_windows()
+    cases = [
+        (window, [frozenset({s}) for s in window.iter_states()], max_a, max_b)
+        for window, max_a, max_b in ((w9, 3, 5), (w32, 2, 3), (w81, 1, 2))
+    ]
+    cases += [(window, fixed_set_atoms(window), 2, 3) for window in (w9, w32, w81, w288)]
+    return cases
+
+
+CASES = input_cases()
+
+
+@st.composite
+def comparison_inputs(draw):
+    """A window and sets A, B of its states with 1 <= |A| < |B|."""
+    window, parts, max_a, max_b = draw(st.sampled_from(CASES))
+    pick = st.integers(0, len(parts) - 1)
+    a = draw(st.sets(pick, min_size=1, max_size=max_a))
+    b = draw(st.sets(pick, min_size=len(a) + 1, max_size=max_b))
+    return (
+        window,
+        frozenset().union(*(parts[i] for i in a)),
+        frozenset().union(*(parts[i] for i in b)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(comparison_inputs())
+def test_refined_atoms_match_closure_atoms(inputs):
+    window, a, b = inputs
+    assert boolean_atoms([a, b], window) == oracle_atoms(window, [a, b])
+    assert boolean_atoms([a], window) == oracle_atoms(window, [a])
+
+
+@settings(max_examples=80, deadline=None)
+@given(comparison_inputs())
+def test_quotient_words_match_frozenset_words(inputs):
+    window, a, b = inputs
+    cert = comparison_certificate(a, b, window)
+    atoms = oracle_atoms(window, [a, b])
+    pieces = [p for p in atoms if p <= a]
+    targets = [p for p in atoms if p <= b][: len(pieces)]
+    assert cert.pieces == tuple(pieces)
+    assert cert.words == tuple(oracle_words(window, pieces, targets))
+
+
+def test_flat_table_matches_tuple_tables():
+    window = small_windows()[3]
+    for g in range(len(window.group.generators())):
+        tables = window.tables(g)
+        assert window.flat_table(g) == [
+            window.flat_index(tuple(tab[i] for tab, i in zip(tables, s)))
+            for s in window.iter_states()
+        ]

@@ -252,6 +252,67 @@ def test_comparison_check_rejects_bad_records(w9):
         check_comparison_certificate({"kind": "nope", "v": 1})
 
 
+def test_comparison_needs_no_translate_budget(w32):
+    a, b = {(0,)}, {(1,), (2,), (5,)}
+    with pytest.raises(BudgetExceededError):
+        translate_closure(w32, [a, b], budget=w32.size)
+    cert = comparison_certificate(a, b, w32, budget=w32.size)
+    assert check_comparison_certificate(cert.to_dict()) is True
+
+
+def _tamper_d(rec):
+    rec["d"] = 2
+
+
+def _tamper_m(rec):
+    rec["m"] = 2
+
+
+def _tamper_a_duplicate(rec):
+    rec["A"].insert(0, rec["A"][0])
+
+
+def _tamper_b_order(rec):
+    rec["B"].reverse()
+
+
+def _tamper_piece_duplicate(rec):
+    rec["pieces"][0] *= 2
+
+
+def _tamper_letter_too_large(rec):
+    rec["words"][0] = [99]
+
+
+def _tamper_letter_negative(rec):
+    rec["words"][0] = [-1]
+
+
+def _tamper_letter_fraction(rec):
+    rec["words"][0] = [rec["words"][0][0] + 0.5]
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _tamper_d,
+        _tamper_m,
+        _tamper_a_duplicate,
+        _tamper_b_order,
+        _tamper_piece_duplicate,
+        _tamper_letter_too_large,
+        _tamper_letter_negative,
+        _tamper_letter_fraction,
+    ],
+)
+def test_comparison_check_rejects_tampered_fields(w9, tamper):
+    rec = comparison_certificate([(0,), (1,)], [(3,), (4,), (6,)], w9).to_dict()
+    assert check_comparison_certificate(copy.deepcopy(rec)) is True
+    tamper(rec)
+    with pytest.raises(CertificateError):
+        check_comparison_certificate(rec)
+
+
 def test_transversal_audit(w9, w9_transversal, group11):
     s1 = group11.parse_element("{(0):(1)};(0)")
     audit = audit_castle(w9_transversal, s1, w9)

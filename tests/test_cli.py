@@ -188,6 +188,20 @@ def test_compare_check_round_trip(capsys, tmp_path, w9_file):
     assert run(capsys, "compare", "--check", str(path))[0] == 1
 
 
+def test_compare_check_bad_word_letter(capsys, tmp_path, w9_file):
+    _, out, _ = run(
+        capsys, "compare", "--window", w9_file, "--a", "idx:0,1", "--b", "idx:3,4,6"
+    )
+    path = tmp_path / "comparison.json"
+    for letter in (99, -1):
+        rec = json.loads(out)
+        rec["words"][0] = [letter]
+        path.write_text(json.dumps(rec))
+        code, _, err = run(capsys, "compare", "--check", str(path))
+        assert code == 2
+        assert "error:" in err
+
+
 def test_compare_malformed(capsys, w9_file):
     assert run(capsys, "compare", "--window", w9_file)[0] == 2
     assert (

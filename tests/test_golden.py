@@ -23,13 +23,18 @@ GOLDEN = Path(__file__).parent / "golden"
 CASTLE = GOLDEN / "castle_w288.txt"
 GAMMA = "{(0):(1)};(0)"
 
-# name -> (arguments, exit code); W81, W288 and CASTLE stand for input paths.
+# name -> (arguments, exit code); W81, W288 and CASTLE stand for input paths,
+# FIXED48 and MOVED for the state specs of :func:`block_specs`.
 CASES = {
     "verify": (("verify",), 0),
     "report_radius2": (("report", "--radius", "2", "--epsilon", "1/2"), 0),
     "verify_d2m2": (("verify", "--d", "2", "--m", "2", "--epsilon", "1/2"), 0),
     "compare_w81": (
         ("compare", "--window", "W81", "--a", "random:2", "--b", "random:5", "--seed", "3"),
+        0,
+    ),
+    "compare_w288_blocks": (
+        ("compare", "--window", "W288", "--a", "FIXED48", "--b", "MOVED"),
         0,
     ),
     "audit_w288": (("audit", "CASTLE", "--window", "W288", "--gamma", GAMMA), 0),
@@ -54,9 +59,23 @@ def transversal_castle_text(window):
     return f"V= {window.state_text(orb.start)} ; S= {names}\n"
 
 
+def block_specs(window):
+    """``idx:`` specs for the first 48 states GAMMA fixes and the states it
+    moves; on W288 their atoms have 12 states each, so the comparison has
+    multi-state pieces and multi-letter transporter words."""
+    _, fixed = window.fixed_points(window.group.parse_element(GAMMA), want_states=True)
+    fixed_idx = sorted(window.flat_index(s) for s in fixed)
+    moved_idx = sorted(set(range(window.size)) - set(fixed_idx))
+    return {
+        "FIXED48": "idx:" + ",".join(map(str, fixed_idx[:48])),
+        "MOVED": "idx:" + ",".join(map(str, moved_idx)),
+    }
+
+
 def write_inputs(directory):
-    paths = {"CASTLE": str(CASTLE)}
-    for name, window in forge_windows().items():
+    windows = forge_windows()
+    paths = {"CASTLE": str(CASTLE), **block_specs(windows["W288"])}
+    for name, window in windows.items():
         path = Path(directory) / f"{name}.json"
         path.write_text(json.dumps([dat.to_dict() for dat in window.data]))
         paths[name] = str(path)
