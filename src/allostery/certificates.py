@@ -9,12 +9,13 @@ out castles with small tolerance.
 Every producer emits a plain dict (JSON-ready: exact rationals as
 ``"num/den"`` strings, group elements as canonical text, words as generator
 index lists, a ``kind`` tag and ``"v": 1``), and every kind has a verifier
-that works from the serialized form alone, recomputing the claims rather
-than trusting the recorded ones.
+that works from the serialized form alone: it recomputes the claims and
+rejects a record that does not serialize exactly as the recomputation.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -55,6 +56,25 @@ def parse_frac(text: str) -> Fraction:
 
 def window_from_records(records: Sequence[dict]) -> Window:
     return Window([SubgroupDatum.from_dict(r) for r in records])
+
+
+def _require_kind(rec, kind: str, what: str) -> None:
+    if not isinstance(rec, dict) or rec.get("kind") != kind or rec.get("v") != SCHEMA_VERSION:
+        raise CertificateError(f"not a {what}")
+
+
+def _require_same(rec: dict, fresh: dict) -> None:
+    """Raise CertificateError unless ``rec`` serializes exactly as ``fresh``.
+
+    Key order carries no meaning; value types do (``true`` is not ``1`` and
+    ``1`` is not ``1.0``), and so do extra and missing keys."""
+
+    def canon(value) -> str:
+        return json.dumps(value, sort_keys=True)
+
+    for key in {**fresh, **rec}:
+        if key not in rec or key not in fresh or canon(rec[key]) != canon(fresh[key]):
+            raise CertificateError(f"recorded {key!r} disagrees with recomputation")
 
 
 # --------------------------------------------------------------------------
@@ -283,54 +303,29 @@ def verify_criterion(
     return build_criterion(data, budget=budget, witness_radius=witness_radius)
 
 
-def check_criterion_certificate(rec: dict, budget: int = DEFAULT_STATE_BUDGET) -> bool:
-    """Recompute every claim of a serialized criterion certificate.
-
-    Returns the recomputed validity; raises CertificateError when the record
-    is structurally broken or its recorded values disagree with recomputation.
-    """
-    if rec.get("kind") != "criterion" or rec.get("v") != SCHEMA_VERSION:
-        raise CertificateError("not a criterion certificate")
+def _rebuild_criterion(rec, budget: int) -> CriterionCertificate:
+    """Rebuild a serialized criterion certificate from its window and ball
+    radius, and require the record to serialize exactly as the rebuild."""
+    _require_kind(rec, "criterion", "criterion certificate")
     try:
         data = [SubgroupDatum.from_dict(r) for r in rec["window"]]
-        recorded = rec["records"]
-        radius = int(rec["stabilizer"]["ball_radius"])
+        radius = rec["stabilizer"]["ball_radius"]
     except (KeyError, TypeError, TextParseError) as exc:
         raise CertificateError(f"malformed criterion certificate: {exc}") from None
-    if len(recorded) != len(data):
-        raise CertificateError("record count does not match the window")
+    if type(radius) is not int or radius < 0:
+        raise CertificateError(f"ball radius must be a nonnegative integer, got {radius!r}")
     fresh = build_criterion(data, budget=budget, witness_radius=radius)
-    for got, want in zip(fresh.records, recorded):
-        claims = {
-            "gamma": got.gamma_text,
-            "prime": got.prime,
-            "epsilon": frac_str(got.epsilon),
-            "index": got.index,
-            "not_in_subgroup": got.not_in_subgroup,
-            "fixed_fraction": frac_str(got.fixed_fraction),
-            "fraction_ok": got.fraction_ok,
-        }
-        for key, value in claims.items():
-            if want.get(key) != value:
-                raise CertificateError(
-                    f"recorded {key}={want.get(key)!r} for {got.gamma_text} "
-                    f"but recomputation gives {value!r}"
-                )
-    summary = {
-        "primes_distinct": fresh.primes_distinct,
-        "product_lower_bound": frac_str(fresh.product_lower_bound),
-        "window_s_fixed_fraction": frac_str(fresh.window_s_fixed_fraction),
-        "window_fraction_ok": fresh.window_fraction_ok,
-        "verdict": fresh.verdict,
-    }
-    for key, value in summary.items():
-        if rec.get(key) != value:
-            raise CertificateError(
-                f"recorded {key}={rec.get(key)!r} but recomputation gives {value!r}"
-            )
-    if rec["transitivity"].get("status") != fresh.transitivity.status:
-        raise CertificateError("recorded transitivity status disagrees with recomputation")
-    return fresh.valid
+    _require_same(rec, fresh.to_dict())
+    return fresh
+
+
+def check_criterion_certificate(rec: dict, budget: int = DEFAULT_STATE_BUDGET) -> bool:
+    """Rebuild a serialized criterion certificate from its window.
+
+    Returns the recomputed validity; raises CertificateError when the record
+    is structurally broken or does not serialize exactly as the rebuild.
+    """
+    return _rebuild_criterion(rec, budget).valid
 
 
 # --------------------------------------------------------------------------
@@ -551,26 +546,17 @@ def comparison_certificate(
 def check_comparison_certificate(rec: dict, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     """Re-check a serialized comparison certificate from scratch: the pieces
     partition A, each transported image lies in B, and images are pairwise
-    disjoint.  A record that is not in canonical form (ranks other than the
-    window's, state lists not strictly ascending, word letters that name no
-    generator) raises :class:`CertificateError`."""
-    if rec.get("kind") != "comparison" or rec.get("v") != SCHEMA_VERSION:
-        raise CertificateError("not a comparison certificate")
-
-    def ascending(texts: Sequence[str]) -> StateSet:
-        states = [window.parse_state(t) for t in texts]
-        if any(s >= t for s, t in zip(states, states[1:])):
-            raise CertificateError("state lists must be strictly ascending")
-        return frozenset(states)
-
+    disjoint.  A record that does not re-serialize to itself (ranks other
+    than the window's, state lists not strictly ascending, extra keys), an
+    empty piece or a word letter that names no generator raises
+    :class:`CertificateError`."""
+    _require_kind(rec, "comparison", "comparison certificate")
     try:
         window = window_from_records(rec["window"])
-        if (rec["d"], rec["m"]) != (window.d, window.m):
-            raise CertificateError("recorded d, m disagree with the window")
-        a = ascending(rec["A"])
-        b = ascending(rec["B"])
-        pieces = [ascending(ts) for ts in rec["pieces"]]
-        words = [tuple(w) for w in rec["words"]]
+        a = frozenset(window.parse_state(t) for t in rec["A"])
+        b = frozenset(window.parse_state(t) for t in rec["B"])
+        pieces = tuple(frozenset(window.parse_state(t) for t in ts) for ts in rec["pieces"])
+        words = tuple(tuple(w) for w in rec["words"])
     except (KeyError, TypeError, ValueError, TextParseError) as exc:
         raise CertificateError(f"malformed comparison certificate: {exc}") from None
     letters = range(len(window.group.generators()))
@@ -578,9 +564,12 @@ def check_comparison_certificate(rec: dict, budget: int = DEFAULT_STATE_BUDGET) 
         raise CertificateError(f"word letters must be integers in 0..{len(letters) - 1}")
     if len(words) != len(pieces):
         raise CertificateError("piece and word counts differ")
-    if sum(len(p) for p in pieces) != len(set().union(*pieces) if pieces else set()):
-        return False
-    if (set().union(*pieces) if pieces else set()) != a:
+    if not all(pieces):
+        raise CertificateError("a piece is empty")
+    fresh = ComparisonCertificate(window.data, window.d, window.m, a, b, pieces, words)
+    _require_same(rec, fresh.to_dict())
+    union = set().union(*pieces)
+    if sum(len(p) for p in pieces) != len(union) or union != a:
         return False
     images: List[StateSet] = []
     for piece, word in zip(pieces, words):
@@ -739,6 +728,8 @@ def audit_castle(
         raise BudgetExceededError(window.size, budget)
     seen: Dict[State, Tuple[int, str]] = {}
     for ti, tower in enumerate(castle.towers):
+        if not tower.shapes:
+            raise MalformedCastleError("tower has no shapes", witness={"tower": ti})
         if len(set(tower.shapes)) != len(tower.shapes):
             dup = next(x for i, x in enumerate(tower.shapes) if x in tower.shapes[:i])
             raise MalformedCastleError(
@@ -804,9 +795,9 @@ def audit_castle(
 
 
 def check_castle_audit(rec: dict, budget: int = DEFAULT_STATE_BUDGET) -> bool:
-    """Re-run a serialized audit and confirm its recorded numbers."""
-    if rec.get("kind") != "castle-audit" or rec.get("v") != SCHEMA_VERSION:
-        raise CertificateError("not a castle audit")
+    """Re-run a serialized audit and require the record to serialize exactly
+    as the rerun."""
+    _require_kind(rec, "castle-audit", "castle audit")
     try:
         window = window_from_records(rec["window"])
         castle = Castle.from_dict(rec["castle"], window)
@@ -814,12 +805,7 @@ def check_castle_audit(rec: dict, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     except (KeyError, TypeError, TextParseError) as exc:
         raise CertificateError(f"malformed castle audit: {exc}") from None
     fresh = audit_castle(castle, gamma, window, budget)
-    for key in ("fix_measure", "bound", "inequality_ok", "ok"):
-        want = fresh.to_dict()[key]
-        if rec.get(key) != want:
-            raise CertificateError(
-                f"recorded {key}={rec.get(key)!r} but recomputation gives {want!r}"
-            )
+    _require_same(rec, fresh.to_dict())
     return fresh.ok
 
 
@@ -847,9 +833,7 @@ class NonAFReport:
         }
 
 
-def non_af_report(
-    certificate: CriterionCertificate, budget: int = DEFAULT_STATE_BUDGET
-) -> NonAFReport:
+def non_af_report(certificate: CriterionCertificate) -> NonAFReport:
     """Assemble the castle-obstruction report from a valid criterion
     certificate: exact stage bound, monotonicity to the limit, and the
     tolerance threshold below which no castle for the first lamp generator
@@ -909,39 +893,11 @@ def non_af_report(
 
 def check_non_af_report(rec: dict, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     """Verify a serialized report: the embedded criterion certificate must
-    re-verify as valid, the bound must equal the recomputed window fraction,
-    and every relational step of the chain must hold numerically."""
-    if rec.get("kind") != "non-af-report" or rec.get("v") != SCHEMA_VERSION:
-        raise CertificateError("not a non-almost-finiteness report")
-    try:
-        window = window_from_records(rec["window"])
-        bound = parse_frac(rec["bound"])
-        product = parse_frac(rec["product_lower_bound"])
-        chain = rec["chain"]
-        cert_rec = rec["criterion"]
-    except (KeyError, TypeError, TextParseError) as exc:
-        raise CertificateError(f"malformed report: {exc}") from None
-    if cert_rec.get("window") != rec.get("window"):
-        raise CertificateError("report window disagrees with the embedded certificate")
-    if not check_criterion_certificate(cert_rec, budget):
+    rebuild as valid, and the whole report must serialize exactly as the
+    report assembled from that rebuild."""
+    _require_kind(rec, "non-af-report", "non-almost-finiteness report")
+    fresh = _rebuild_criterion(rec.get("criterion"), budget)
+    if not fresh.valid:
         return False
-    if window.s_fixed_fraction() != bound:
-        raise CertificateError("recorded bound disagrees with recomputation")
-    if prod(((1 - dat.epsilon) for dat in window.data), start=Fraction(1)) != product:
-        raise CertificateError("recorded epsilon product disagrees with recomputation")
-    if not bound > 0:
-        return False
-    rels = {">=": lambda a, b: a >= b, ">": lambda a, b: a > b, "==": lambda a, b: a == b}
-    for step in chain:
-        if "rel" in step:
-            op = rels.get(step["rel"])
-            if op is None:
-                raise CertificateError(f"unknown relation {step['rel']!r} in chain")
-            if not op(parse_frac(step["lhs"]), parse_frac(step["rhs"])):
-                return False
-    threshold = next(
-        (step for step in chain if step.get("step") == "castle-obstruction"), None
-    )
-    if threshold is None or parse_frac(threshold["threshold"]) != bound:
-        raise CertificateError("chain is missing the castle-obstruction threshold")
+    _require_same(rec, non_af_report(fresh).to_dict())
     return True

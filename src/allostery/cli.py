@@ -29,6 +29,7 @@ from .certificates import (
     frac_str,
     non_af_report,
     parse_castle_file,
+    parse_frac,
     verify_criterion,
     window_from_records,
 )
@@ -219,7 +220,7 @@ def cmd_audit(args: argparse.Namespace, cfg: RunConfig) -> int:
     with open(args.castle, "r", encoding="utf-8") as fh:
         castle = parse_castle_file(fh.read(), window)
     if args.tolerance:
-        castle = replace(castle, epsilon=Fraction(args.tolerance))
+        castle = replace(castle, epsilon=parse_frac(args.tolerance))
     gamma = window.group.parse_element(args.gamma)
     if gamma.is_identity():
         raise TextParseError("audit needs a nontrivial element")
@@ -281,7 +282,7 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
         _emit_json(cert.to_dict(), cfg, "criterion")
         _say(f"criterion certificate verdict {cert.verdict}; no report emitted")
         return EXIT_FAILED
-    report = non_af_report(cert, cfg.budget_states)
+    report = non_af_report(cert)
     rec = report.to_dict()
     if cfg.out:
         _emit_json(rec, cfg, "report")
@@ -301,11 +302,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--m", type=int, help="shift rank")
     common.add_argument("--radius", type=int, help="word-metric ball radius")
     common.add_argument("--epsilon", help="'schedule' or a rational like 1/2")
-    common.add_argument("--prime-strategy", dest="prime_strategy")
     common.add_argument("--budget-states", dest="budget_states", type=int)
     common.add_argument("--seed", type=int)
     common.add_argument("--out", help="directory for output files")
-    common.add_argument("--format", choices=("json", "csv", "md"))
+    common.add_argument("--format", choices=("json", "md"))
 
     parser = argparse.ArgumentParser(
         prog="allostery",
@@ -353,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    for key in ("d", "m", "radius", "prime_strategy", "budget_states", "seed", "out", "format"):
+    for key in ("d", "m", "radius", "budget_states", "seed", "out", "format"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)

@@ -22,7 +22,6 @@ class RunConfig:
     m: int = 1
     radius: int = 1
     epsilon: EpsilonMode = "schedule"
-    prime_strategy: str = "smallest-admissible"
     budget_states: int = 10**6
     max_word_length: int = 8
     seed: int = 0
@@ -36,9 +35,7 @@ class RunConfig:
             raise ValueError("ball radius must be nonnegative")
         if self.budget_states <= 0 or self.max_word_length <= 0:
             raise ValueError("budgets must be positive")
-        if self.prime_strategy != "smallest-admissible":
-            raise ValueError(f"unknown prime strategy {self.prime_strategy!r}")
-        if self.format not in ("json", "csv", "md"):
+        if self.format not in ("json", "md"):
             raise ValueError(f"unknown format {self.format!r}")
         if isinstance(self.epsilon, str):
             if self.epsilon != "schedule":
@@ -67,7 +64,7 @@ def parse_epsilon_mode(text: str) -> EpsilonMode:
 
 
 _INT_KEYS = {"d", "m", "radius", "budget_states", "max_word_length", "seed"}
-_STR_KEYS = {"prime_strategy", "out", "format"}
+_STR_KEYS = {"out", "format"}
 
 
 def parse_config(text: str, path: str = "<config>") -> RunConfig:

@@ -487,6 +487,8 @@ class Window:
         return "*".join(level.state_text(i) for level, i in zip(self.levels, state))
 
     def parse_state(self, text: str, line: int | None = None) -> Tuple[int, ...]:
+        if not isinstance(text, str):
+            raise TextParseError(f"state must be text, got {text!r}", line)
         parts = text.strip().split("*")
         if len(parts) != len(self.levels):
             raise TextParseError(

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Tuple
 
 from .base import CongruenceSubgroup, Vec, is_prime, is_zero, primes, minimal_exponent, sub, zero
-from .errors import DatumInvariantError, ForgeError
+from .errors import DatumInvariantError, ForgeError, TextParseError
 from .wreath import WreathElement, format_element, parse_element
 
 EpsilonLike = Fraction | int | str
@@ -118,6 +118,8 @@ class SubgroupDatum:
         With ``tolerance=False`` the bound l < epsilon * p^{km} is not
         checked: a datum that misses it is well formed, and the criterion
         certificate reports it as invalid."""
+        if self.d < 1 or self.m < 1:
+            raise DatumInvariantError("ranks d and m must be at least 1")
         if not is_prime(self.p):
             raise DatumInvariantError(f"p={self.p} is not prime")
         if self.k < 1:
@@ -170,13 +172,23 @@ class SubgroupDatum:
     def from_dict(cls, rec: dict) -> "SubgroupDatum":
         """Read a datum back from :meth:`to_dict` form and validate it; the
         tolerance bound is left to the certificates that measure it."""
+        E = tuple(tuple(q) for q in rec["E"])
+        ints = [rec[key] for key in ("p", "k", "l", "d", "m")] + [c for q in E for c in q]
+        if any(type(x) is not int for x in ints):
+            raise DatumInvariantError("p, k, l, d, m and the entries of E must be integers")
+        if not isinstance(rec["epsilon"], str):
+            raise DatumInvariantError("epsilon must be a rational written as a string")
+        try:
+            epsilon = Fraction(rec["epsilon"])
+        except (ValueError, ZeroDivisionError):
+            raise TextParseError(f"bad rational epsilon {rec['epsilon']!r}") from None
         datum = cls(
             gamma=parse_element(rec["gamma"], d=rec["d"], m=rec["m"]),
             p=rec["p"],
             k=rec["k"],
             l=rec["l"],
-            E=tuple(tuple(q) for q in rec["E"]),
-            epsilon=Fraction(rec["epsilon"]),
+            E=E,
+            epsilon=epsilon,
             d=rec["d"],
             m=rec["m"],
         )

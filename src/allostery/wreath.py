@@ -132,6 +132,8 @@ def parse_element(
     line: int | None = None,
 ) -> WreathElement:
     """Parse the canonical element form, optionally checking ranks d and m."""
+    if not isinstance(text, str):
+        raise TextParseError(f"element must be text, got {text!r}", line)
     s = text.strip()
     pos = 0
     if not s.startswith("{"):
@@ -300,6 +302,3 @@ class WreathGroup:
             seen.update(found)
             out.extend(layer)
         return out
-
-    def ball_elements(self, radius: int, max_radius: int = DEFAULT_MAX_RADIUS) -> list[WreathElement]:
-        return [entry.element for entry in self.ball(radius, max_radius)]

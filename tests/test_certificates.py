@@ -292,6 +292,27 @@ def _tamper_letter_fraction(rec):
     rec["words"][0] = [rec["words"][0][0] + 0.5]
 
 
+def _tamper_d_float(rec):
+    rec["d"] = 1.0
+
+
+def _tamper_d_bool(rec):
+    rec["d"] = True
+
+
+def _tamper_extra_key(rec):
+    rec["note"] = "trust me"
+
+
+def _tamper_epsilon_unreduced(rec):
+    rec["window"][0]["epsilon"] = "2/4"
+
+
+def _tamper_empty_piece(rec):
+    rec["pieces"].append([])
+    rec["words"].append([])
+
+
 @pytest.mark.parametrize(
     "tamper",
     [
@@ -303,6 +324,11 @@ def _tamper_letter_fraction(rec):
         _tamper_letter_too_large,
         _tamper_letter_negative,
         _tamper_letter_fraction,
+        _tamper_d_float,
+        _tamper_d_bool,
+        _tamper_extra_key,
+        _tamper_epsilon_unreduced,
+        _tamper_empty_piece,
     ],
 )
 def test_comparison_check_rejects_tampered_fields(w9, tamper):
@@ -468,7 +494,8 @@ def test_non_af_report_check_rejects_tampering(d32, d9):
     for step in false_step["chain"]:
         if step["step"] == "stage-bound":
             step["lhs"] = "1/100"
-    assert check_non_af_report(false_step) is False
+    with pytest.raises(CertificateError):
+        check_non_af_report(false_step)
     with pytest.raises(CertificateError):
         check_non_af_report({"kind": "non-af-report", "v": 2})
 

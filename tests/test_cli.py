@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from allostery import build_criterion
+from allostery import build_criterion, non_af_report
 from allostery.cli import main
 
 
@@ -437,6 +437,75 @@ def test_window_file_missing_key(capsys, tmp_path, d81):
 
 def test_check_of_a_directory(capsys, tmp_path):
     code, out, err = run(capsys, "report", "--check", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def _malformed_check(capsys, tmp_path, command, rec):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(rec))
+    code, out, err = run(capsys, command, "--check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["verify", "compare", "audit", "report"])
+def test_check_of_a_list(capsys, tmp_path, command):
+    _malformed_check(capsys, tmp_path, command, [])
+
+
+def test_report_check_with_a_number_for_criterion(capsys, tmp_path, d32, d9):
+    rec = json.loads(json.dumps(non_af_report(build_criterion([d32, d9])).to_dict()))
+    rec["criterion"] = 5
+    _malformed_check(capsys, tmp_path, "report", rec)
+
+
+def test_verify_check_with_a_number_for_gamma(capsys, tmp_path, d32, d9):
+    rec = build_criterion([d32, d9]).to_dict()
+    rec["window"][1]["gamma"] = 7
+    _malformed_check(capsys, tmp_path, "verify", rec)
+
+
+def _audit_record(capsys, tmp_path, w9_file):
+    castle_path = tmp_path / "castle.txt"
+    castle_path.write_text(FULL_TOWER)
+    _, out, _ = run(
+        capsys, "audit", str(castle_path), "--window", w9_file, "--gamma", "{(0):(1)};(0)"
+    )
+    return json.loads(out)
+
+
+def test_audit_check_with_a_float_in_e(capsys, tmp_path, w9_file):
+    rec = _audit_record(capsys, tmp_path, w9_file)
+    rec["window"][0]["E"] = [[0.0]]
+    _malformed_check(capsys, tmp_path, "audit", rec)
+
+
+def test_audit_check_with_a_shapeless_tower(capsys, tmp_path, w9_file):
+    rec = _audit_record(capsys, tmp_path, w9_file)
+    rec["castle"]["towers"].append({"V": [], "S": []})
+    _malformed_check(capsys, tmp_path, "audit", rec)
+
+
+@pytest.mark.parametrize(
+    "flags", [["--format", "csv"], ["--prime-strategy", "smallest-admissible"]]
+)
+def test_removed_flags(capsys, flags):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", *flags])
+    assert info.value.code == 2
+    capsys.readouterr()
+
+
+def test_audit_tolerance_with_a_zero_denominator(capsys, tmp_path, w9_file):
+    castle_path = tmp_path / "castle.txt"
+    castle_path.write_text(FULL_TOWER)
+    code, out, err = run(
+        capsys, "audit", str(castle_path), "--window", w9_file,
+        "--gamma", "{(0):(1)};(0)", "--tolerance", "1/0",
+    )
     assert code == 2
     assert out == ""
     assert err.startswith("error:")

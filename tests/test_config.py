@@ -13,7 +13,6 @@ def test_defaults():
     assert (cfg.d, cfg.m, cfg.radius) == (1, 1, 1)
     assert cfg.epsilon == "schedule"
     assert cfg.budget_states == 10**6
-    assert cfg.prime_strategy == "smallest-admissible"
     assert cfg.format == "json"
     assert cfg.out is None
 
@@ -25,7 +24,6 @@ def test_validate_rejects_bad_values():
         {"radius": -1},
         {"budget_states": 0},
         {"max_word_length": 0},
-        {"prime_strategy": "largest"},
         {"format": "xml"},
         {"epsilon": "often"},
         {"epsilon": Fraction(3, 2)},
