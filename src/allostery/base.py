@@ -106,10 +106,6 @@ class CongruenceSubgroup:
         """All canonical residues in lexicographic order."""
         return product(range(self.modulus), repeat=self.rank)
 
-    def residue_sum(self, a: Vec, b: Vec) -> Vec:
-        q = self.modulus
-        return tuple((x + y) % q for x, y in zip(a, b))
-
 
 def minimal_exponent(
     p: int,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import prod
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -595,6 +596,11 @@ class Tower:
     base: StateSet
     shapes: Tuple[WreathElement, ...]
 
+    @cached_property
+    def shape_texts(self) -> Tuple[str, ...]:
+        """The canonical text of each shape, in shape order."""
+        return tuple(x.text() for x in self.shapes)
+
 
 @dataclass(frozen=True)
 class Castle:
@@ -606,7 +612,7 @@ class Castle:
             "towers": [
                 {
                     "V": [window.state_text(s) for s in sorted(t.base)],
-                    "S": [x.text() for x in t.shapes],
+                    "S": list(t.shape_texts),
                 }
                 for t in self.towers
             ],
@@ -730,15 +736,18 @@ def audit_castle(
     for ti, tower in enumerate(castle.towers):
         if not tower.shapes:
             raise MalformedCastleError("tower has no shapes", witness={"tower": ti})
-        if len(set(tower.shapes)) != len(tower.shapes):
-            dup = next(x for i, x in enumerate(tower.shapes) if x in tower.shapes[:i])
-            raise MalformedCastleError(
-                "repeated shape element in one tower",
-                witness={"tower": ti, "shape": dup.text()},
-            )
-        for shape in tower.shapes:
+        distinct: set[WreathElement] = set()
+        for shape, text in zip(tower.shapes, tower.shape_texts):
+            if shape in distinct:
+                raise MalformedCastleError(
+                    "repeated shape element in one tower",
+                    witness={"tower": ti, "shape": text},
+                )
+            distinct.add(shape)
+        base = sorted(tower.base)
+        for shape, text in zip(tower.shapes, tower.shape_texts):
             prepared = window.prepare(shape)
-            for v in sorted(tower.base):
+            for v in base:
                 img = prepared.apply(v)
                 if img in seen:
                     first_tower, first_shape = seen[img]
@@ -747,10 +756,10 @@ def audit_castle(
                         witness={
                             "state": window.state_text(img),
                             "first": {"tower": first_tower, "shape": first_shape},
-                            "second": {"tower": ti, "shape": shape.text()},
+                            "second": {"tower": ti, "shape": text},
                         },
                     )
-                seen[img] = (ti, shape.text())
+                seen[img] = (ti, text)
     if len(seen) != window.size:
         missing = next(s for s in window.iter_states() if s not in seen)
         raise MalformedCastleError(

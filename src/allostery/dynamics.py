@@ -24,8 +24,10 @@ support of g, the lamp offset is unchanged; otherwise g's class sum at
 (b + delta) + E[j] is added digit-wise to lamp digit group j.  A level
 therefore turns x into an index map block by block, with one lamp-offset
 permutation per distinct pattern of added sums, and reads fixed states off
-the same blocks.  :class:`CosetState` and per-state application remain for
-the state text format and for acting on single states.
+the same blocks.  A single state index is acted on by the same arithmetic on
+its own digits.  :class:`CosetState` remains only for the state text format
+and, with its per-state application, as the oracle the index action is
+tested against.
 
 A window is a finite list of levels acted on diagonally; its states are
 tuples of per-level state indices.  With pairwise distinct primes this is the
@@ -41,7 +43,7 @@ from itertools import product
 from math import prod
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .base import Vec, is_zero, zero
+from .base import Vec, zero
 from .errors import (
     BudgetExceededError,
     RankMismatchError,
@@ -96,21 +98,20 @@ class _PreparedAction:
     __slots__ = ("level", "delta", "class_sums")
 
     def __init__(self, level: "FiniteLevel", x: WreathElement):
-        sub = level.subgroup
         self.level = level
-        self.delta = sub.reduce(x.shift)
+        self.delta = level.subgroup.reduce(x.shift)
+        M, p, m, d = level.modulus, level.p, level.m, level.d
         sums: Dict[Vec, List[int]] = {}
         for pos, val in x.lamp.entries:
-            if len(pos) != level.m or len(val) != level.d:
+            if len(pos) != m or len(val) != d:
                 raise RankMismatchError("element ranks do not match the level")
-            bucket = sums.setdefault(sub.reduce(pos), [0] * level.d)
+            bucket = sums.setdefault(tuple(c % M for c in pos), [0] * d)
             for i, c in enumerate(val):
                 bucket[i] += c
-        p = level.p
         self.class_sums: Dict[Vec, Vec] = {}
         for q, vals in sums.items():
             reduced = tuple(c % p for c in vals)
-            if not is_zero(reduced):
+            if any(reduced):
                 self.class_sums[q] = reduced
 
     def apply(self, s: CosetState) -> CosetState:
@@ -131,8 +132,20 @@ class _PreparedAction:
         return CosetState(base, tuple(new_sums))
 
     def apply_index(self, i: int) -> int:
+        """The image of state index i, by arithmetic on its mixed-radix
+        digits: delta is added to the base digits mod M, and the class sum
+        at (base + delta) + E[j] to lamp digit group j mod p."""
         level = self.level
-        return level.state_index(self.apply(level.state_at(i)))
+        M, p, d = level.modulus, level.p, level.d
+        base, lamp = level._digits(i)
+        base = [(b + t) % M for b, t in zip(base, self.delta)]
+        if self.class_sums:
+            for j, e in enumerate(level.E):
+                g = self.class_sums.get(tuple((b + c) % M for b, c in zip(base, e)))
+                if g is not None:
+                    for k, gk in enumerate(g, start=j * d):
+                        lamp[k] = (lamp[k] + gk) % p
+        return level._index_of(base, lamp)
 
 
 class FiniteLevel:
@@ -156,27 +169,37 @@ class FiniteLevel:
     def identity_state(self) -> CosetState:
         return CosetState(zero(self.m), tuple(zero(self.d) for _ in range(self.l)))
 
-    def state_index(self, s: CosetState) -> int:
-        idx = 0
-        for b in s.base:
-            idx = idx * self.modulus + b
-        for v in s.sums:
-            for c in v:
-                idx = idx * self.p + c
-        return idx
-
-    def state_at(self, idx: int) -> CosetState:
-        digits = []
+    def _digits(self, idx: int) -> Tuple[List[int], List[int]]:
+        """The m base digits and the l*d lamp digits of a state index, each
+        most significant first."""
+        lamp = []
         for _ in range(self._lamp_digits):
             idx, r = divmod(idx, self.p)
-            digits.append(r)
-        digits.reverse()
-        sums = tuple(tuple(digits[j * self.d : (j + 1) * self.d]) for j in range(self.l))
+            lamp.append(r)
         base = []
         for _ in range(self.m):
             idx, r = divmod(idx, self.modulus)
             base.append(r)
         base.reverse()
+        lamp.reverse()
+        return base, lamp
+
+    def _index_of(self, base: Iterable[int], lamp: Iterable[int]) -> int:
+        """The state index spelled by base and lamp digits (see :meth:`_digits`)."""
+        idx = 0
+        for b in base:
+            idx = idx * self.modulus + b
+        for c in lamp:
+            idx = idx * self.p + c
+        return idx
+
+    def state_index(self, s: CosetState) -> int:
+        return self._index_of(s.base, (c for v in s.sums for c in v))
+
+    def state_at(self, idx: int) -> CosetState:
+        base, lamp = self._digits(idx)
+        d = self.d
+        sums = tuple(tuple(lamp[j * d : (j + 1) * d]) for j in range(self.l))
         return CosetState(tuple(base), sums)
 
     def iter_states(self) -> Iterator[CosetState]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .base import Vec, add, is_zero, neg, zero
@@ -244,11 +245,30 @@ class WreathGroup:
                 raise RankMismatchError(f"lamp value rank {len(v)} != d={self.d}")
 
     def word_element(self, word: Iterable[int]) -> WreathElement:
-        x = self.identity()
-        gens = self.generators()
+        """The product of the word's generators, left to right, in one pass.
+
+        Right-multiplying by s_i^{+-1} adds +-e_i to the lamp at the current
+        shift, and by t_j^{+-1} moves the shift by +-e_j, so the word is a
+        running shift plus a lamp-sum per visited position.
+        """
+        n_gens = 2 * (self.d + self.m)
+        shift = [0] * self.m
+        pos = tuple(shift)
+        lamps: dict[Vec, list[int]] = {}
         for g in word:
-            x = x * gens[g]
-        return x
+            if not 0 <= g < n_gens:
+                raise ValueError(f"generator index {g!r} out of range 0..{n_gens - 1}")
+            sign = -1 if g & 1 else 1
+            axis = g >> 1
+            if axis < self.d:
+                val = lamps.get(pos)
+                if val is None:
+                    val = lamps[pos] = [0] * self.d
+                val[axis] += sign
+            else:
+                shift[axis - self.d] += sign
+                pos = tuple(shift)
+        return WreathElement(Lamp.of(lamps), pos)
 
     def word_name(self, word: Word) -> str:
         if not word:
@@ -256,11 +276,15 @@ class WreathGroup:
         names = self.generator_names()
         return ".".join(names[g] for g in word)
 
+    @cached_property
+    def _name_index(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.generator_names())}
+
     def parse_word(self, text: str, line: int | None = None) -> Word:
         s = text.strip()
         if s == "e":
             return ()
-        lookup = {name: i for i, name in enumerate(self.generator_names())}
+        lookup = self._name_index
         word: list[int] = []
         for token in s.split("."):
             if token not in lookup:

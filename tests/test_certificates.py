@@ -394,6 +394,19 @@ def test_duplicate_shape_witness(w9, group11):
     assert info.value.witness == {"tower": 0, "shape": "{};(0)"}
 
 
+def test_duplicate_shape_witness_is_first_repeat_by_position(w9, group11):
+    shifts = [group11.parse_element(f"{{}};({k})") for k in range(1799)]
+    gamma = group11.parse_element("{};(1)")
+    for shapes, dup in (
+        (shifts + [shifts[1234]], shifts[1234]),
+        (shifts[:2] + [shifts[1], shifts[0]], shifts[1]),
+    ):
+        castle = Castle(towers=(Tower(base=frozenset({(0,)}), shapes=tuple(shapes)),))
+        with pytest.raises(MalformedCastleError) as info:
+            audit_castle(castle, gamma, w9)
+        assert info.value.witness == {"tower": 0, "shape": dup.text()}
+
+
 def test_castle_file_round_trip(w9, group11):
     text = "\n".join(
         [

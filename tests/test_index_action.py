@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from allostery import FiniteLevel, WreathGroup, assign_primes
+from allostery import FiniteLevel, Lamp, WreathElement, WreathGroup, assign_primes
 
 MAX_ORACLE_STATES = 3200
 
@@ -58,6 +58,20 @@ def oracle_orbit(level, start, gen_indices):
     return words, order
 
 
+def vecs(rank):
+    return st.tuples(*[st.integers(-9, 9)] * rank)
+
+
+def spread_elements(d, m):
+    """Elements with lamps at two to five positions spread over many
+    classes, and any shift."""
+    return st.builds(
+        lambda items, shift: WreathElement(Lamp.of(items), shift),
+        st.dictionaries(vecs(m), vecs(d), min_size=2, max_size=5),
+        vecs(m),
+    )
+
+
 def test_levels_cover_every_rank_pair():
     assert {(level.d, level.m) for level in LEVELS} == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
@@ -69,6 +83,15 @@ def test_index_map_matches_per_state_action(level, letters):
     x = level.group.word_element([g % n_gens for g in letters])
     assert level.index_map(x) == oracle_index_map(level, x)
     assert level.brute_fixed_indices(x) == oracle_fixed_indices(level, x)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_apply_index_matches_per_state_action(data):
+    for level in LEVELS:
+        prepared = level.prepare(data.draw(spread_elements(level.d, level.m)))
+        for i in range(level.size):
+            assert prepared.apply_index(i) == level.state_index(prepared.apply(level.state_at(i)))
 
 
 def test_tables_and_lamp_fixed_points_match_oracle():

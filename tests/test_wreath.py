@@ -105,6 +105,31 @@ def test_word_evaluates_left_to_right(group11):
     assert group11.word_element(group11.parse_word("e")).is_identity()
 
 
+def inverse_paired_words(n_gens):
+    """Words of 0-40 letters: each drawn letter is followed, or not, by its
+    inverse."""
+    return st.lists(st.tuples(st.integers(0, n_gens - 1), st.booleans()), max_size=20).map(
+        lambda pairs: tuple(g for a, paired in pairs for g in ((a, a ^ 1) if paired else (a,)))
+    )
+
+
+@given(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]), st.data())
+def test_word_element_is_the_fold_of_generator_products(ranks, data):
+    group = WreathGroup(*ranks)
+    gens = group.generators()
+    word = data.draw(inverse_paired_words(len(gens)))
+    expected = group.identity()
+    for g in word:
+        expected = expected * gens[g]
+    assert group.word_element(word) == expected
+
+
+@pytest.mark.parametrize("letter", [-1, 99])
+def test_word_element_rejects_out_of_range_letter(group11, letter):
+    with pytest.raises(ValueError, match="out of range"):
+        group11.word_element((2, letter))
+
+
 def test_ball_radius_zero_and_one(group11):
     ball0 = group11.ball(0)
     assert [entry.element.text() for entry in ball0] == ["{};(0)"]
