@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, product
+from itertools import count
 from typing import Iterable, Iterator, Tuple
 
 from .errors import RankMismatchError
@@ -103,8 +103,22 @@ class CongruenceSubgroup:
         return is_zero(self.reduce(e))
 
     def residues(self) -> Iterator[Vec]:
-        """All canonical residues in lexicographic order."""
-        return product(range(self.modulus), repeat=self.rank)
+        """All canonical residues in lexicographic order, one at a time.
+
+        An odometer over the digits, so the first residues come at once
+        however large p^k is; ``itertools.product`` would first store
+        ``range(p^k)`` as a tuple."""
+        q = self.modulus
+        digits = [0] * self.rank
+        while True:
+            yield tuple(digits)
+            pos = self.rank - 1
+            while pos >= 0 and digits[pos] == q - 1:
+                digits[pos] = 0
+                pos -= 1
+            if pos < 0:
+                return
+            digits[pos] += 1
 
 
 def minimal_exponent(

@@ -22,8 +22,10 @@ from fractions import Fraction
 from math import prod
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from .base import zero
 from .dynamics import (
     DEFAULT_STATE_BUDGET,
+    FiniteLevel,
     StabilizerWitness,
     Window,
     stabilizer_witness,
@@ -35,8 +37,8 @@ from .errors import (
     MeasureConditionError,
     TextParseError,
 )
-from .forge import SubgroupDatum, assign_primes
-from .wreath import Word, WreathElement
+from .forge import SubgroupDatum, assign_primes, default_epsilon
+from .wreath import Lamp, Word, WreathElement
 
 SCHEMA_VERSION = 1
 
@@ -79,13 +81,13 @@ def _require_same(rec: dict, fresh: dict) -> None:
 
 
 # --------------------------------------------------------------------------
-# transitivity, with an exact escalation path for over-budget products
+# transitivity, with an exact per-level argument for over-budget products
 
 
 @dataclass(frozen=True)
 class TransitivityResult:
     status: str  # "pass" | "fail" | "skipped"
-    method: str  # "bfs" | "level-coprime" | "none"
+    method: str  # "bfs" | "level-structure" | "none"
     orbit_size: Optional[int]
     detail: str
 
@@ -98,47 +100,72 @@ class TransitivityResult:
         }
 
 
+def _level_structure_defect(level: FiniteLevel) -> Optional[str]:
+    """None when the unit steps that make a level transitive hold on state 0,
+    else the first step that does not.
+
+    A state index spells a base block b in m digits of radix M = p^k and a
+    lamp offset v in l*d digits of radix p, most significant first.  Every
+    element acts as (b, v) -> (b + delta, v + sigma(b + delta)) for its shift
+    residue delta and a map sigma from blocks to lamp offsets.  So if t_j
+    sends state 0 to block e_j, and t^E[j] s_i t^-E[j] (shift 0) adds the unit
+    lamp digit (j, i) to state 0, then those lamp elements act on block 0 as
+    the translations of (Z/p)^(ld), block 0 lies in one orbit, and products
+    of shifts carry it bijectively onto every block.  That is m + l*d digit
+    applications, whatever the level size."""
+    M, p, m, d = level.modulus, level.p, level.m, level.d
+    lamp_digits = level.l * d
+    lamp_size = p**lamp_digits
+    for j in range(m):
+        block = M ** (m - 1 - j)
+        if level.prepare(level.group.shift_generator(j)).apply_index(0) != block * lamp_size:
+            return f"t{j + 1} does not carry state 0 to base block e_{j + 1}"
+    origin = zero(m)
+    for j, c in enumerate(level.E):
+        for i in range(d):
+            unit = tuple(int(k == i) for k in range(d))
+            x = WreathElement(Lamp.of({c: unit}), origin)
+            if level.prepare(x).apply_index(0) != p ** (lamp_digits - 1 - j * d - i):
+                return f"the lamp s{i + 1} at class E[{j}] does not add lamp digit ({j}, {i}) alone"
+    return None
+
+
 def certify_transitive(window: Window, budget: int = DEFAULT_STATE_BUDGET) -> TransitivityResult:
     """Decide transitivity of the diagonal action, exactly.
 
-    Within budget this is plain BFS.  When the product is too large but every
-    factor fits, transitivity still follows exactly: the orbit of the
-    identity thread surjects equivariantly onto each factor orbit, so each
-    factor size divides the orbit size; if every factor orbit is full and the
-    factor sizes are pairwise coprime prime powers, their product divides the
-    orbit size, which forces the orbit to be everything.  Conversely a
-    non-full factor orbit rules transitivity out.
+    Within budget this is plain BFS.  Past it, each level is shown
+    transitive by its digit arithmetic (see :func:`_level_structure_defect`),
+    which costs m + l*d applications to one state at any level size.  The
+    orbit of the identity thread surjects equivariantly onto each level, so
+    each level size divides the orbit size; with pairwise distinct primes the
+    level sizes are coprime prime powers, their product (the window size)
+    divides the orbit size, and the orbit is everything.  With repeated
+    primes that argument does not apply and the result is ``skipped``.
     """
     if window.size <= budget:
         orb = window.orbit(window.identity_thread(), budget)
         status = "pass" if orb.size == window.size else "fail"
         return TransitivityResult(status, "bfs", orb.size, "full breadth-first search")
-    if all(level.size <= budget for level in window.levels):
-        full = [level.orbit(0, budget).size == level.size for level in window.levels]
-        if not all(full):
-            bad = full.index(False)
-            return TransitivityResult(
-                "fail",
-                "level-coprime",
-                None,
-                f"factor {bad} is not even transitive on its own level",
-            )
-        if window.primes_distinct():
-            return TransitivityResult(
-                "pass",
-                "level-coprime",
-                window.size,
-                "every factor orbit is full and the pairwise-coprime factor "
-                "sizes all divide the thread-orbit size",
-            )
+    for pos, level in enumerate(window.levels):
+        defect = _level_structure_defect(level)
+        if defect is not None:
+            return TransitivityResult("fail", "level-structure", None, f"level {pos}: {defect}")
+    if window.primes_distinct():
         return TransitivityResult(
-            "skipped",
-            "none",
-            None,
-            "product exceeds the state budget and the primes repeat",
+            "pass",
+            "level-structure",
+            window.size,
+            "on every level each element acts as (b, v) -> (b + delta, v + sigma(b + delta)); "
+            "on state 0, t_j gives base e_j with zero lamp digits and t^E[j] s_i t^-E[j] gives "
+            "lamp digit (j, i) alone, so the lamp elements translate block 0 through all of "
+            "(Z/p)^(ld) and the shifts carry it onto every block; the pairwise-coprime level "
+            "sizes all divide the thread-orbit size",
         )
     return TransitivityResult(
-        "skipped", "none", None, "a single factor already exceeds the state budget"
+        "skipped",
+        "none",
+        None,
+        "product exceeds the state budget and the primes repeat",
     )
 
 
@@ -826,16 +853,19 @@ def check_castle_audit(rec: dict, budget: int = DEFAULT_STATE_BUDGET) -> bool:
 class NonAFReport:
     certificate: CriterionCertificate
     bound: Fraction
+    limit_lower_bound: Optional[Fraction]
     chain: Tuple[dict, ...]
     conclusion: str
 
     def to_dict(self) -> dict:
+        limit = self.limit_lower_bound
         return {
             "kind": "non-af-report",
             "v": SCHEMA_VERSION,
             "window": [dat.to_dict() for dat in self.certificate.data],
             "bound": frac_str(self.bound),
             "product_lower_bound": frac_str(self.certificate.product_lower_bound),
+            "limit_lower_bound": None if limit is None else frac_str(limit),
             "chain": list(self.chain),
             "conclusion": self.conclusion,
             "criterion": self.certificate.to_dict(),
@@ -844,13 +874,75 @@ class NonAFReport:
 
 def non_af_report(certificate: CriterionCertificate) -> NonAFReport:
     """Assemble the castle-obstruction report from a valid criterion
-    certificate: exact stage bound, monotonicity to the limit, and the
+    certificate: exact stage bound, a lower bound on the limit, and the
     tolerance threshold below which no castle for the first lamp generator
-    can exist."""
+    can exist.
+
+    Each level the window gains multiplies the stage fraction by at most 1,
+    so the stage fraction only bounds the limit from above.  A bound from
+    below needs the later tolerances: on the schedule eps_i = 2^-(i+2) every
+    later level i keeps l_i < eps_i p_i^(k_i m) and so a fraction of at
+    least 1 - eps_i, and the product of (1 - eps_i) over i >= n is at least
+    1 - (sum of those eps_i) = 1 - 2^-(n+1).  With any other tolerances a
+    continuation can push the limit to 0, and the report certifies the
+    finite stage only."""
     if not certificate.valid:
         raise CertificateError("criterion certificate is not valid")
     bound = certificate.window_s_fixed_fraction
     product = certificate.product_lower_bound
+    n = len(certificate.data)
+    on_schedule = all(dat.epsilon == default_epsilon(i) for i, dat in enumerate(certificate.data))
+    limit = bound * (1 - Fraction(1, 2 ** (n + 1))) if on_schedule else None
+    if limit is not None:
+        limit_step = {
+            "step": "limit-bound",
+            "statement": (
+                "the tolerances follow the schedule 2^-(i+2), so every later level i keeps a "
+                "fraction of at least 1 - 2^-(i+2), and the limit measure of the set fixed by "
+                "every lamp generator is at least the stage fraction times 1 - 2^-(n+1) for "
+                "the n window elements"
+            ),
+            "lhs": frac_str(limit),
+            "rel": ">",
+            "rhs": "0/1",
+        }
+        obstruction = {
+            "step": "castle-obstruction",
+            "statement": (
+                "a well-formed castle of the limit action whose shapes all have defect below "
+                "the limit lower bound for the inverse of the first lamp generator would "
+                "contradict the fixed-set inequality"
+            ),
+            "threshold": frac_str(limit),
+        }
+        conclusion = (
+            "no castle tolerance below the limit lower bound is achievable: "
+            "the limit action is not almost finite"
+        )
+    else:
+        limit_step = {
+            "step": "limit-bound",
+            "statement": (
+                "the tolerances do not follow the schedule 2^-(i+2), so later levels may push "
+                "the limit measure to 0: no bound on the limit is certified"
+            ),
+            "lhs": None,
+            "rel": None,
+            "rhs": None,
+        }
+        obstruction = {
+            "step": "castle-obstruction",
+            "statement": (
+                "a well-formed castle of this finite stage whose shapes all have defect below "
+                "the stage fraction for the inverse of the first lamp generator would "
+                "contradict the fixed-set inequality"
+            ),
+            "threshold": frac_str(bound),
+        }
+        conclusion = (
+            "this report certifies the finite stage only: no castle of the stage has every "
+            "defect below the bound, and nothing is claimed about the limit action"
+        )
     chain = (
         {
             "step": "stage-fraction",
@@ -871,32 +963,15 @@ def non_af_report(certificate: CriterionCertificate) -> NonAFReport:
             "rel": ">",
             "rhs": "0/1",
         },
-        {
-            "step": "limit-bound",
-            "statement": (
-                "stage fractions only decrease under window extension, so the "
-                "limit measure of the set fixed by the first lamp generator is "
-                "at least the recorded bound"
-            ),
-            "lhs": frac_str(bound),
-            "rel": ">",
-            "rhs": "0/1",
-        },
-        {
-            "step": "castle-obstruction",
-            "statement": (
-                "a well-formed castle whose shapes all have defect below the "
-                "bound for the inverse of the first lamp generator would "
-                "contradict the fixed-set inequality"
-            ),
-            "threshold": frac_str(bound),
-        },
+        limit_step,
+        obstruction,
     )
     return NonAFReport(
         certificate=certificate,
         bound=bound,
+        limit_lower_bound=limit,
         chain=chain,
-        conclusion="no castle tolerance below the bound is achievable: the limit action is not almost finite",
+        conclusion=conclusion,
     )
 
 

@@ -260,7 +260,11 @@ def _report_markdown(report_dict: dict) -> str:
             f"| {rec['fixed_fraction']} | {frac_str(one_minus)} |"
         )
     lines.append("")
-    lines.append(f"Window bound: **{report_dict['bound']}**; {report_dict['conclusion']}.")
+    limit = report_dict["limit_lower_bound"] or "none"
+    lines.append(
+        f"Window bound: **{report_dict['bound']}**; limit lower bound: **{limit}**; "
+        f"{report_dict['conclusion']}."
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -291,7 +295,8 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
         sys.stdout.write(_report_markdown(rec))
     else:
         sys.stdout.write(json.dumps(rec, indent=2) + "\n")
-    _say(f"bound {rec['bound']}; {rec['conclusion']}")
+    limit = rec["limit_lower_bound"] or "none"
+    _say(f"bound {rec['bound']}; limit lower bound {limit}; {rec['conclusion']}")
     return EXIT_OK
 
 

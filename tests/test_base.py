@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -57,6 +58,19 @@ def test_modulus_and_index():
 def test_residues_sorted_lex():
     sub = CongruenceSubgroup(2, 1, 2)
     assert list(sub.residues()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for p, k, rank in [(2, 1, 1), (3, 2, 1), (2, 2, 2), (5, 1, 3), (3, 1, 2)]:
+        q = p**k
+        assert list(CongruenceSubgroup(p, k, rank).residues()) == list(
+            product(range(q), repeat=rank)
+        )
+
+
+def test_residues_are_lazy():
+    residues = CongruenceSubgroup(2, 60, 1).residues()
+    assert next(residues) == (0,)
+    assert next(residues) == (1,)
+    wide = CongruenceSubgroup(3, 40, 2).residues()
+    assert [next(wide) for _ in range(3)] == [(0, 0), (0, 1), (0, 2)]
 
 
 def test_bad_subgroup_parameters():

@@ -66,8 +66,34 @@ def test_transitive_by_bfs(w288):
 def test_transitive_by_level_escalation(w288):
     result = certify_transitive(w288, budget=100)
     assert result.status == "pass"
-    assert result.method == "level-coprime"
+    assert result.method == "level-structure"
     assert result.orbit_size == 288
+
+
+def _apply_twice(apply_index):
+    def wrong(self, i):
+        return apply_index(self, apply_index(self, i))
+
+    return wrong
+
+
+def _drop_last_lamp_group(apply_index):
+    def wrong(self, i):
+        level = self.level
+        base, lamp = level._digits(apply_index(self, i))
+        lamp[-level.d :] = level._digits(i)[1][-level.d :]
+        return level._index_of(base, lamp)
+
+    return wrong
+
+
+@pytest.mark.parametrize("wrong", [_apply_twice, _drop_last_lamp_group])
+def test_level_structure_fails_on_a_wrong_action(w288, monkeypatch, wrong):
+    action = type(w288.levels[0].prepare(w288.group.identity()))
+    monkeypatch.setattr(action, "apply_index", wrong(action.apply_index))
+    result = certify_transitive(w288, budget=100)
+    assert (result.status, result.method, result.orbit_size) == ("fail", "level-structure", None)
+    assert result.detail.startswith("level 0: ")
 
 
 def test_transitivity_negative_cases(d32):
@@ -76,6 +102,7 @@ def test_transitivity_negative_cases(d32):
     assert direct.status == "fail" and direct.method == "bfs"
     assert certify_transitive(doubled, budget=100).status == "skipped"
     assert certify_transitive(Window([d32, d32]), budget=10).status == "skipped"
+    assert build_criterion([d32, d32], budget=10).verdict == "invalid"
 
 
 def test_criterion_certificate_valid(cert288):
@@ -120,10 +147,10 @@ def test_criterion_invalid_duplicate_primes(d32, group11):
     assert cert.verdict == "invalid"
 
 
-def test_criterion_partial_on_budget(d32, d9):
+def test_criterion_over_budget_skips_brute_check(d32, d9):
     cert = build_criterion([d32, d9], budget=20)
-    assert cert.verdict == "partial" and not cert.valid
-    assert cert.transitivity.status == "skipped"
+    assert cert.verdict == "valid" and cert.valid
+    assert cert.transitivity.method == "level-structure"
     assert not cert.records[0].brute_checked
     assert cert.records[0].brute_ok is None
     assert cert.records[1].brute_checked and cert.records[1].brute_ok
@@ -158,14 +185,14 @@ def test_criterion_check_rejects_tampering(cert288):
         check_criterion_certificate({"kind": "criterion", "v": 1, "window": "x"})
 
 
-def test_criterion_check_of_invalid_and_partial(d32, d9):
+def test_criterion_check_of_invalid_and_over_budget(d32, d9):
     lowered = dataclasses.replace(d32, epsilon=Fraction(1, 8))
     invalid_rec = build_criterion([lowered]).to_dict()
     assert check_criterion_certificate(invalid_rec) is False
-    partial_rec = build_criterion([d32, d9], budget=20).to_dict()
-    assert check_criterion_certificate(partial_rec, budget=20) is False
+    over_budget_rec = build_criterion([d32, d9], budget=20).to_dict()
+    assert check_criterion_certificate(over_budget_rec, budget=20) is True
     with pytest.raises(CertificateError):
-        check_criterion_certificate(partial_rec)
+        check_criterion_certificate(over_budget_rec)
 
 
 def test_atoms_of_extremes(w32):
@@ -483,6 +510,35 @@ def test_non_af_report_three_levels(d32, d9, d25):
         "limit-bound",
         "castle-obstruction",
     ]
+
+
+def test_fixed_epsilon_report_certifies_the_stage_only(d32, d9, d25, group11):
+    s = group11.parse_element("{(0):(1)};(0)")
+    t = group11.parse_element("{};(1)")
+    mixed = verify_criterion([s, t], 1, 1, epsilon=lambda i: Fraction(1, 4) if i == 0 else HALF)
+    for cert in (build_criterion([d32, d9, d25]), mixed):
+        rec = non_af_report(cert).to_dict()
+        assert rec["limit_lower_bound"] is None
+        assert "not almost finite" not in rec["conclusion"]
+        assert "finite stage only" in rec["conclusion"]
+        limit_step, obstruction = rec["chain"][3:]
+        assert (limit_step["lhs"], limit_step["rel"], limit_step["rhs"]) == (None, None, None)
+        assert obstruction["threshold"] == rec["bound"]
+        assert check_non_af_report(rec) is True
+
+
+def test_scheduled_report_bounds_the_limit(group11):
+    s = group11.parse_element("{(0):(1)};(0)")
+    t = group11.parse_element("{};(1)")
+    cert = verify_criterion([s, t], 1, 1)
+    report = non_af_report(cert)
+    assert report.bound == cert.window_s_fixed_fraction
+    assert report.limit_lower_bound == report.bound * Fraction(7, 8)
+    rec = report.to_dict()
+    limit_step, obstruction = rec["chain"][3:]
+    assert limit_step["lhs"] == obstruction["threshold"] == rec["limit_lower_bound"]
+    assert rec["conclusion"].endswith("the limit action is not almost finite")
+    assert check_non_af_report(rec) is True
 
 
 def test_non_af_report_requires_validity(d32):

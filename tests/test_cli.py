@@ -62,7 +62,7 @@ def test_verify_ball_window(capsys):
     assert [r["prime"] for r in rec["records"]] == [2, 3, 5, 7]
     assert [r["index"] for r in rec["records"]] == [32, 81, 25, 49]
     assert rec["window_s_fixed_fraction"] == "2/5"
-    assert rec["transitivity"]["method"] == "level-coprime"
+    assert rec["transitivity"]["method"] == "level-structure"
     assert "verdict valid" in err
 
 
@@ -93,11 +93,18 @@ def test_verify_check_invalid_certificate(capsys, tmp_path, d32):
     assert "invalid" in err
 
 
+def brute_checks(out):
+    """The (brute_checked, brute_ok) pair of every record: what the state
+    budget decides in a criterion certificate."""
+    return [(r["brute_checked"], r["brute_ok"]) for r in json.loads(out)["records"]]
+
+
 def test_verify_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("ALLOSTERY_BUDGET_STATES", "10")
     code, out, _ = run(capsys, "verify", "--epsilon", "1/2")
-    assert code == 1
-    assert json.loads(out)["verdict"] == "partial"
+    assert code == 0
+    assert json.loads(out)["verdict"] == "valid"
+    assert brute_checks(out) == [(False, None)] * 4
     monkeypatch.setenv("ALLOSTERY_BUDGET_STATES", "ten")
     assert run(capsys, "verify", "--epsilon", "1/2")[0] == 2
     monkeypatch.setenv("ALLOSTERY_BUDGET_STATES", "-5")
@@ -107,8 +114,8 @@ def test_verify_budget_env(capsys, monkeypatch):
 def test_env_wins_over_flag(capsys, monkeypatch):
     monkeypatch.setenv("ALLOSTERY_BUDGET_STATES", "10")
     code, out, _ = run(capsys, "verify", "--epsilon", "1/2", "--budget-states", "1000000")
-    assert code == 1
-    assert json.loads(out)["verdict"] == "partial"
+    assert code == 0
+    assert brute_checks(out) == [(False, None)] * 4
 
 
 def test_simulate_csv(capsys, w288_file):
@@ -344,13 +351,36 @@ def test_report_json_and_check(capsys, tmp_path):
     assert run(capsys, "report", "--check", str(path))[0] == 0
 
 
+@pytest.mark.parametrize("flags", [("--radius", "2"), ("--d", "2", "--m", "2"), ("--radius", "3")])
+def test_default_schedule_is_valid_past_the_budget(capsys, flags):
+    code, out, _ = run(capsys, "verify", *flags)
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["verdict"] == "valid"
+    assert rec["transitivity"]["method"] == "level-structure"
+    assert any(not r["brute_checked"] for r in rec["records"])
+
+
+def test_scheduled_report_claims_the_limit(capsys, tmp_path):
+    code, out, err = run(capsys, "report", "--radius", "2")
+    assert code == 0
+    rec = json.loads(out)
+    limit = Fraction(rec["limit_lower_bound"])
+    assert limit == Fraction(rec["bound"]) * (1 - Fraction(1, 2**17))
+    assert rec["chain"][4]["threshold"] == rec["limit_lower_bound"]
+    assert "the limit action is not almost finite" in err
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    assert run(capsys, "report", "--check", str(path))[0] == 0
+
+
 def test_report_markdown(capsys):
     code, out, _ = run(capsys, "report", "--epsilon", "1/2", "--format", "md")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "| gamma | prime | index | fixed fraction | lower bound |"
     assert any("| 2 | 32 |" in line for line in lines)
-    assert "Window bound: **2/5**" in out
+    assert "Window bound: **2/5**; limit lower bound: **none**" in out
 
 
 def test_report_out_directory(capsys, tmp_path):
@@ -377,9 +407,10 @@ def test_config_file(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--config", str(cfg))
     assert code == 0
     assert json.loads(out)["verdict"] == "valid"
+    assert brute_checks(out) == [(True, True)] * 4
     code, out, _ = run(capsys, "verify", "--config", str(cfg), "--budget-states", "10")
-    assert code == 1
-    assert json.loads(out)["verdict"] == "partial"
+    assert code == 0
+    assert brute_checks(out) == [(False, None)] * 4
 
 
 def test_config_file_errors(capsys, tmp_path):

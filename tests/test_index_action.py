@@ -6,9 +6,19 @@ build orbit words eagerly, as the level did before it worked on indices.
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from allostery import FiniteLevel, Lamp, WreathElement, WreathGroup, assign_primes
+from allostery import (
+    FiniteLevel,
+    Lamp,
+    Window,
+    WreathElement,
+    WreathGroup,
+    assign_primes,
+    certify_transitive,
+    forge,
+)
+from allostery.errors import ForgeError
 
 MAX_ORACLE_STATES = 3200
 
@@ -123,3 +133,27 @@ def test_orbit_without_generators_matches_oracle():
     words, order = oracle_orbit(level, 5, [])
     orb = level.orbit(5, gen_indices=[])
     assert (orb.words, orb.order) == (words, order) == ({5: ()}, [5])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_level_structure_agrees_with_level_bfs(data):
+    d, m = data.draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]), label="d, m")
+    gamma = data.draw(
+        st.builds(
+            lambda items, shift: WreathElement(Lamp.of(items), shift),
+            st.dictionaries(vecs(m), vecs(d), max_size=2),
+            vecs(m),
+        ).filter(lambda x: not x.is_identity()),
+        label="gamma",
+    )
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    try:
+        datum = forge(gamma, p, Fraction(1, 2), d, m)
+    except ForgeError:
+        assume(False)
+    assume(datum.index() <= MAX_ORACLE_STATES)
+    level = FiniteLevel(datum)
+    result = certify_transitive(Window([datum]), budget=0)
+    assert result.method == "level-structure"
+    assert (result.status == "pass") == (level.orbit(0).size == level.size)

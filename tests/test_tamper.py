@@ -1,7 +1,8 @@
 """Tampered certificates: one edit to an honest record never passes its checker.
 
-The records are the criterion and report of W32×W9 and the audit of the W9
-transversal castle.  An edit outside the subtrees a checker rebuilds from
+The records are the criterion and report of W32×W9, the report of a window
+forged on the tolerance schedule (the one kind with a limit lower bound) and
+the audit of the W9 transversal castle.  An edit outside the subtrees a checker rebuilds from
 (the window; for an audit also the castle and gamma) must make the checker
 return False or raise CertificateError.  An edit inside them may describe
 another honest certificate, so there the checker may accept, but it must
@@ -20,6 +21,7 @@ from allostery import (
     check_criterion_certificate,
     check_non_af_report,
     non_af_report,
+    verify_criterion,
 )
 from allostery.errors import AllosteryError, CertificateError
 
@@ -28,12 +30,14 @@ from conftest import make_transversal_castle
 CHECKERS = {
     "criterion": check_criterion_certificate,
     "report": check_non_af_report,
+    "scheduled-report": check_non_af_report,
     "audit": check_castle_audit,
 }
 
 INPUTS = {
     "criterion": [("window",)],
     "report": [("window",), ("criterion", "window")],
+    "scheduled-report": [("window",), ("criterion", "window")],
     "audit": [("window",), ("castle",), ("gamma",)],
 }
 
@@ -42,9 +46,11 @@ INPUTS = {
 def honest(d32, d9, w9):
     cert = build_criterion([d32, d9])
     s1 = w9.group.parse_element("{(0):(1)};(0)")
+    t1 = w9.group.parse_element("{};(1)")
     return {
         "criterion": cert.to_dict(),
         "report": non_af_report(cert).to_dict(),
+        "scheduled-report": non_af_report(verify_criterion([s1, t1], 1, 1)).to_dict(),
         "audit": audit_castle(make_transversal_castle(w9), s1, w9).to_dict(),
     }
 
@@ -109,7 +115,7 @@ def test_one_edit_never_passes(honest, data):
         ("criterion", ("stabilizer", "fixers"), []),
         ("criterion", ("stabilizer", "ok"), False),
         ("criterion", ("stabilizer", "mover_count"), 0),
-        ("criterion", ("transitivity", "method"), "level-coprime"),
+        ("criterion", ("transitivity", "method"), "level-structure"),
         ("criterion", ("transitivity", "orbit_size"), 287),
         ("criterion", ("records", 0, "brute_ok"), None),
         ("criterion", ("records", 1, "brute_checked"), False),
@@ -117,6 +123,11 @@ def test_one_edit_never_passes(honest, data):
         ("report", ("conclusion",), "the limit action is almost finite"),
         ("audit", ("towers", 0, "defect"), "1/9"),
         ("audit", ("defects_within_epsilon",), True),
+        ("report", ("limit_lower_bound",), "1/2"),
+        ("report", ("chain", 3, "lhs"), "3/4"),
+        ("scheduled-report", ("limit_lower_bound",), None),
+        ("scheduled-report", ("limit_lower_bound",), "21/32"),
+        ("scheduled-report", ("chain", 4, "threshold"), "3/4"),
     ],
 )
 def test_named_edits_raise(honest, kind, path, value):
