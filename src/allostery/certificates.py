@@ -28,6 +28,7 @@ from .dynamics import (
     FiniteLevel,
     StabilizerWitness,
     Window,
+    _bfs,
     stabilizer_witness,
 )
 from .errors import (
@@ -215,7 +216,7 @@ class CriterionCertificate:
     window_fraction_ok: bool
     transitivity: TransitivityResult
     witness: StabilizerWitness
-    verdict: str  # "valid" | "invalid" | "partial"
+    verdict: str  # "valid" | "invalid"
 
     @property
     def valid(self) -> bool:
@@ -289,12 +290,8 @@ def build_criterion(
         or transitivity.status == "fail"
         or not witness.ok
     )
-    if failed:
-        verdict = "invalid"
-    elif transitivity.status == "skipped":
-        verdict = "partial"
-    else:
-        verdict = "valid"
+    # Transitivity is skipped only when the primes repeat, which fails already.
+    verdict = "invalid" if failed else "valid"
     return CriterionCertificate(
         d=window.d,
         m=window.m,
@@ -530,33 +527,12 @@ def comparison_certificate(
     # The atoms form a block system, so each generator permutes atom
     # indices; one representative state per atom gives that permutation.
     atom_of = {s: i for i, atom in enumerate(atoms) for s in atom}
-    gens = range(len(window.group.generators()))
     moves = []
-    for g in gens:
+    for g in range(len(window.group.generators())):
         tables = window.tables(g)
-        moves.append(
-            [
-                atom_of[tuple(tab[i] for tab, i in zip(tables, next(iter(atom))))]
-                for atom in atoms
-            ]
-        )
-
-    words: List[Word] = []
-    for piece, target in zip(pieces, targets):
-        found: Dict[int, Word] = {piece: ()}
-        frontier = [piece]
-        while target not in found and frontier:
-            nxt = []
-            for cur in frontier:
-                for g in gens:
-                    img = moves[g][cur]
-                    if img not in found:
-                        found[img] = (g,) + found[cur]
-                        nxt.append(img)
-            frontier = nxt
-        if target not in found:
-            raise CertificateError("no transporter word reaches the target atom")
-        words.append(found[target])
+        reps = (next(iter(atom)) for atom in atoms)
+        moves.append((g, [atom_of[tuple(tab[i] for tab, i in zip(tables, s))] for s in reps]))
+    words = [_bfs(moves, piece, len(atoms)).word(target) for piece, target in zip(pieces, targets)]
     cert = ComparisonCertificate(
         data=window.data,
         d=window.d,

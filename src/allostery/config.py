@@ -9,7 +9,6 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .errors import TextParseError
-from .forge import default_epsilon
 
 ENV_BUDGET = "ALLOSTERY_BUDGET_STATES"
 
@@ -42,11 +41,6 @@ class RunConfig:
                 raise ValueError(f"epsilon must be 'schedule' or a rational, got {self.epsilon!r}")
         elif not 0 < self.epsilon < 1:
             raise ValueError(f"fixed epsilon {self.epsilon} outside (0,1)")
-
-    def epsilon_for(self, i: int) -> Fraction:
-        if self.epsilon == "schedule":
-            return default_epsilon(i)
-        return Fraction(self.epsilon)
 
     def epsilon_arg(self) -> Optional[Fraction]:
         """None for the schedule (callers fall back to it), else the fixed value."""

@@ -25,17 +25,18 @@ support of g, the lamp offset is unchanged; otherwise g's class sum at
 therefore turns x into an index map block by block, with one lamp-offset
 permutation per distinct pattern of added sums, and reads fixed states off
 the same blocks.  A single state index is acted on by the same arithmetic on
-its own digits.  :class:`CosetState` remains only for the state text format
-and, with its per-state application, as the oracle the index action is
-tested against.
+its own digits.  :class:`CosetState` is only the state text format.
 
 A window is a finite list of levels acted on diagonally; its states are
-tuples of per-level state indices.  With pairwise distinct primes this is the
+tuples of per-level state indices, and its flat index spells such a tuple in
+mixed radix (first level most significant).  Orbits and the inverse-system
+checks run on flat indices.  With pairwise distinct primes a window is the
 finite stage of the inverse system whose limit the certificates speak about.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -43,7 +44,7 @@ from itertools import product
 from math import prod
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .base import Vec, zero
+from .base import Vec
 from .errors import (
     BudgetExceededError,
     RankMismatchError,
@@ -51,7 +52,7 @@ from .errors import (
     WindowError,
 )
 from .forge import SubgroupDatum
-from .wreath import WreathElement, WreathGroup, format_vec, _parse_vec
+from .wreath import Word, WreathElement, WreathGroup, format_vec, _parse_vec
 
 DEFAULT_STATE_BUDGET = 10**6
 
@@ -114,23 +115,6 @@ class _PreparedAction:
             if any(reduced):
                 self.class_sums[q] = reduced
 
-    def apply(self, s: CosetState) -> CosetState:
-        level = self.level
-        modulus = level.modulus
-        p = level.p
-        base = tuple((b + t) % modulus for b, t in zip(s.base, self.delta))
-        if not self.class_sums:
-            return CosetState(base, s.sums)
-        new_sums = []
-        for c, old in zip(level.E, s.sums):
-            key = tuple((b + e) % modulus for b, e in zip(base, c))
-            g = self.class_sums.get(key)
-            if g is None:
-                new_sums.append(old)
-            else:
-                new_sums.append(tuple((o + gi) % p for o, gi in zip(old, g)))
-        return CosetState(base, tuple(new_sums))
-
     def apply_index(self, i: int) -> int:
         """The image of state index i, by arithmetic on its mixed-radix
         digits: delta is added to the base digits mod M, and the class sum
@@ -166,9 +150,6 @@ class FiniteLevel:
         self._lamp_size = self.p**self._lamp_digits
         self._tables: Dict[int, List[int]] = {}
 
-    def identity_state(self) -> CosetState:
-        return CosetState(zero(self.m), tuple(zero(self.d) for _ in range(self.l)))
-
     def _digits(self, idx: int) -> Tuple[List[int], List[int]]:
         """The m base digits and the l*d lamp digits of a state index, each
         most significant first."""
@@ -202,28 +183,8 @@ class FiniteLevel:
         sums = tuple(tuple(lamp[j * d : (j + 1) * d]) for j in range(self.l))
         return CosetState(tuple(base), sums)
 
-    def iter_states(self) -> Iterator[CosetState]:
-        """All states in index order."""
-        for base in product(range(self.modulus), repeat=self.m):
-            for flat in product(range(self.p), repeat=self._lamp_digits):
-                yield CosetState(
-                    base, tuple(flat[j * self.d : (j + 1) * self.d] for j in range(self.l))
-                )
-
-    def enumerate_states(self, budget: int = DEFAULT_STATE_BUDGET) -> List[CosetState]:
-        if self.size > budget:
-            raise BudgetExceededError(self.size, budget)
-        return list(self.iter_states())
-
     def prepare(self, x: WreathElement) -> _PreparedAction:
         return _PreparedAction(self, x)
-
-    def act(self, x: WreathElement, s: CosetState) -> CosetState:
-        return _PreparedAction(self, x).apply(s)
-
-    def state_of(self, x: WreathElement) -> CosetState:
-        """The coset of x itself: x acting on the identity coset."""
-        return self.act(x, self.identity_state())
 
     def _blocks(self, x: WreathElement) -> Tuple[List[int], Dict[int, List[int]]]:
         """x as block arithmetic: the image block of every base block, in
@@ -239,7 +200,8 @@ class FiniteLevel:
         patterns: Dict[int, list] = {}
         for q, g in prepared.class_sums.items():
             for j, c in enumerate(self.E):
-                source = self._flat_base(tuple(a - t - e for a, t, e in zip(q, prepared.delta, c)))
+                residue = ((a - t - e) % M for a, t, e in zip(q, prepared.delta, c))
+                source = self._index_of(residue, ())
                 patterns.setdefault(source, [None] * self.l)[j] = g
         perms: Dict[tuple, List[int]] = {}
         moved: Dict[int, List[int]] = {}
@@ -249,12 +211,6 @@ class FiniteLevel:
                 perms[key] = self._lamp_permutation(key)
             moved[source] = perms[key]
         return targets, moved
-
-    def _flat_base(self, residue: Vec) -> int:
-        idx = 0
-        for b in residue:
-            idx = idx * self.modulus + b % self.modulus
-        return idx
 
     def _lamp_permutation(self, pattern: Sequence[Optional[Vec]]) -> List[int]:
         """Lamp offsets after adding pattern[j] (None for zero) to digit group j."""
@@ -292,22 +248,9 @@ class FiniteLevel:
         if self.size > budget:
             raise BudgetExceededError(self.size, budget)
         gens = range(len(self.group.generators())) if gen_indices is None else gen_indices
-        steps = [(g, self.table(g)) for g in gens]
-        seen = bytearray(self.size)
-        seen[start] = 1
-        order = [start]
-        parents: List[int] = []
-        letters: List[int] = []
-        # The loop also visits the states appended while it runs.
-        for s in order:
-            for g, table in steps:
-                t = table[s]
-                if not seen[t]:
-                    seen[t] = 1
-                    order.append(t)
-                    parents.append(s)
-                    letters.append(g)
-        return OrbitResult(start, order, parents, letters)
+        orb = _bfs([(g, self.table(g)) for g in gens], start, self.size)
+        orb.order = orb.order.tolist()
+        return orb
 
     def brute_fixed_indices(self, x: WreathElement, budget: int = DEFAULT_STATE_BUDGET) -> List[int]:
         """Indices of all states fixed by x, by applying x block by block.
@@ -348,12 +291,12 @@ class FiniteLevel:
 class OrbitResult:
     """The states a BFS reached from `start`, in discovery order.
 
-    Every state after the first was discovered from ``parents[i]`` by
+    State ``order[i + 1]`` was discovered from ``order[parents[i]]`` by
     generator ``letters[i]``; its word is that generator followed by the
     parent's word.  The words are built on first access.
     """
 
-    def __init__(self, start, order: List, parents: List, letters: List[int]):
+    def __init__(self, start, order: Sequence, parents: Sequence[int], letters: List[int]):
         self.start = start
         self.order = order
         self._parents = parents
@@ -363,12 +306,42 @@ class OrbitResult:
     def size(self) -> int:
         return len(self.order)
 
+    def word(self, state) -> Word:
+        """The word of one state, read off its chain of parents."""
+        word, i = [], self.order.index(state)
+        while i:
+            word.append(self._letters[i - 1])
+            i = self._parents[i - 1]
+        return tuple(word)
+
     @cached_property
     def words(self) -> Dict:
-        words: Dict = {self.start: ()}
-        for t, s, g in zip(self.order[1:], self._parents, self._letters):
-            words[t] = (g,) + words[s]
-        return words
+        words: List[Word] = [()]
+        for parent, g in zip(self._parents, self._letters):
+            words.append((g,) + words[parent])
+        return dict(zip(self.order, words))
+
+
+def _bfs(steps: Sequence[Tuple[int, Sequence[int]]], start: int, size: int) -> OrbitResult:
+    """Breadth-first search over state indices 0..size-1 from start.  steps
+    pairs each letter with its permutation table, tried in order at every
+    state; a state's first discovery fixes its parent and letter.  The order
+    comes back as an ``array``, which each caller turns into its states."""
+    seen = bytearray(size)
+    seen[start] = 1
+    order = array("l", [start])
+    parents = array("l")
+    letters: List[int] = []
+    # The loop also visits the states appended while it runs.
+    for i, s in enumerate(order):
+        for g, table in steps:
+            t = table[s]
+            if not seen[t]:
+                seen[t] = 1
+                order.append(t)
+                parents.append(i)
+                letters.append(g)
+    return OrbitResult(start, order, parents, letters)
 
 
 class _WindowAction:
@@ -417,16 +390,8 @@ class Window:
     def prepare(self, x: WreathElement) -> _WindowAction:
         return _WindowAction(self, x)
 
-    def act(self, x: WreathElement, state: Tuple[int, ...]) -> Tuple[int, ...]:
-        return self.prepare(x).apply(state)
-
     def iter_states(self) -> Iterator[Tuple[int, ...]]:
         return product(*(range(level.size) for level in self.levels))
-
-    def enumerate_states(self, budget: int = DEFAULT_STATE_BUDGET) -> List[Tuple[int, ...]]:
-        if self.size > budget:
-            raise BudgetExceededError(self.size, budget)
-        return list(self.iter_states())
 
     def tables(self, g: int) -> List[List[int]]:
         return [level.table(g) for level in self.levels]
@@ -440,22 +405,15 @@ class Window:
         return flat
 
     def orbit(self, start: Tuple[int, ...], budget: int = DEFAULT_STATE_BUDGET) -> OrbitResult:
+        """BFS on flat indices; the result's states are index tuples."""
         if self.size > budget:
             raise BudgetExceededError(self.size, budget)
-        steps = list(enumerate(self.tables(g) for g in range(len(self.group.generators()))))
-        seen = {start}
-        order = [start]
-        parents: List[Tuple[int, ...]] = []
-        letters: List[int] = []
-        for s in order:
-            for g, tables in steps:
-                t = tuple(tab[i] for tab, i in zip(tables, s))
-                if t not in seen:
-                    seen.add(t)
-                    order.append(t)
-                    parents.append(s)
-                    letters.append(g)
-        return OrbitResult(start, order, parents, letters)
+        steps = [(g, array("l", self.flat_table(g))) for g in range(len(self.group.generators()))]
+        orb = _bfs(steps, self.flat_index(start), self.size)
+        del steps  # the tables go before the tuples are built, to bound peak memory
+        orb.order = [self.state_at(i) for i in orb.order]
+        orb.start = orb.order[0]
+        return orb
 
     def is_transitive(self, budget: int = DEFAULT_STATE_BUDGET) -> bool:
         """BFS from the identity thread; true iff every product state is reached."""
@@ -521,24 +479,6 @@ class Window:
             level.parse_state_index(part, line) for level, part in zip(self.levels, parts)
         )
 
-    def measure(self) -> "UniformMeasure":
-        return UniformMeasure(self)
-
-
-@dataclass(frozen=True)
-class UniformMeasure:
-    """The unique invariant probability measure of a transitive finite stage."""
-
-    window: Window
-
-    @property
-    def point_mass(self) -> Fraction:
-        return Fraction(1, self.window.size)
-
-    def of(self, states: int | Iterable) -> Fraction:
-        n = states if isinstance(states, int) else len(list(states))
-        return Fraction(n, self.window.size)
-
 
 @dataclass(frozen=True)
 class StructureMap:
@@ -550,11 +490,6 @@ class StructureMap:
 
     def apply(self, state: Tuple[int, ...]) -> Tuple[int, ...]:
         return tuple(state[p] for p in self.positions)
-
-    def is_identity(self) -> bool:
-        return len(self.source.levels) == len(self.target.levels) and self.positions == tuple(
-            range(len(self.source.levels))
-        )
 
 
 def structure_map(target: Window, source: Window) -> StructureMap:
@@ -571,6 +506,22 @@ def structure_map(target: Window, source: Window) -> StructureMap:
         used.add(pos)
         positions.append(pos)
     return StructureMap(source=source, target=target, positions=tuple(positions))
+
+
+def _projection(target: Window, source: Window) -> List[int]:
+    """The structure map source -> target on flat indices: each source digit
+    at a position the map keeps is weighted by its place value in target."""
+    positions = structure_map(target, source).positions
+    weight = [0] * len(source)
+    place = 1
+    for pos, level in zip(reversed(positions), reversed(target.levels)):
+        weight[pos] = place
+        place *= level.size
+    proj = [0]
+    for pos, level in enumerate(source.levels):
+        w = weight[pos]
+        proj = [hi + w * t for hi in proj for t in range(level.size)]
+    return proj
 
 
 @dataclass
@@ -634,54 +585,37 @@ def check_inverse_system(
     if not chain:
         return InverseSystemReport(pairs=[], identity_ok=True, composition_ok=None)
     pairs: List[PairCheck] = []
-    n_gens = len(chain[0].group.generators())
+    gens = range(len(chain[0].group.generators()))
     for idx in range(len(chain) - 1):
         small, big = chain[idx], chain[idx + 1]
         if big.size > budget:
             raise BudgetExceededError(big.size, budget)
-        f = structure_map(small, big)
+        proj = _projection(small, big)
         equivariant = True
-        image_counts: Dict[Tuple[int, ...], int] = {}
-        big_tables = [big.tables(g) for g in range(n_gens)]
-        small_tables = [small.tables(g) for g in range(n_gens)]
-        checked = 0
-        for s in big.iter_states():
-            fs = f.apply(s)
-            image_counts[fs] = image_counts.get(fs, 0) + 1
-            for g in range(n_gens):
-                gs = tuple(tab[i] for tab, i in zip(big_tables[g], s))
-                gfs = tuple(tab[i] for tab, i in zip(small_tables[g], fs))
-                if f.apply(gs) != gfs:
-                    equivariant = False
-            checked += 1
-        surjective = len(image_counts) == small.size
-        fiber_sizes = set(image_counts.values())
-        fibers_uniform = surjective and len(fiber_sizes) == 1
+        for g in gens:
+            small_table = small.flat_table(g)
+            equivariant &= all(proj[t] == small_table[y] for t, y in zip(big.flat_table(g), proj))
+        fibers = [0] * small.size
+        for y in proj:
+            fibers[y] += 1
+        surjective = 0 not in fibers
         pairs.append(
             PairCheck(
                 target_index=idx,
                 source_index=idx + 1,
                 equivariant=equivariant,
                 surjective=surjective,
-                fibers_uniform=fibers_uniform,
-                checked_states=checked,
+                fibers_uniform=surjective and len(set(fibers)) == 1,
+                checked_states=big.size,
             )
         )
-    identity_ok = all(
-        structure_map(w, w).is_identity() for w in chain
-    )
+    identity_ok = all(structure_map(w, w).positions == tuple(range(len(w))) for w in chain)
     composition_ok: Optional[bool] = None
     if len(chain) >= 3:
         composition_ok = True
-        for i in range(len(chain) - 2):
-            small, mid, big = chain[i], chain[i + 1], chain[i + 2]
-            f_sm = structure_map(small, mid)
-            f_mb = structure_map(mid, big)
-            f_sb = structure_map(small, big)
-            for s in big.iter_states():
-                if f_sb.apply(s) != f_sm.apply(f_mb.apply(s)):
-                    composition_ok = False
-                    break
+        for small, mid, big in zip(chain, chain[1:], chain[2:]):
+            outer = _projection(small, mid)
+            composition_ok &= _projection(small, big) == [outer[y] for y in _projection(mid, big)]
     return InverseSystemReport(pairs=pairs, identity_ok=identity_ok, composition_ok=composition_ok)
 
 
@@ -719,13 +653,13 @@ def stabilizer_witness(window: Window, ball_radius: int = 1) -> StabilizerWitnes
     y = window.identity_thread()
     gammas = []
     for dat in window.data:
-        moved = window.act(dat.gamma, y) != y
+        moved = window.prepare(dat.gamma).apply(y) != y
         gammas.append((dat.gamma.text(), moved))
     movers: list[str] = []
     fixers: list[str] = []
     for entry in window.group.ball(ball_radius):
         text = entry.element.text()
-        if window.act(entry.element, y) != y:
+        if window.prepare(entry.element).apply(y) != y:
             movers.append(text)
         else:
             fixers.append(text)

@@ -229,9 +229,6 @@ class WreathGroup:
             names += [f"t{j + 1}", f"T{j + 1}"]
         return tuple(names)
 
-    def inverse_generator_index(self, g: int) -> int:
-        return g ^ 1  # generators come in adjacent (x, x^{-1}) pairs
-
     def lamp_generators(self) -> Tuple[WreathElement, ...]:
         return tuple(self.lamp_generator(i) for i in range(self.d))
 

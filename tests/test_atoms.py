@@ -3,9 +3,11 @@
 The oracles are the earlier algorithms: atoms as the classes of states with
 equal membership in every translate that ``translate_closure`` lists, and
 transporter words from a breadth-first search over frozenset images of
-atoms.  Set sizes are kept small per window so that the closure stays cheap.
+atoms or from a frontier search over atom indices that stops at its target.
+Set sizes are kept small per window so that the closure stays cheap.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,8 @@ from allostery import (
     forge,
     translate_closure,
 )
+
+from oracle import frontier_word
 
 GAMMA = "{(0):(1)};(0)"
 
@@ -129,3 +133,22 @@ def test_flat_table_matches_tuple_tables():
             window.flat_index(tuple(tab[i] for tab, i in zip(tables, s)))
             for s in window.iter_states()
         ]
+
+
+def test_transporter_words_match_frontier_search():
+    w9, w32, _, w288 = small_windows()
+    for window in (w9, w32, w288):
+        rng = random.Random(window.size)
+        gens = window.group.generators()
+        for _ in range(6):
+            k = rng.randint(1, 4)
+            states = rng.sample(list(window.iter_states()), 2 * k + 1)
+            a, b = frozenset(states[:k]), frozenset(states[k:])
+            cert = comparison_certificate(a, b, window)
+            atoms = boolean_atoms([a, b], window)
+            atom_of = {s: i for i, atom in enumerate(atoms) for s in atom}
+            moves = [[atom_of[window.prepare(x).apply(min(atom))] for atom in atoms] for x in gens]
+            pieces = [i for i, p in enumerate(atoms) if p <= a]
+            targets = [i for i, p in enumerate(atoms) if p <= b][: len(pieces)]
+            expected = tuple(frontier_word(moves, p, t) for p, t in zip(pieces, targets))
+            assert cert.words == expected

@@ -240,7 +240,7 @@ def test_comparison_multi_piece(w9):
     assert sum(len(p) for p in cert.pieces) == 2
     for piece, word in zip(cert.pieces, cert.words):
         mover = w9.group.word_element(word)
-        image = {w9.act(mover, s) for s in piece}
+        image = {w9.prepare(mover).apply(s) for s in piece}
         assert image <= {(3,), (4,), (6,)}
     assert check_comparison_certificate(cert.to_dict()) is True
 

@@ -37,11 +37,8 @@ def test_validate_rejects_bad_values():
 def test_epsilon_modes():
     cfg = RunConfig()
     assert cfg.epsilon_arg() is None
-    assert cfg.epsilon_for(0) == Fraction(1, 4)
-    assert cfg.epsilon_for(3) == Fraction(1, 32)
     fixed = RunConfig(epsilon=Fraction(1, 2))
     assert fixed.epsilon_arg() == Fraction(1, 2)
-    assert fixed.epsilon_for(7) == Fraction(1, 2)
     assert parse_epsilon_mode("schedule") == "schedule"
     assert parse_epsilon_mode(" 1/2 ") == Fraction(1, 2)
     with pytest.raises(TextParseError):

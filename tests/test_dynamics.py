@@ -6,7 +6,6 @@ import pytest
 from allostery import (
     CosetState,
     FiniteLevel,
-    UniformMeasure,
     Window,
     check_inverse_system,
     format_state,
@@ -14,6 +13,7 @@ from allostery import (
     stabilizer_witness,
     structure_map,
 )
+from allostery.dynamics import _projection
 from allostery.errors import (
     BudgetExceededError,
     RankMismatchError,
@@ -23,6 +23,7 @@ from allostery.errors import (
 from allostery.sampling import random_element
 
 from conftest import fresh_rng
+from oracle import act, identity_state, iter_states, state_of, tuple_orbit
 
 
 @pytest.fixture(scope="module")
@@ -37,27 +38,31 @@ def level9(d9):
 
 def test_state_count_equals_index(level32, level9):
     assert level32.size == 32
-    assert len(list(level32.iter_states())) == 32
+    assert len(list(iter_states(level32))) == 32
     assert level9.size == 9
-    assert len(level9.enumerate_states()) == 9
+    assert len(list(iter_states(level9))) == 9
 
 
 def test_index_round_trip(level32, level9):
     for level in (level32, level9):
-        states = list(level.iter_states())
+        states = list(iter_states(level))
         for i, s in enumerate(states):
             assert level.state_index(s) == i
             assert level.state_at(i) == s
 
 
 def test_act_examples(level32, group11):
-    e = level32.identity_state()
+    def coset(x):
+        """The coset of x: x acting on the identity coset, state 0."""
+        return level32.state_at(level32.prepare(x).apply_index(0))
+
     t = group11.parse_element("{};(1)")
     s1 = group11.parse_element("{(0):(1)};(0)")
-    assert level32.act(t, e) == CosetState((1,), ((0,), (0,)))
-    assert level32.act(s1, e) == CosetState((0,), ((1,), (0,)))
-    assert level32.state_of(t * s1) == CosetState((1,), ((1,), (0,)))
-    assert level32.state_of(group11.identity()) == e
+    assert level32.state_at(0) == CosetState((0,), ((0,), (0,)))
+    assert coset(t) == CosetState((1,), ((0,), (0,)))
+    assert coset(s1) == CosetState((0,), ((1,), (0,)))
+    assert coset(t * s1) == CosetState((1,), ((1,), (0,)))
+    assert coset(group11.identity()) == level32.state_at(0)
 
 
 def test_member_acts_trivially_on_identity_coset(level32, d32):
@@ -66,7 +71,8 @@ def test_member_acts_trivially_on_identity_coset(level32, d32):
 
     for _ in range(20):
         member = random_member(rng, d32)
-        assert level32.state_of(member) == level32.identity_state()
+        assert level32.prepare(member).apply_index(0) == 0
+        assert state_of(level32, member) == identity_state(level32)
 
 
 def test_left_action_law(level32, level9, group11):
@@ -75,8 +81,9 @@ def test_left_action_law(level32, level9, group11):
         for _ in range(40):
             x = random_element(rng, group11)
             y = random_element(rng, group11)
-            s = level.state_at(rng.randrange(level.size))
-            assert level.act(x * y, s) == level.act(x, level.act(y, s))
+            i = rng.randrange(level.size)
+            after_y = level.prepare(y).apply_index(i)
+            assert level.prepare(x * y).apply_index(i) == level.prepare(x).apply_index(after_y)
 
 
 def test_tables_are_permutations(level32):
@@ -94,7 +101,7 @@ def test_level_orbit(level32, level9):
         assert sorted(orb.order) == list(range(level.size))
         for s in orb.order:
             x = level.group.word_element(orb.words[s])
-            assert level.state_index(level.act(x, level.state_at(0))) == s
+            assert level.prepare(x).apply_index(0) == s
 
 
 def test_orbit_with_no_generators(level32):
@@ -130,9 +137,9 @@ def test_window_action_is_diagonal(w288, group11):
     for _ in range(25):
         x = random_element(rng, group11)
         state = w288.state_at(rng.randrange(288))
-        acted = w288.act(x, state)
+        acted = w288.prepare(x).apply(state)
         for level, before, after in zip(w288.levels, state, acted):
-            assert level.act(x, level.state_at(before)) == level.state_at(after)
+            assert act(level, x, level.state_at(before)) == level.state_at(after)
 
 
 def test_window_transitivity(w32, w9, w288, d32):
@@ -143,12 +150,28 @@ def test_window_transitivity(w32, w9, w288, d32):
     assert not Window([d32, d32]).is_transitive()
 
 
+def test_window_orbit_matches_tuple_bfs(w288, d32):
+    rng = fresh_rng(7)
+    cases = [(w288, w288.state_at(i)) for i in [0, 287] + rng.sample(range(1, 287), 4)]
+    split = Window([d32, d32])
+    cases += [(split, (0, 0)), (split, (5, 17))]
+    for window, start in cases:
+        order, words = tuple_orbit(window, start)
+        orb = window.orbit(start)
+        assert orb.start == start
+        assert orb.size == len(order) == len(words)
+        assert orb.order == order
+        assert orb.words == words
+        assert all(orb.word(s) == words[s] for s in order[::37])
+    assert split.orbit((0, 0)).size < split.size
+
+
 def test_window_orbit_words(w288):
     orb = w288.orbit(w288.identity_thread())
     start = orb.start
     for state in orb.order[::23]:
         x = w288.group.word_element(orb.words[state])
-        assert w288.act(x, start) == state
+        assert w288.prepare(x).apply(start) == state
 
 
 def test_s_fixed_fraction(w32, w9, w288, d25):
@@ -168,7 +191,6 @@ def test_empty_window():
     assert empty.s_fixed_fraction() == 1
     assert empty.is_transitive()
     assert list(empty.iter_states()) == [()]
-    assert empty.measure().point_mass == 1
 
 
 def test_fixed_points_factorize(w288, group11):
@@ -177,26 +199,38 @@ def test_fixed_points_factorize(w288, group11):
     count, states = w288.fixed_points(s1, want_states=True)
     assert count == 144 and len(states) == 144
     for state in states[::13]:
-        assert w288.act(s1, state) == state
+        assert w288.prepare(s1).apply(state) == state
     assert w288.fixed_points(t)[0] == 0
     assert w288.fixed_points(group11.identity())[0] == 288
-
-
-def test_measure(w288):
-    mu = w288.measure()
-    assert isinstance(mu, UniformMeasure)
-    assert mu.point_mass == Fraction(1, 288)
-    assert mu.of(144) == Fraction(1, 2)
-    assert mu.of([(0, 0), (0, 1)]) == Fraction(2, 288)
 
 
 def test_structure_map(w32, w9, w288):
     f = structure_map(w32, w288)
     assert f.positions == (0,)
     assert f.apply((3, 7)) == (3,)
-    assert structure_map(w288, w288).is_identity()
+    assert structure_map(w288, w288).positions == (0, 1)
     with pytest.raises(WindowError):
         structure_map(w9, w32)
+
+
+def test_projection_matches_structure_map(d9, d25, d32):
+    big = Window([d32, d9, d25])
+    for small in (Window([d9]), Window([d25, d32])):
+        f = structure_map(small, big)
+        assert _projection(small, big) == [
+            small.flat_index(f.apply(big.state_at(x))) for x in range(big.size)
+        ]
+
+
+def test_wrong_level_table_breaks_equivariance(w32, d32, d9, monkeypatch):
+    big = Window([d32, d9])
+    original = big.levels[0].table
+    table = list(original(0))
+    table[0], table[1] = table[1], table[0]
+    monkeypatch.setattr(big.levels[0], "table", lambda g: table if g == 0 else original(g))
+    (pair,) = check_inverse_system([w32, big]).pairs
+    assert not pair.equivariant
+    assert pair.surjective and pair.fibers_uniform
 
 
 def test_inverse_system_pair(w32, w288):
@@ -263,9 +297,7 @@ def test_rank_mismatch(level32):
     from allostery import Lamp, WreathElement
 
     with pytest.raises(RankMismatchError):
-        level32.act(
-            WreathElement(Lamp.of({(0, 0): (1,)}), (0, 0)), level32.identity_state()
-        )
+        level32.prepare(WreathElement(Lamp.of({(0, 0): (1,)}), (0, 0))).apply_index(0)
 
 
 def test_budgets(level32, w288, w32, group11):
@@ -273,8 +305,6 @@ def test_budgets(level32, w288, w32, group11):
         level32.orbit(0, budget=10)
     with pytest.raises(BudgetExceededError):
         level32.brute_fixed_indices(group11.identity(), budget=10)
-    with pytest.raises(BudgetExceededError):
-        w288.enumerate_states(budget=100)
     with pytest.raises(BudgetExceededError):
         w288.orbit(w288.identity_thread(), budget=100)
     with pytest.raises(BudgetExceededError):

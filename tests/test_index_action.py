@@ -1,7 +1,8 @@
 """The index-arithmetic action of a level against per-state application.
 
-The oracles below act on :class:`CosetState` objects one state at a time and
-build orbit words eagerly, as the level did before it worked on indices.
+The oracles below act on :class:`CosetState` objects one state at a time (see
+``oracle.py``) and build orbit words eagerly, as the level did before it
+worked on indices.
 """
 
 from fractions import Fraction
@@ -19,6 +20,8 @@ from allostery import (
     forge,
 )
 from allostery.errors import ForgeError
+
+from oracle import apply_state, iter_states
 
 MAX_ORACLE_STATES = 3200
 
@@ -41,12 +44,12 @@ LEVELS = small_levels()
 
 def oracle_index_map(level, x):
     prepared = level.prepare(x)
-    return [level.state_index(prepared.apply(s)) for s in level.iter_states()]
+    return [level.state_index(apply_state(prepared, s)) for s in iter_states(level)]
 
 
 def oracle_fixed_indices(level, x):
     prepared = level.prepare(x)
-    return [i for i, s in enumerate(level.iter_states()) if prepared.apply(s) == s]
+    return [i for i, s in enumerate(iter_states(level)) if apply_state(prepared, s) == s]
 
 
 def oracle_orbit(level, start, gen_indices):
@@ -101,7 +104,8 @@ def test_apply_index_matches_per_state_action(data):
     for level in LEVELS:
         prepared = level.prepare(data.draw(spread_elements(level.d, level.m)))
         for i in range(level.size):
-            assert prepared.apply_index(i) == level.state_index(prepared.apply(level.state_at(i)))
+            image = apply_state(prepared, level.state_at(i))
+            assert prepared.apply_index(i) == level.state_index(image)
 
 
 def test_tables_and_lamp_fixed_points_match_oracle():
