@@ -82,13 +82,13 @@ def _require_same(rec: dict, fresh: dict) -> None:
 
 
 # --------------------------------------------------------------------------
-# transitivity, with an exact per-level argument for over-budget products
+# transitivity, by an exact per-level argument at any window size
 
 
 @dataclass(frozen=True)
 class TransitivityResult:
     status: str  # "pass" | "fail" | "skipped"
-    method: str  # "bfs" | "level-structure" | "none"
+    method: str  # "level-structure" | "none"
     orbit_size: Optional[int]
     detail: str
 
@@ -131,22 +131,18 @@ def _level_structure_defect(level: FiniteLevel) -> Optional[str]:
     return None
 
 
-def certify_transitive(window: Window, budget: int = DEFAULT_STATE_BUDGET) -> TransitivityResult:
-    """Decide transitivity of the diagonal action, exactly.
+def certify_transitive(window: Window) -> TransitivityResult:
+    """Decide transitivity of the diagonal action, exactly, at any size.
 
-    Within budget this is plain BFS.  Past it, each level is shown
-    transitive by its digit arithmetic (see :func:`_level_structure_defect`),
-    which costs m + l*d applications to one state at any level size.  The
-    orbit of the identity thread surjects equivariantly onto each level, so
-    each level size divides the orbit size; with pairwise distinct primes the
-    level sizes are coprime prime powers, their product (the window size)
-    divides the orbit size, and the orbit is everything.  With repeated
-    primes that argument does not apply and the result is ``skipped``.
+    Each level is shown transitive by its digit arithmetic (see
+    :func:`_level_structure_defect`), which costs m + l*d applications to one
+    state at any level size.  The orbit of the identity thread surjects
+    equivariantly onto each level, so each level size divides the orbit size;
+    with pairwise distinct primes the level sizes are coprime prime powers,
+    their product (the window size) divides the orbit size, and the orbit is
+    everything.  With repeated primes that argument does not apply and the
+    result is ``skipped``.
     """
-    if window.size <= budget:
-        orb = window.orbit(window.identity_thread(), budget)
-        status = "pass" if orb.size == window.size else "fail"
-        return TransitivityResult(status, "bfs", orb.size, "full breadth-first search")
     for pos, level in enumerate(window.levels):
         defect = _level_structure_defect(level)
         if defect is not None:
@@ -162,12 +158,7 @@ def certify_transitive(window: Window, budget: int = DEFAULT_STATE_BUDGET) -> Tr
             "(Z/p)^(ld) and the shifts carry it onto every block; the pairwise-coprime level "
             "sizes all divide the thread-orbit size",
         )
-    return TransitivityResult(
-        "skipped",
-        "none",
-        None,
-        "product exceeds the state budget and the primes repeat",
-    )
+    return TransitivityResult("skipped", "none", None, "the primes repeat")
 
 
 # --------------------------------------------------------------------------
@@ -183,12 +174,11 @@ class GammaRecord:
     not_in_subgroup: bool
     fixed_fraction: Fraction
     fraction_ok: bool
-    brute_checked: bool
-    brute_ok: Optional[bool]
+    count_ok: bool
 
     @property
     def ok(self) -> bool:
-        return self.not_in_subgroup and self.fraction_ok and self.brute_ok is not False
+        return self.not_in_subgroup and self.fraction_ok and self.count_ok
 
     def to_dict(self) -> dict:
         return {
@@ -199,8 +189,7 @@ class GammaRecord:
             "not_in_subgroup": self.not_in_subgroup,
             "fixed_fraction": frac_str(self.fixed_fraction),
             "fraction_ok": self.fraction_ok,
-            "brute_checked": self.brute_checked,
-            "brute_ok": self.brute_ok,
+            "count_ok": self.count_ok,
         }
 
 
@@ -240,48 +229,33 @@ class CriterionCertificate:
         }
 
 
-def _gamma_record(dat: SubgroupDatum, window: Window, pos: int, budget: int) -> GammaRecord:
-    level = window.levels[pos]
-    not_in = not dat.contains(dat.gamma)
+def _gamma_record(dat: SubgroupDatum, level: FiniteLevel) -> GammaRecord:
+    """The closed-form fixed fraction of one level, checked against the count
+    of states that every lamp generator fixes, made from the level's blocks."""
     frac = dat.fixed_fraction()
-    fraction_ok = frac >= 1 - dat.epsilon
-    brute_checked = level.size <= budget
-    brute_ok: Optional[bool] = None
-    if brute_checked:
-        fixed: Optional[set] = None
-        for s in window.group.lamp_generators():
-            cur = set(level.brute_fixed_indices(s, budget))
-            fixed = cur if fixed is None else fixed & cur
-        count = len(fixed) if fixed is not None else level.size
-        brute_ok = Fraction(count, level.size) == frac
+    count = level.fixed_count(level.group.lamp_generators())
     return GammaRecord(
         gamma_text=dat.gamma.text(),
         prime=dat.p,
         epsilon=dat.epsilon,
         index=dat.index(),
-        not_in_subgroup=not_in,
+        not_in_subgroup=not dat.contains(dat.gamma),
         fixed_fraction=frac,
-        fraction_ok=fraction_ok,
-        brute_checked=brute_checked,
-        brute_ok=brute_ok,
+        fraction_ok=frac >= 1 - dat.epsilon,
+        count_ok=Fraction(count, level.size) == frac,
     )
 
 
-def build_criterion(
-    data: Sequence[SubgroupDatum],
-    budget: int = DEFAULT_STATE_BUDGET,
-    witness_radius: int = 1,
-) -> CriterionCertificate:
-    """Assemble the criterion certificate for pre-forged window data."""
+def build_criterion(data: Sequence[SubgroupDatum], witness_radius: int = 1) -> CriterionCertificate:
+    """Assemble the criterion certificate for pre-forged window data.  Every
+    step is exact at any window size, so no state budget applies."""
     window = Window(data)
-    records = tuple(
-        _gamma_record(dat, window, i, budget) for i, dat in enumerate(window.data)
-    )
+    records = tuple(_gamma_record(dat, level) for dat, level in zip(window.data, window.levels))
     primes_distinct = window.primes_distinct()
     product_bound = prod((1 - dat.epsilon for dat in window.data), start=Fraction(1))
     window_fraction = window.s_fixed_fraction()
     window_fraction_ok = window_fraction >= product_bound
-    transitivity = certify_transitive(window, budget)
+    transitivity = certify_transitive(window)
     witness = stabilizer_witness(window, ball_radius=witness_radius)
     failed = (
         any(not rec.ok for rec in records)
@@ -312,7 +286,6 @@ def verify_criterion(
     d: int,
     m: int,
     epsilon=None,
-    budget: int = DEFAULT_STATE_BUDGET,
     witness_radius: int = 1,
 ) -> CriterionCertificate:
     """Forge data for the given window elements and certify the criterion.
@@ -325,10 +298,10 @@ def verify_criterion(
     else:
         assignment = assign_primes(gammas, epsilons=epsilon, d=d)
     data = assignment.forge_all(d=d, m=m)
-    return build_criterion(data, budget=budget, witness_radius=witness_radius)
+    return build_criterion(data, witness_radius=witness_radius)
 
 
-def _rebuild_criterion(rec, budget: int) -> CriterionCertificate:
+def _rebuild_criterion(rec) -> CriterionCertificate:
     """Rebuild a serialized criterion certificate from its window and ball
     radius, and require the record to serialize exactly as the rebuild."""
     _require_kind(rec, "criterion", "criterion certificate")
@@ -339,18 +312,18 @@ def _rebuild_criterion(rec, budget: int) -> CriterionCertificate:
         raise CertificateError(f"malformed criterion certificate: {exc}") from None
     if type(radius) is not int or radius < 0:
         raise CertificateError(f"ball radius must be a nonnegative integer, got {radius!r}")
-    fresh = build_criterion(data, budget=budget, witness_radius=radius)
+    fresh = build_criterion(data, witness_radius=radius)
     _require_same(rec, fresh.to_dict())
     return fresh
 
 
-def check_criterion_certificate(rec: dict, budget: int = DEFAULT_STATE_BUDGET) -> bool:
+def check_criterion_certificate(rec: dict) -> bool:
     """Rebuild a serialized criterion certificate from its window.
 
     Returns the recomputed validity; raises CertificateError when the record
     is structurally broken or does not serialize exactly as the rebuild.
     """
-    return _rebuild_criterion(rec, budget).valid
+    return _rebuild_criterion(rec).valid
 
 
 # --------------------------------------------------------------------------
@@ -788,8 +761,7 @@ def audit_castle(
                 base_measure=base_measure,
             )
         )
-    fix_count, _ = window.fixed_points(gamma, budget)
-    fix_measure = Fraction(fix_count, window.size)
+    fix_measure = Fraction(window.fixed_count([gamma]), window.size)
     within: Optional[bool] = None
     if castle.epsilon is not None:
         within = all(t.defect < castle.epsilon for t in tower_audits)
@@ -951,12 +923,12 @@ def non_af_report(certificate: CriterionCertificate) -> NonAFReport:
     )
 
 
-def check_non_af_report(rec: dict, budget: int = DEFAULT_STATE_BUDGET) -> bool:
+def check_non_af_report(rec: dict) -> bool:
     """Verify a serialized report: the embedded criterion certificate must
     rebuild as valid, and the whole report must serialize exactly as the
     report assembled from that rebuild."""
     _require_kind(rec, "non-af-report", "non-almost-finiteness report")
-    fresh = _rebuild_criterion(rec.get("criterion"), budget)
+    fresh = _rebuild_criterion(rec.get("criterion"))
     if not fresh.valid:
         return False
     _require_same(rec, non_af_report(fresh).to_dict())

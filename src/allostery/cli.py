@@ -16,10 +16,11 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .certificates import (
     Castle,
+    CriterionCertificate,
     audit_castle,
     check_castle_audit,
     check_comparison_certificate,
@@ -37,7 +38,7 @@ from .config import ENV_BUDGET, RunConfig, apply_env, load_config, parse_epsilon
 from .dynamics import Window
 from .errors import AllosteryError, MalformedCastleError, TextParseError
 from .forge import SubgroupDatum, default_epsilon, forge
-from .wreath import WreathElement, WreathGroup
+from .wreath import WreathGroup
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -49,15 +50,7 @@ def _say(text: str) -> None:
 
 
 def _emit_json(obj: dict, cfg: RunConfig, name: str) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
-    if cfg.out:
-        out_dir = Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        target = out_dir / f"{name}.json"
-        target.write_text(text, encoding="utf-8")
-        print(str(target))
-    else:
-        sys.stdout.write(text)
+    _emit_text(json.dumps(obj, indent=2) + "\n", cfg, f"{name}.json")
 
 
 def _emit_text(text: str, cfg: RunConfig, name: str) -> None:
@@ -90,13 +83,14 @@ def _load_window(path: str) -> Window:
     return window_from_records(records)
 
 
-def _window_gammas(cfg: RunConfig) -> List[WreathElement]:
-    group = WreathGroup(cfg.d, cfg.m)
-    return [
-        entry.element
-        for entry in group.ball(cfg.radius, max_radius=cfg.max_word_length)
-        if not entry.element.is_identity()
-    ]
+def _criterion(cfg: RunConfig) -> CriterionCertificate:
+    """The criterion certificate of the configured ball window: one element
+    per nonidentity element of the ball of the configured radius."""
+    ball = WreathGroup(cfg.d, cfg.m).ball(cfg.radius)
+    gammas = [entry.element for entry in ball if not entry.element.is_identity()]
+    return verify_criterion(
+        gammas, cfg.d, cfg.m, epsilon=cfg.epsilon_arg(), witness_radius=cfg.radius
+    )
 
 
 def _parse_states(window: Window, spec: str, rng: random.Random) -> frozenset:
@@ -139,18 +133,10 @@ def cmd_forge(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.check:
-        ok = check_criterion_certificate(_load_json(args.check), cfg.budget_states)
+        ok = check_criterion_certificate(_load_json(args.check))
         _say(f"criterion certificate: {'valid' if ok else 'invalid'}")
         return EXIT_OK if ok else EXIT_FAILED
-    gammas = _window_gammas(cfg)
-    cert = verify_criterion(
-        gammas,
-        cfg.d,
-        cfg.m,
-        epsilon=cfg.epsilon_arg(),
-        budget=cfg.budget_states,
-        witness_radius=cfg.radius,
-    )
+    cert = _criterion(cfg)
     _emit_json(cert.to_dict(), cfg, "criterion")
     for rec in cert.records:
         _say(
@@ -270,31 +256,20 @@ def _report_markdown(report_dict: dict) -> str:
 
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.check:
-        ok = check_non_af_report(_load_json(args.check), cfg.budget_states)
+        ok = check_non_af_report(_load_json(args.check))
         _say(f"report: {'valid' if ok else 'invalid'}")
         return EXIT_OK if ok else EXIT_FAILED
-    gammas = _window_gammas(cfg)
-    cert = verify_criterion(
-        gammas,
-        cfg.d,
-        cfg.m,
-        epsilon=cfg.epsilon_arg(),
-        budget=cfg.budget_states,
-        witness_radius=cfg.radius,
-    )
+    cert = _criterion(cfg)
     if not cert.valid:
         _emit_json(cert.to_dict(), cfg, "criterion")
         _say(f"criterion certificate verdict {cert.verdict}; no report emitted")
         return EXIT_FAILED
     report = non_af_report(cert)
     rec = report.to_dict()
-    if cfg.out:
+    if cfg.out or cfg.format == "json":
         _emit_json(rec, cfg, "report")
+    if cfg.out or cfg.format == "md":
         _emit_text(_report_markdown(rec), cfg, "report.md")
-    elif cfg.format == "md":
-        sys.stdout.write(_report_markdown(rec))
-    else:
-        sys.stdout.write(json.dumps(rec, indent=2) + "\n")
     limit = rec["limit_lower_bound"] or "none"
     _say(f"bound {rec['bound']}; limit lower bound {limit}; {rec['conclusion']}")
     return EXIT_OK

@@ -22,7 +22,6 @@ class RunConfig:
     radius: int = 1
     epsilon: EpsilonMode = "schedule"
     budget_states: int = 10**6
-    max_word_length: int = 8
     seed: int = 0
     out: Optional[str] = None
     format: str = "json"
@@ -32,8 +31,8 @@ class RunConfig:
             raise ValueError("ranks d and m must be at least 1")
         if self.radius < 0:
             raise ValueError("ball radius must be nonnegative")
-        if self.budget_states <= 0 or self.max_word_length <= 0:
-            raise ValueError("budgets must be positive")
+        if self.budget_states <= 0:
+            raise ValueError("the state budget must be positive")
         if self.format not in ("json", "md"):
             raise ValueError(f"unknown format {self.format!r}")
         if isinstance(self.epsilon, str):
@@ -57,7 +56,7 @@ def parse_epsilon_mode(text: str) -> EpsilonMode:
         raise TextParseError(f"epsilon must be 'schedule' or a rational, got {value!r}") from None
 
 
-_INT_KEYS = {"d", "m", "radius", "budget_states", "max_word_length", "seed"}
+_INT_KEYS = {"d", "m", "radius", "budget_states", "seed"}
 _STR_KEYS = {"out", "format"}
 
 

@@ -1,8 +1,9 @@
 """Reference implementations that the index arithmetic is tested against.
 
 Each one is the earlier, more direct algorithm: the per-state action on
-:class:`CosetState` objects, a breadth-first search over a set of window
-tuples, and a transporter search that stops at its target.
+:class:`CosetState` objects, fixed states listed level by level, a
+breadth-first search over a set of window tuples, and a transporter search
+that stops at its target.
 """
 
 from itertools import product
@@ -42,6 +43,19 @@ def iter_states(level):
     for base in product(range(level.modulus), repeat=level.m):
         for flat in product(range(level.p), repeat=level.l * d):
             yield CosetState(base, tuple(flat[j * d : (j + 1) * d] for j in range(level.l)))
+
+
+def fixed_states(window, xs):
+    """The window states fixed by every element of xs, as a set of tuples:
+    each level's listing by ``brute_fixed_indices``, intersected over xs, and
+    the product of those over the levels.  The oracle for ``fixed_count``."""
+    per_level = []
+    for level in window.levels:
+        common = set(range(level.size))
+        for x in xs:
+            common &= set(level.brute_fixed_indices(x))
+        per_level.append(sorted(common))
+    return frozenset(product(*per_level))
 
 
 def tuple_orbit(window, start):

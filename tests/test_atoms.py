@@ -21,7 +21,7 @@ from allostery import (
     translate_closure,
 )
 
-from oracle import frontier_word
+from oracle import fixed_states, frontier_word
 
 GAMMA = "{(0):(1)};(0)"
 
@@ -71,8 +71,7 @@ def oracle_words(window, pieces, targets):
 def fixed_set_atoms(window):
     """Atoms of the fixed set of the first lamp generator: 3, 8, 9 and 24
     atoms of 3, 4, 9 and 12 states on W9, W32, W81 and W288."""
-    _, fixed = window.fixed_points(window.group.lamp_generators()[0], want_states=True)
-    return oracle_atoms(window, [frozenset(fixed)])
+    return oracle_atoms(window, [fixed_states(window, window.group.lamp_generators()[:1])])
 
 
 def input_cases():

@@ -34,7 +34,10 @@ from allostery.errors import (
     TextParseError,
 )
 
+from allostery.dynamics import DEFAULT_STATE_BUDGET
+
 from conftest import HALF, make_transversal_castle
+from oracle import fixed_states
 
 
 @pytest.fixture(scope="module")
@@ -57,17 +60,29 @@ def test_frac_round_trip():
 
 
 def test_transitive_by_bfs(w288):
+    """The level-structure orbit size is the one a window BFS finds."""
     result = certify_transitive(w288)
     assert result.status == "pass"
-    assert result.method == "bfs"
-    assert result.orbit_size == 288
+    assert result.method == "level-structure"
+    assert result.orbit_size == w288.orbit(w288.identity_thread()).size == 288
 
 
 def test_transitive_by_level_escalation(w288):
-    result = certify_transitive(w288, budget=100)
+    """A window past the state budget is certified the same way: no budget applies."""
+    with pytest.raises(BudgetExceededError):
+        w288.is_transitive(budget=100)
+    result = certify_transitive(w288)
     assert result.status == "pass"
     assert result.method == "level-structure"
     assert result.orbit_size == 288
+
+
+@pytest.mark.parametrize("names", [("d9",), ("d32",), ("d32", "d9"), ("d32", "d9", "d25")])
+def test_level_structure_passes_exactly_on_transitive_windows(request, names):
+    window = Window([request.getfixturevalue(name) for name in names])
+    result = certify_transitive(window)
+    assert (result.status == "pass") == window.is_transitive()
+    assert (result.method, result.orbit_size) == ("level-structure", window.size)
 
 
 def _apply_twice(apply_index):
@@ -91,18 +106,18 @@ def _drop_last_lamp_group(apply_index):
 def test_level_structure_fails_on_a_wrong_action(w288, monkeypatch, wrong):
     action = type(w288.levels[0].prepare(w288.group.identity()))
     monkeypatch.setattr(action, "apply_index", wrong(action.apply_index))
-    result = certify_transitive(w288, budget=100)
+    result = certify_transitive(w288)
     assert (result.status, result.method, result.orbit_size) == ("fail", "level-structure", None)
     assert result.detail.startswith("level 0: ")
 
 
 def test_transitivity_negative_cases(d32):
     doubled = Window([d32, d32])
-    direct = certify_transitive(doubled)
-    assert direct.status == "fail" and direct.method == "bfs"
-    assert certify_transitive(doubled, budget=100).status == "skipped"
-    assert certify_transitive(Window([d32, d32]), budget=10).status == "skipped"
-    assert build_criterion([d32, d32], budget=10).verdict == "invalid"
+    assert not doubled.is_transitive()
+    result = certify_transitive(doubled)
+    assert (result.status, result.method, result.orbit_size) == ("skipped", "none", None)
+    assert result.detail == "the primes repeat"
+    assert build_criterion([d32, d32]).verdict == "invalid"
 
 
 def test_criterion_certificate_valid(cert288):
@@ -114,8 +129,7 @@ def test_criterion_certificate_valid(cert288):
     assert cert288.transitivity.status == "pass"
     assert cert288.witness.ok
     for rec in cert288.records:
-        assert rec.ok and rec.not_in_subgroup and rec.fraction_ok
-        assert rec.brute_checked and rec.brute_ok
+        assert rec.ok and rec.not_in_subgroup and rec.fraction_ok and rec.count_ok
     assert [rec.prime for rec in cert288.records] == [2, 3]
     assert [rec.index for rec in cert288.records] == [32, 9]
 
@@ -147,13 +161,14 @@ def test_criterion_invalid_duplicate_primes(d32, group11):
     assert cert.verdict == "invalid"
 
 
-def test_criterion_over_budget_skips_brute_check(d32, d9):
-    cert = build_criterion([d32, d9], budget=20)
+def test_criterion_over_budget_skips_brute_check(group11):
+    """Levels past the state budget get the same exact count as small ones."""
+    gammas = [e.element for e in group11.ball(2) if not e.element.is_identity()]
+    cert = verify_criterion(gammas, 1, 1)
     assert cert.verdict == "valid" and cert.valid
     assert cert.transitivity.method == "level-structure"
-    assert not cert.records[0].brute_checked
-    assert cert.records[0].brute_ok is None
-    assert cert.records[1].brute_checked and cert.records[1].brute_ok
+    assert max(rec.index for rec in cert.records) > DEFAULT_STATE_BUDGET
+    assert all(rec.count_ok for rec in cert.records)
 
 
 def test_criterion_round_trip(cert288):
@@ -189,10 +204,12 @@ def test_criterion_check_of_invalid_and_over_budget(d32, d9):
     lowered = dataclasses.replace(d32, epsilon=Fraction(1, 8))
     invalid_rec = build_criterion([lowered]).to_dict()
     assert check_criterion_certificate(invalid_rec) is False
-    over_budget_rec = build_criterion([d32, d9], budget=20).to_dict()
-    assert check_criterion_certificate(over_budget_rec, budget=20) is True
+    rec = build_criterion([d32, d9]).to_dict()
+    assert [r["count_ok"] for r in rec["records"]] == [True, True]
+    assert check_criterion_certificate(rec) is True
+    rec["records"][0]["count_ok"] = False
     with pytest.raises(CertificateError):
-        check_criterion_certificate(over_budget_rec)
+        check_criterion_certificate(rec)
 
 
 def test_atoms_of_extremes(w32):
@@ -205,9 +222,7 @@ def test_atoms_of_extremes(w32):
 
 def test_atoms_partition_and_refine(w32, group11):
     s1 = group11.parse_element("{(0):(1)};(0)")
-    fixed = frozenset(
-        (i,) for i in w32.levels[0].brute_fixed_indices(s1)
-    )
+    fixed = fixed_states(w32, [s1])
     atoms = boolean_atoms([fixed], w32)
     sizes = {len(a) for a in atoms}
     assert len(sizes) == 1

@@ -93,29 +93,56 @@ def test_verify_check_invalid_certificate(capsys, tmp_path, d32):
     assert "invalid" in err
 
 
-def brute_checks(out):
-    """The (brute_checked, brute_ok) pair of every record: what the state
-    budget decides in a criterion certificate."""
-    return [(r["brute_checked"], r["brute_ok"]) for r in json.loads(out)["records"]]
+def compare_288(capsys, w288_file, *flags):
+    """The exit code of a comparison on W288.  It runs a BFS over all 288
+    states, so it exits 2 exactly when the state budget is below 288."""
+    argv = ("compare", "--window", w288_file, "--a", "idx:0", "--b", "idx:1,2") + flags
+    return run(capsys, *argv)[0]
 
 
-def test_verify_budget_env(capsys, monkeypatch):
-    monkeypatch.setenv("ALLOSTERY_BUDGET_STATES", "10")
-    code, out, _ = run(capsys, "verify", "--epsilon", "1/2")
-    assert code == 0
-    assert json.loads(out)["verdict"] == "valid"
-    assert brute_checks(out) == [(False, None)] * 4
+def test_verify_budget_env(capsys, monkeypatch, w288_file):
+    monkeypatch.setenv("ALLOSTERY_BUDGET_STATES", "287")
+    assert compare_288(capsys, w288_file) == 2
+    monkeypatch.setenv("ALLOSTERY_BUDGET_STATES", "288")
+    assert compare_288(capsys, w288_file) == 0
     monkeypatch.setenv("ALLOSTERY_BUDGET_STATES", "ten")
-    assert run(capsys, "verify", "--epsilon", "1/2")[0] == 2
+    assert compare_288(capsys, w288_file) == 2
     monkeypatch.setenv("ALLOSTERY_BUDGET_STATES", "-5")
-    assert run(capsys, "verify", "--epsilon", "1/2")[0] == 2
+    assert compare_288(capsys, w288_file) == 2
 
 
-def test_env_wins_over_flag(capsys, monkeypatch):
+def test_env_wins_over_flag(capsys, monkeypatch, w288_file):
     monkeypatch.setenv("ALLOSTERY_BUDGET_STATES", "10")
-    code, out, _ = run(capsys, "verify", "--epsilon", "1/2", "--budget-states", "1000000")
+    assert compare_288(capsys, w288_file, "--budget-states", "1000000") == 2
+    monkeypatch.setenv("ALLOSTERY_BUDGET_STATES", "1000000")
+    assert compare_288(capsys, w288_file, "--budget-states", "10") == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--epsilon", "1/2"),
+        ("verify", "--radius", "2"),
+        ("report", "--radius", "2"),
+    ],
+)
+def test_criterion_output_ignores_the_budget(capsys, monkeypatch, tmp_path, argv):
+    """A record made under a tiny budget is byte for byte the default one,
+    and checks at the default budget."""
+    monkeypatch.setenv("ALLOSTERY_BUDGET_STATES", "10")
+    code, low, _ = run(capsys, *argv)
     assert code == 0
-    assert brute_checks(out) == [(False, None)] * 4
+    monkeypatch.delenv("ALLOSTERY_BUDGET_STATES")
+    assert run(capsys, *argv)[:2] == (0, low)
+    path = tmp_path / "record.json"
+    path.write_text(low)
+    assert run(capsys, argv[0], "--check", str(path))[0] == 0
+
+
+def test_verify_radius_past_the_ball_limit(capsys):
+    code, _, err = run(capsys, "verify", "--radius", "9")
+    assert code == 2
+    assert "error:" in err
 
 
 def test_simulate_csv(capsys, w288_file):
@@ -358,7 +385,8 @@ def test_default_schedule_is_valid_past_the_budget(capsys, flags):
     rec = json.loads(out)
     assert rec["verdict"] == "valid"
     assert rec["transitivity"]["method"] == "level-structure"
-    assert any(not r["brute_checked"] for r in rec["records"])
+    assert any(r["index"] > 10**6 for r in rec["records"])
+    assert all(r["count_ok"] for r in rec["records"])
 
 
 def test_scheduled_report_claims_the_limit(capsys, tmp_path):
@@ -394,7 +422,7 @@ def test_report_out_directory(capsys, tmp_path):
     assert rec["bound"] == "2/5"
 
 
-def test_config_file(capsys, tmp_path):
+def test_config_file(capsys, tmp_path, w288_file):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "# sample configuration\n"
@@ -407,10 +435,12 @@ def test_config_file(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--config", str(cfg))
     assert code == 0
     assert json.loads(out)["verdict"] == "valid"
-    assert brute_checks(out) == [(True, True)] * 4
-    code, out, _ = run(capsys, "verify", "--config", str(cfg), "--budget-states", "10")
-    assert code == 0
-    assert brute_checks(out) == [(False, None)] * 4
+    assert compare_288(capsys, w288_file, "--config", str(cfg)) == 0
+    assert compare_288(capsys, w288_file, "--config", str(cfg), "--budget-states", "10") == 2
+    small = tmp_path / "small.cfg"
+    small.write_text("budget_states = 100\n")
+    assert compare_288(capsys, w288_file, "--config", str(small)) == 2
+    assert compare_288(capsys, w288_file, "--config", str(small), "--budget-states", "288") == 0
 
 
 def test_config_file_errors(capsys, tmp_path):

@@ -23,7 +23,6 @@ def test_validate_rejects_bad_values():
         {"m": -1},
         {"radius": -1},
         {"budget_states": 0},
-        {"max_word_length": 0},
         {"format": "xml"},
         {"epsilon": "often"},
         {"epsilon": Fraction(3, 2)},

@@ -23,7 +23,7 @@ from allostery.errors import (
 from allostery.sampling import random_element
 
 from conftest import fresh_rng
-from oracle import act, identity_state, iter_states, state_of, tuple_orbit
+from oracle import act, fixed_states, identity_state, iter_states, state_of, tuple_orbit
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +179,8 @@ def test_s_fixed_fraction(w32, w9, w288, d25):
     assert w9.s_fixed_fraction() == Fraction(2, 3)
     assert w288.s_fixed_fraction() == Fraction(1, 2)
     s1 = w288.group.lamp_generators()[0]
-    assert w288.fixed_points(s1)[0] == 144 == prod(dat.lamp_fixed_count() for dat in w288.data)
+    assert w288.fixed_count([s1]) == 144 == prod(dat.lamp_fixed_count() for dat in w288.data)
+    assert Fraction(w288.fixed_count(w288.group.lamp_generators()), 288) == Fraction(1, 2)
     wider = Window(list(w288.data) + [d25])
     assert wider.s_fixed_fraction() == Fraction(2, 5)
     assert wider.s_fixed_fraction() <= w288.s_fixed_fraction() <= w32.s_fixed_fraction()
@@ -196,12 +197,14 @@ def test_empty_window():
 def test_fixed_points_factorize(w288, group11):
     s1 = group11.parse_element("{(0):(1)};(0)")
     t = group11.parse_element("{};(1)")
-    count, states = w288.fixed_points(s1, want_states=True)
-    assert count == 144 and len(states) == 144
+    states = sorted(fixed_states(w288, [s1]))
+    assert w288.fixed_count([s1]) == len(states) == 144
+    assert w288.fixed_count([s1]) == prod(level.fixed_count([s1]) for level in w288.levels)
     for state in states[::13]:
         assert w288.prepare(s1).apply(state) == state
-    assert w288.fixed_points(t)[0] == 0
-    assert w288.fixed_points(group11.identity())[0] == 288
+    assert w288.fixed_count([t]) == 0
+    assert w288.fixed_count([s1, t]) == 0
+    assert w288.fixed_count([group11.identity()]) == w288.fixed_count([]) == 288
 
 
 def test_structure_map(w32, w9, w288):
@@ -307,8 +310,8 @@ def test_budgets(level32, w288, w32, group11):
         level32.brute_fixed_indices(group11.identity(), budget=10)
     with pytest.raises(BudgetExceededError):
         w288.orbit(w288.identity_thread(), budget=100)
-    with pytest.raises(BudgetExceededError):
-        w32.fixed_points(group11.identity(), budget=10)
+    # Fixed counts are block arithmetic and enumerate nothing, so no budget applies.
+    assert w32.fixed_count([group11.identity()]) == 32
     with pytest.raises(BudgetExceededError):
         check_inverse_system([w32, w288], budget=100)
 

@@ -19,6 +19,8 @@ import pytest
 from allostery import Window, WreathGroup, forge, parse_castle_file
 from allostery.cli import main
 
+from oracle import fixed_states
+
 GOLDEN = Path(__file__).parent / "golden"
 CASTLE = GOLDEN / "castle_w288.txt"
 GAMMA = "{(0):(1)};(0)"
@@ -63,7 +65,7 @@ def block_specs(window):
     """``idx:`` specs for the first 48 states GAMMA fixes and the states it
     moves; on W288 their atoms have 12 states each, so the comparison has
     multi-state pieces and multi-letter transporter words."""
-    _, fixed = window.fixed_points(window.group.parse_element(GAMMA), want_states=True)
+    fixed = fixed_states(window, [window.group.parse_element(GAMMA)])
     fixed_idx = sorted(window.flat_index(s) for s in fixed)
     moved_idx = sorted(set(range(window.size)) - set(fixed_idx))
     return {

@@ -21,7 +21,7 @@ from allostery import (
 )
 from allostery.errors import ForgeError
 
-from oracle import apply_state, iter_states
+from oracle import apply_state, fixed_states, iter_states
 
 MAX_ORACLE_STATES = 3200
 
@@ -108,6 +108,25 @@ def test_apply_index_matches_per_state_action(data):
             assert prepared.apply_index(i) == level.state_index(image)
 
 
+def fixing_elements(d, m):
+    """Elements with lamps at zero to three positions and either shift 0 or
+    any shift, so that a fixed count is often neither 0 nor the whole level."""
+    return st.builds(
+        lambda items, shift: WreathElement(Lamp.of(items), shift),
+        st.dictionaries(vecs(m), vecs(d), max_size=3),
+        st.one_of(st.just((0,) * m), vecs(m)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fixed_count_matches_brute_listing(data):
+    level = data.draw(st.sampled_from(LEVELS), label="level")
+    xs = data.draw(st.lists(fixing_elements(level.d, level.m), max_size=2), label="xs")
+    assert level.fixed_count(xs) == len(fixed_states(Window([level.datum]), xs))
+    assert level.fixed_count([]) == level.size
+
+
 def test_tables_and_lamp_fixed_points_match_oracle():
     for level in LEVELS:
         for g, x in enumerate(level.group.generators()):
@@ -158,6 +177,6 @@ def test_level_structure_agrees_with_level_bfs(data):
         assume(False)
     assume(datum.index() <= MAX_ORACLE_STATES)
     level = FiniteLevel(datum)
-    result = certify_transitive(Window([datum]), budget=0)
+    result = certify_transitive(Window([datum]))
     assert result.method == "level-structure"
     assert (result.status == "pass") == (level.orbit(0).size == level.size)

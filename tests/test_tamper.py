@@ -115,10 +115,10 @@ def test_one_edit_never_passes(honest, data):
         ("criterion", ("stabilizer", "fixers"), []),
         ("criterion", ("stabilizer", "ok"), False),
         ("criterion", ("stabilizer", "mover_count"), 0),
-        ("criterion", ("transitivity", "method"), "level-structure"),
+        ("criterion", ("transitivity", "method"), "bfs"),
         ("criterion", ("transitivity", "orbit_size"), 287),
-        ("criterion", ("records", 0, "brute_ok"), None),
-        ("criterion", ("records", 1, "brute_checked"), False),
+        ("criterion", ("records", 0, "count_ok"), None),
+        ("criterion", ("records", 1, "count_ok"), False),
         ("criterion", ("primes_distinct",), 1),
         ("report", ("conclusion",), "the limit action is almost finite"),
         ("audit", ("towers", 0, "defect"), "1/9"),
