@@ -116,18 +116,18 @@ def _level_structure_defect(level: FiniteLevel) -> Optional[str]:
     applications, whatever the level size."""
     M, p, m, d = level.modulus, level.p, level.m, level.d
     lamp_digits = level.l * d
-    lamp_size = p**lamp_digits
-    for j in range(m):
-        block = M ** (m - 1 - j)
-        if level.prepare(level.group.shift_generator(j)).apply_index(0) != block * lamp_size:
-            return f"t{j + 1} does not carry state 0 to base block e_{j + 1}"
     origin = zero(m)
-    for j, c in enumerate(level.E):
-        for i in range(d):
-            unit = tuple(int(k == i) for k in range(d))
-            x = WreathElement(Lamp.of({c: unit}), origin)
-            if level.prepare(x).apply_index(0) != p ** (lamp_digits - 1 - j * d - i):
-                return f"the lamp s{i + 1} at class E[{j}] does not add lamp digit ({j}, {i}) alone"
+    units = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    lamps = [WreathElement(Lamp.of({c: unit}), origin) for c in level.E for unit in units]
+    shifts = [level.group.shift_generator(j) for j in range(m)]
+    images = level.images(0, shifts + lamps)
+    for j in range(m):
+        if images[j] != M ** (m - 1 - j) * p**lamp_digits:
+            return f"t{j + 1} does not carry state 0 to base block e_{j + 1}"
+    for k in range(lamp_digits):
+        if images[m + k] != p ** (lamp_digits - 1 - k):
+            j, i = divmod(k, d)
+            return f"the lamp s{i + 1} at class E[{j}] does not add lamp digit ({j}, {i}) alone"
     return None
 
 
@@ -708,7 +708,13 @@ def audit_castle(
     """
     if window.size > budget:
         raise BudgetExceededError(window.size, budget)
-    seen: Dict[State, Tuple[int, str]] = {}
+    # owner[i] is the (tower, shape text) whose translate first covered flat
+    # index i.  Translates are visited shape by shape, and within a shape
+    # base state by base state, so the overlap witness names the first
+    # collision in that order.
+    owner: List[Optional[Tuple[int, str]]] = [None] * window.size
+    covered = 0
+    shape_sets: List[set] = []
     for ti, tower in enumerate(castle.towers):
         if not tower.shapes:
             raise MalformedCastleError("tower has no shapes", witness={"tower": ti})
@@ -720,33 +726,40 @@ def audit_castle(
                     witness={"tower": ti, "shape": text},
                 )
             distinct.add(shape)
+            window.group.validate_element(shape)
+        shape_sets.append(distinct)
         base = sorted(tower.base)
-        for shape, text in zip(tower.shapes, tower.shape_texts):
-            prepared = window.prepare(shape)
-            for v in base:
-                img = prepared.apply(v)
-                if img in seen:
-                    first_tower, first_shape = seen[img]
-                    raise MalformedCastleError(
-                        "castle translates overlap",
-                        witness={
-                            "state": window.state_text(img),
-                            "first": {"tower": first_tower, "shape": first_shape},
-                            "second": {"tower": ti, "shape": text},
-                        },
-                    )
-                seen[img] = (ti, text)
-    if len(seen) != window.size:
-        missing = next(s for s in window.iter_states() if s not in seen)
+        # Shapes go in chunks of at most window.size images, so a castle
+        # with far too many translates fails without building them all.
+        step = max(1, window.size // max(1, len(base)))
+        for lo in range(0, len(tower.shapes), step):
+            rows = [window.images(v, tower.shapes[lo : lo + step]) for v in base]
+            for si, text in enumerate(tower.shape_texts[lo : lo + step]):
+                mark = (ti, text)
+                for row in rows:
+                    img = row[si]
+                    first = owner[img]
+                    if first is not None:
+                        raise MalformedCastleError(
+                            "castle translates overlap",
+                            witness={
+                                "state": window.state_text(window.state_at(img)),
+                                "first": {"tower": first[0], "shape": first[1]},
+                                "second": {"tower": ti, "shape": text},
+                            },
+                        )
+                    owner[img] = mark
+                covered += len(rows)
+    if covered != window.size:
+        missing = owner.index(None)
         raise MalformedCastleError(
             "castle translates do not cover the state space",
-            witness={"missing_state": window.state_text(missing)},
+            witness={"missing_state": window.state_text(window.state_at(missing))},
         )
     inv = gamma.inverse()
     tower_audits: List[TowerAudit] = []
     bound = Fraction(0)
-    for tower in castle.towers:
-        shape_set = set(tower.shapes)
+    for tower, shape_set in zip(castle.towers, shape_sets):
         shifted = {inv * s for s in tower.shapes}
         count = len(shifted ^ shape_set)
         defect = Fraction(count, len(shape_set))

@@ -186,6 +186,49 @@ class FiniteLevel:
     def prepare(self, x: WreathElement) -> _PreparedAction:
         return _PreparedAction(self, x)
 
+    def images(self, i: int, xs: Iterable[WreathElement]) -> List[int]:
+        """The image of state index i under each element of xs, in order.
+
+        The same digit arithmetic as :meth:`_PreparedAction.apply_index`,
+        turned around: i is split into digits once, and for each shift seen
+        the image block and a map from the classes (b + delta) + E[j] to
+        their lamp digit group j are kept.  An element then adds only its
+        lamp entries that land in one of those l classes.  The elements must
+        have the level's ranks (see :meth:`WreathGroup.validate_element`)."""
+        M, p, d, L = self.modulus, self.p, self.d, self._lamp_size
+        base, lamp = self._digits(i)
+        offset = i % L
+        by_shift: Dict[Vec, Tuple[int, Dict[Vec, int]]] = {}
+        out: List[int] = []
+        for x in xs:
+            seen = by_shift.get(x.shift)
+            if seen is None:
+                if len(x.shift) != self.m:
+                    raise RankMismatchError("element ranks do not match the level")
+                moved = [(b + t) % M for b, t in zip(base, x.shift)]
+                classes = {
+                    tuple((b + c) % M for b, c in zip(moved, e)): j * d
+                    for j, e in enumerate(self.E)
+                }
+                seen = by_shift[x.shift] = (self._index_of(moved, ()), classes)
+            block, classes = seen
+            added = None
+            for pos, val in x.lamp.entries:
+                k = classes.get(tuple(c % M for c in pos))
+                if k is not None:
+                    if added is None:
+                        added = lamp.copy()
+                    for c in val:
+                        added[k] += c
+                        k += 1
+            if added is None:
+                out.append(block * L + offset)
+            else:
+                for c in added:
+                    block = block * p + c % p
+                out.append(block)
+        return out
+
     def _blocks(self, x: WreathElement) -> Tuple[List[int], Dict[int, List[int]]]:
         """x as block arithmetic: the image block of every base block, in
         index order, and the lamp-offset permutation of each block whose
@@ -410,6 +453,20 @@ class Window:
 
     def prepare(self, x: WreathElement) -> _WindowAction:
         return _WindowAction(self, x)
+
+    def images(self, state: Tuple[int, ...], xs: Sequence[WreathElement]) -> List[int]:
+        """The flat index of the image of state under each element of xs, in
+        order: each level's :meth:`FiniteLevel.images`, spelled in mixed
+        radix.  The elements must have the window's ranks."""
+        if len(state) != len(self.levels) or not all(
+            0 <= i < level.size for level, i in zip(self.levels, state)
+        ):
+            raise WindowError(f"{state!r} is not a state of this window")
+        flat = [0] * len(xs)
+        for level, i in zip(self.levels, state):
+            n = level.size
+            flat = [f * n + t for f, t in zip(flat, level.images(i, xs))]
+        return flat
 
     def iter_states(self) -> Iterator[Tuple[int, ...]]:
         return product(*(range(level.size) for level in self.levels))
@@ -650,20 +707,18 @@ class StabilizerWitness:
 
 def stabilizer_witness(window: Window, ball_radius: int = 1) -> StabilizerWitness:
     """Check that every window gamma moves the identity thread, and classify
-    all ball elements as movers or fixers of that thread."""
-    y = window.identity_thread()
-    gammas = []
-    for dat in window.data:
-        moved = window.prepare(dat.gamma).apply(y) != y
-        gammas.append((dat.gamma.text(), moved))
+    all ball elements as movers or fixers of that thread.  The thread has
+    flat index 0, so an element moves it exactly when its image is not 0."""
+    gammas = [dat.gamma for dat in window.data]
+    ball = [entry.element for entry in window.group.ball(ball_radius)]
+    images = window.images(window.identity_thread(), gammas + ball)
     movers: list[str] = []
     fixers: list[str] = []
-    for entry in window.group.ball(ball_radius):
-        text = entry.element.text()
-        if window.prepare(entry.element).apply(y) != y:
-            movers.append(text)
-        else:
-            fixers.append(text)
+    for x, image in zip(ball, images[len(gammas) :]):
+        (movers if image else fixers).append(x.text())
     return StabilizerWitness(
-        window_gammas=gammas, ball_radius=ball_radius, movers=movers, fixers=fixers
+        window_gammas=[(x.text(), image != 0) for x, image in zip(gammas, images)],
+        ball_radius=ball_radius,
+        movers=movers,
+        fixers=fixers,
     )

@@ -31,7 +31,9 @@ class Lamp:
     """Finitely supported map from positions in Z^m to nonzero vectors in Z^d.
 
     `entries` is sorted by position and contains no zero values; construct
-    through :meth:`of` to get this normal form.
+    through :meth:`of` to get this normal form.  A direct ``Lamp(entries)``
+    checks it.  The group operations below keep it by construction, so they
+    build their results through :meth:`_trusted` without the check.
     """
 
     entries: Tuple[Tuple[Vec, Vec], ...] = ()
@@ -43,6 +45,13 @@ class Lamp:
         for _, val in self.entries:
             if is_zero(val):
                 raise ValueError("lamp values must be nonzero")
+
+    @classmethod
+    def _trusted(cls, entries: Tuple[Tuple[Vec, Vec], ...]) -> "Lamp":
+        """A lamp from entries already in normal form, unchecked."""
+        lamp = object.__new__(cls)
+        object.__setattr__(lamp, "entries", entries)
+        return lamp
 
     @classmethod
     def of(cls, items: Mapping[Vec, Vec] | Iterable[Tuple[Vec, Vec]]) -> "Lamp":
@@ -59,24 +68,16 @@ class Lamp:
     def support(self) -> Tuple[Vec, ...]:
         return tuple(pos for pos, _ in self.entries)
 
-    def get(self, pos: Vec) -> Vec | None:
-        for p, v in self.entries:
-            if p == pos:
-                return v
-        return None
-
     def is_zero(self) -> bool:
         return not self.entries
 
-    def add(self, other: "Lamp") -> "Lamp":
-        return Lamp.of(list(self.entries) + list(other.entries))
-
     def neg(self) -> "Lamp":
-        return Lamp(tuple((p, neg(v)) for p, v in self.entries))
+        return Lamp._trusted(tuple((p, neg(v)) for p, v in self.entries))
 
     def shifted(self, by: Vec) -> "Lamp":
-        """The translate: position lambda now holds the value formerly at lambda - by."""
-        return Lamp(tuple(sorted((add(p, by), v) for p, v in self.entries)))
+        """The translate: position lambda now holds the value formerly at
+        lambda - by.  A translation keeps the lexicographic order."""
+        return Lamp._trusted(tuple((add(p, by), v) for p, v in self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -88,9 +89,23 @@ class WreathElement:
     shift: Vec
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
-        if len(self.shift) != len(other.shift):
+        """(f, a) * (g, b): g is translated by a and merged into f in one
+        pass over a dict, dropping the sums that cancel."""
+        a = self.shift
+        if len(a) != len(other.shift):
             raise RankMismatchError("cannot multiply elements with different shift ranks")
-        return WreathElement(self.lamp.add(other.lamp.shifted(self.shift)), add(self.shift, other.shift))
+        if not other.lamp.entries:
+            lamp = self.lamp
+        elif not self.lamp.entries:
+            lamp = other.lamp.shifted(a)
+        else:
+            acc = dict(self.lamp.entries)
+            for pos, val in other.lamp.entries:
+                pos = add(pos, a)
+                old = acc.get(pos)
+                acc[pos] = val if old is None else add(old, val)
+            lamp = Lamp._trusted(tuple(sorted(e for e in acc.items() if any(e[1]))))
+        return WreathElement(lamp, add(a, other.shift))
 
     def inverse(self) -> "WreathElement":
         sh = neg(self.shift)
@@ -246,7 +261,7 @@ class WreathGroup:
 
         Right-multiplying by s_i^{+-1} adds +-e_i to the lamp at the current
         shift, and by t_j^{+-1} moves the shift by +-e_j, so the word is a
-        running shift plus a lamp-sum per visited position.
+        running shift plus a lamp-sum per visited position, sorted once.
         """
         n_gens = 2 * (self.d + self.m)
         shift = [0] * self.m
@@ -265,7 +280,8 @@ class WreathGroup:
             else:
                 shift[axis - self.d] += sign
                 pos = tuple(shift)
-        return WreathElement(Lamp.of(lamps), pos)
+        entries = sorted((p, tuple(v)) for p, v in lamps.items() if any(v))
+        return WreathElement(Lamp._trusted(tuple(entries)), pos)
 
     def word_name(self, word: Word) -> str:
         if not word:

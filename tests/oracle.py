@@ -2,8 +2,8 @@
 
 Each one is the earlier, more direct algorithm: the per-state action on
 :class:`CosetState` objects, fixed states listed level by level, a
-breadth-first search over a set of window tuples, and a transporter search
-that stops at its target.
+breadth-first search over a set of window tuples, a transporter search
+that stops at its target, and a castle tiling over window tuples.
 """
 
 from itertools import product
@@ -89,3 +89,23 @@ def frontier_word(moves, piece, target):
                     nxt.append(img)
         frontier = nxt
     return found[target]
+
+
+def tiling_witness(castle, window):
+    """The witness of the first tiling defect of a castle whose towers repeat
+    no shape, or None if its translates tile.  Each translate is one window
+    tuple from ``prepare(x).apply``, taken shape by shape and then base state
+    by base state in sorted order; an uncovered castle names its least
+    missed tuple."""
+    seen = {}
+    for ti, tower in enumerate(castle.towers):
+        for x in tower.shapes:
+            action = window.prepare(x)
+            for v in sorted(tower.base):
+                img = action.apply(v)
+                mark = {"tower": ti, "shape": x.text()}
+                if img in seen:
+                    return {"state": window.state_text(img), "first": seen[img], "second": mark}
+                seen[img] = mark
+    missing = [s for s in window.iter_states() if s not in seen]
+    return {"missing_state": window.state_text(missing[0])} if missing else None

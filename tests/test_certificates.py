@@ -4,11 +4,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from allostery import (
     Castle,
+    Lamp,
     Tower,
     Window,
+    WreathElement,
     audit_castle,
     boolean_atoms,
     build_criterion,
@@ -31,13 +34,15 @@ from allostery.errors import (
     CertificateError,
     MalformedCastleError,
     MeasureConditionError,
+    RankMismatchError,
     TextParseError,
+    WindowError,
 )
 
 from allostery.dynamics import DEFAULT_STATE_BUDGET
 
 from conftest import HALF, make_transversal_castle
-from oracle import fixed_states
+from oracle import fixed_states, tiling_witness
 
 
 @pytest.fixture(scope="module")
@@ -85,27 +90,30 @@ def test_level_structure_passes_exactly_on_transitive_windows(request, names):
     assert (result.method, result.orbit_size) == ("level-structure", window.size)
 
 
-def _apply_twice(apply_index):
-    def wrong(self, i):
-        return apply_index(self, apply_index(self, i))
+def _apply_twice(images):
+    def wrong(self, i, xs):
+        xs = list(xs)
+        return [images(self, t, [x])[0] for t, x in zip(images(self, i, xs), xs)]
 
     return wrong
 
 
-def _drop_last_lamp_group(apply_index):
-    def wrong(self, i):
-        level = self.level
-        base, lamp = level._digits(apply_index(self, i))
-        lamp[-level.d :] = level._digits(i)[1][-level.d :]
-        return level._index_of(base, lamp)
+def _drop_last_lamp_group(images):
+    def wrong(self, i, xs):
+        out = []
+        for t in images(self, i, xs):
+            base, lamp = self._digits(t)
+            lamp[-self.d :] = self._digits(i)[1][-self.d :]
+            out.append(self._index_of(base, lamp))
+        return out
 
     return wrong
 
 
 @pytest.mark.parametrize("wrong", [_apply_twice, _drop_last_lamp_group])
 def test_level_structure_fails_on_a_wrong_action(w288, monkeypatch, wrong):
-    action = type(w288.levels[0].prepare(w288.group.identity()))
-    monkeypatch.setattr(action, "apply_index", wrong(action.apply_index))
+    level_type = type(w288.levels[0])
+    monkeypatch.setattr(level_type, "images", wrong(level_type.images))
     result = certify_transitive(w288)
     assert (result.status, result.method, result.orbit_size) == ("fail", "level-structure", None)
     assert result.detail.startswith("level 0: ")
@@ -447,6 +455,92 @@ def test_duplicate_shape_witness_is_first_repeat_by_position(w9, group11):
         with pytest.raises(MalformedCastleError) as info:
             audit_castle(castle, gamma, w9)
         assert info.value.witness == {"tower": 0, "shape": dup.text()}
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        WreathElement(Lamp(), (1, 0)),
+        WreathElement(Lamp.of({(0, 0): (1,)}), (0,)),
+        WreathElement(Lamp.of({(0,): (1, 1)}), (0,)),
+    ],
+    ids=["shift", "position", "value"],
+)
+def test_audit_rejects_a_wrong_rank_shape(w288, group11, shape):
+    castle = Castle(towers=(Tower(base=frozenset({(0, 0)}), shapes=(group11.identity(), shape)),))
+    with pytest.raises(RankMismatchError):
+        audit_castle(castle, group11.parse_element("{};(1)"), w288)
+
+
+@pytest.mark.parametrize("state", [(0,), (0, 0, 0), (32, 0), (0, -1)])
+def test_audit_rejects_a_base_state_outside_the_window(w288, group11, state):
+    castle = Castle(towers=(Tower(base=frozenset({state}), shapes=(group11.identity(),)),))
+    with pytest.raises(WindowError):
+        audit_castle(castle, group11.parse_element("{};(1)"), w288)
+
+
+def test_overlap_witness_follows_shape_major_order(w288, group11):
+    # Base states v < t1.v and shapes (e, t1): shape-major order visits e.v,
+    # e.t1.v, then t1.v, which collides with e's translate of t1.v.  State
+    # order would have met t1.v under t1 first and named the shapes the other
+    # way round.
+    e, t1 = group11.identity(), group11.shift_generator(0)
+    v = (0, 0)
+    tv = w288.prepare(t1).apply(v)
+    assert v < tv
+    castle = Castle(towers=(Tower(base=frozenset({v, tv}), shapes=(e, t1)),))
+    with pytest.raises(MalformedCastleError) as info:
+        audit_castle(castle, group11.parse_element("{};(1)"), w288)
+    assert info.value.witness == {
+        "state": w288.state_text(tv),
+        "first": {"tower": 0, "shape": e.text()},
+        "second": {"tower": 0, "shape": t1.text()},
+    }
+    assert info.value.witness == tiling_witness(castle, w288)
+
+
+def test_missing_state_is_the_least_uncovered_index(w288, group11):
+    castle = make_transversal_castle(w288)
+    (tower,) = castle.towers
+    orb = w288.orbit(w288.identity_thread())
+    dropped = [250, 40, 7]
+    assert sorted(w288.flat_index(orb.order[k]) for k in dropped)[0] != w288.flat_index(
+        orb.order[dropped[0]]
+    )
+    kept = tuple(x for k, x in enumerate(tower.shapes) if k not in dropped)
+    holed = Castle(towers=(Tower(base=tower.base, shapes=kept),))
+    with pytest.raises(MalformedCastleError) as info:
+        audit_castle(holed, group11.parse_element("{};(1)"), w288)
+    least = min(w288.flat_index(orb.order[k]) for k in dropped)
+    assert info.value.witness == {"missing_state": w288.state_text(w288.state_at(least))}
+    assert info.value.witness == tiling_witness(holed, w288)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tiling_witness_matches_tuple_oracle(w288, group11, data):
+    words = st.lists(st.integers(0, 3), max_size=6).map(group11.word_element)
+    towers = data.draw(
+        st.lists(
+            st.builds(
+                Tower,
+                base=st.frozensets(st.integers(0, w288.size - 1).map(w288.state_at), min_size=1, max_size=4),
+                shapes=st.lists(words, min_size=1, max_size=5, unique=True).map(tuple),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        label="towers",
+    )
+    castle = Castle(towers=tuple(towers))
+    expected = tiling_witness(castle, w288)
+    gamma = group11.parse_element("{(0):(1)};(0)")
+    if expected is None:
+        audit_castle(castle, gamma, w288)
+    else:
+        with pytest.raises(MalformedCastleError) as info:
+            audit_castle(castle, gamma, w288)
+        assert info.value.witness == expected
 
 
 def test_castle_file_round_trip(w9, group11):

@@ -1,7 +1,7 @@
 """Stdout of fixed CLI commands, byte for byte, against files in tests/golden/.
 
-The window files are forged afresh for each run; the castle file is kept in
-tests/golden/ next to the outputs.  To regenerate after a deliberate and
+The window files are forged afresh for each run; the castle files are kept
+in tests/golden/ next to the outputs.  To regenerate after a deliberate and
 documented change of output, run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -23,9 +23,10 @@ from oracle import fixed_states
 
 GOLDEN = Path(__file__).parent / "golden"
 CASTLE = GOLDEN / "castle_w288.txt"
+FIBERS = GOLDEN / "castle_w288_fibers.txt"
 GAMMA = "{(0):(1)};(0)"
 
-# name -> (arguments, exit code); W81, W288 and CASTLE stand for input paths,
+# name -> (arguments, exit code); W81, W288, CASTLE and FIBERS stand for input paths,
 # FIXED48 and MOVED for the state specs of :func:`block_specs`.
 CASES = {
     "verify": (("verify",), 0),
@@ -40,6 +41,7 @@ CASES = {
         0,
     ),
     "audit_w288": (("audit", "CASTLE", "--window", "W288", "--gamma", GAMMA), 0),
+    "audit_w288_fibers": (("audit", "FIBERS", "--window", "W288", "--gamma", GAMMA), 0),
 }
 
 
@@ -61,6 +63,25 @@ def transversal_castle_text(window):
     return f"V= {window.state_text(orb.start)} ; S= {names}\n"
 
 
+def fiber_castle_text(window):
+    """Three towers whose bases are halves of the fiber over state 0 of the
+    last level: the even lamp-level states carry every word of that level's
+    Schreier transversal, and the odd ones carry its first five words in one
+    tower and the other four in the next.  Every element acts bijectively on
+    the first level, so a word carrying the last level's state 0 to q carries
+    the fiber over 0 onto the fiber over q, and the translates tile."""
+    last = Window(window.data[-1:])
+    orb = last.orbit(last.identity_thread())
+    words = [window.group.word_name(orb.words[s]) for s in orb.order]
+    fiber = [s for s in window.iter_states() if s[-1] == 0]
+    even = " ".join(window.state_text(s) for s in fiber[0::2])
+    odd = " ".join(window.state_text(s) for s in fiber[1::2])
+    return "".join(
+        f"V= {base} ; S= {' '.join(shapes)}\n"
+        for base, shapes in ((even, words), (odd, words[:5]), (odd, words[5:]))
+    )
+
+
 def block_specs(window):
     """``idx:`` specs for the first 48 states GAMMA fixes and the states it
     moves; on W288 their atoms have 12 states each, so the comparison has
@@ -76,7 +97,7 @@ def block_specs(window):
 
 def write_inputs(directory):
     windows = forge_windows()
-    paths = {"CASTLE": str(CASTLE), **block_specs(windows["W288"])}
+    paths = {"CASTLE": str(CASTLE), "FIBERS": str(FIBERS), **block_specs(windows["W288"])}
     for name, window in windows.items():
         path = Path(directory) / f"{name}.json"
         path.write_text(json.dumps([dat.to_dict() for dat in window.data]))
@@ -112,11 +133,19 @@ def test_castle_file_is_the_transversal_castle(w288):
     assert parse_castle_file(text, w288) == make_transversal_castle(w288)
 
 
+def test_fiber_castle_file_has_several_base_states_per_tower(w288):
+    text = FIBERS.read_text()
+    assert fiber_castle_text(w288) == text
+    castle = parse_castle_file(text, w288)
+    assert [(len(t.base), len(t.shapes)) for t in castle.towers] == [(16, 9), (16, 5), (16, 4)]
+
+
 if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
     CASTLE.write_text(transversal_castle_text(forge_windows()["W288"]))
+    FIBERS.write_text(fiber_castle_text(forge_windows()["W288"]))
     with tempfile.TemporaryDirectory() as tmp:
         inputs = write_inputs(tmp)
         for case in CASES:

@@ -127,6 +127,57 @@ def test_fixed_count_matches_brute_listing(data):
     assert level.fixed_count([]) == level.size
 
 
+def image_elements(d, m):
+    """Elements with an empty lamp or up to four entries at small or huge
+    positions of either sign, and a zero shift or any, small or huge."""
+    coords = st.one_of(st.integers(-9, 9), st.integers(-(10**12), 10**12))
+    wide = st.tuples(*[coords] * m)
+    return st.builds(
+        lambda items, shift: WreathElement(Lamp.of(items), shift),
+        st.dictionaries(wide, vecs(d), max_size=4),
+        st.one_of(st.just((0,) * m), wide),
+    )
+
+
+def small_windows():
+    """The empty window, each oracle level alone, and each pair of
+    consecutive oracle levels that share their ranks."""
+    windows = [Window([])]
+    windows += [Window([level.datum]) for level in LEVELS]
+    windows += [
+        Window([a.datum, b.datum])
+        for a, b in zip(LEVELS, LEVELS[1:])
+        if (a.d, a.m) == (b.d, b.m)
+    ]
+    return windows
+
+
+WINDOWS = small_windows()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_level_images_match_prepared_action(data):
+    level = data.draw(st.sampled_from(LEVELS), label="level")
+    i = data.draw(st.integers(0, level.size - 1), label="i")
+    xs = data.draw(st.lists(image_elements(level.d, level.m), max_size=6), label="xs")
+    assert level.images(i, xs) == [level.prepare(x).apply_index(i) for x in xs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_window_images_match_prepared_action(data):
+    window = data.draw(st.sampled_from(WINDOWS), label="window")
+    state = window.state_at(data.draw(st.integers(0, window.size - 1), label="flat"))
+    xs = data.draw(st.lists(image_elements(window.d, window.m), max_size=6), label="xs")
+    expected = [window.flat_index(window.prepare(x).apply(state)) for x in xs]
+    assert window.images(state, xs) == expected
+
+
+def test_windows_include_products():
+    assert any(len(w) == 2 for w in WINDOWS) and any(len(w) == 0 for w in WINDOWS)
+
+
 def test_tables_and_lamp_fixed_points_match_oracle():
     for level in LEVELS:
         for g, x in enumerate(level.group.generators()):

@@ -20,8 +20,8 @@ def elements(d=1, m=1):
 def test_lamp_normalization():
     lamp = Lamp.of({(0,): (1,), (2,): (0,), (1,): (3,)})
     assert lamp.support == ((0,), (1,))
-    assert lamp.get((2,)) is None
-    assert lamp.get((1,)) == (3,)
+    assert dict(lamp.entries).get((2,)) is None
+    assert dict(lamp.entries).get((1,)) == (3,)
     assert len(lamp) == 2
 
 
@@ -29,15 +29,15 @@ def test_product_example():
     a = WreathElement(Lamp.of({(0,): (1,)}), (1,))
     b = WreathElement(Lamp.of({(0,): (1,)}), (0,))
     ab = a * b
-    assert ab.lamp.get((0,)) == (1,)
-    assert ab.lamp.get((1,)) == (1,)
+    assert dict(ab.lamp.entries).get((0,)) == (1,)
+    assert dict(ab.lamp.entries).get((1,)) == (1,)
     assert ab.shift == (1,)
 
 
 def test_inverse_example():
     a = WreathElement(Lamp.of({(0,): (1,)}), (1,))
     inv = a.inverse()
-    assert inv.lamp.get((-1,)) == (-1,)
+    assert dict(inv.lamp.entries).get((-1,)) == (-1,)
     assert inv.shift == (-1,)
     assert (a * inv).is_identity()
     assert (inv * a).is_identity()
@@ -80,7 +80,7 @@ def test_generators_and_names(group11):
     names = group11.generator_names()
     assert names == ("s1", "S1", "t1", "T1")
     gens = group11.generators()
-    assert gens[0].lamp.get((0,)) == (1,)
+    assert dict(gens[0].lamp.entries).get((0,)) == (1,)
     assert gens[1] == gens[0].inverse()
     assert gens[2].shift == (1,)
     assert gens[3] == gens[2].inverse()
@@ -90,7 +90,7 @@ def test_generator_layout_d2_m2():
     group = WreathGroup(2, 2)
     names = group.generator_names()
     assert names == ("s1", "S1", "s2", "S2", "t1", "T1", "t2", "T2")
-    assert group.lamp_generator(1).lamp.get((0, 0)) == (0, 1)
+    assert dict(group.lamp_generator(1).lamp.entries).get((0, 0)) == (0, 1)
     assert group.shift_generator(1).shift == (0, 1)
 
 
@@ -178,3 +178,47 @@ def test_parse_errors_have_positions():
 def test_validate_element(group11):
     with pytest.raises(RankMismatchError):
         group11.validate_element(WreathElement(Lamp.of({(0, 0): (1,)}), (0, 0)))
+
+
+def wide_vecs(rank):
+    return st.tuples(*[st.one_of(st.integers(-4, 4), st.integers(-(10**12), 10**12))] * rank)
+
+
+def wide_elements(d, m):
+    """Elements with an empty lamp or up to four entries at small or huge
+    positions of either sign, and a zero shift or any."""
+    return st.builds(
+        lambda items, shift: WreathElement(Lamp.of(items), shift),
+        st.dictionaries(wide_vecs(m), vecs(d), max_size=4),
+        st.one_of(st.just((0,) * m), wide_vecs(m)),
+    )
+
+
+@given(st.data())
+def test_operations_keep_lamps_in_normal_form(data):
+    d, m = data.draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]), label="d, m")
+    a = data.draw(wide_elements(d, m), label="a")
+    b = data.draw(wide_elements(d, m), label="b")
+    by = data.draw(wide_vecs(m), label="by")
+    word = data.draw(st.lists(st.integers(0, 2 * (d + m) - 1), max_size=12), label="word")
+    lamps = [
+        (a * b).lamp,
+        (a * b * b.inverse()).lamp,
+        a.inverse().lamp,
+        a.lamp.neg(),
+        a.lamp.shifted(by),
+        WreathGroup(d, m).word_element(word).lamp,
+    ]
+    for lamp in lamps:
+        assert lamp == Lamp.of(lamp.entries)
+        assert Lamp(lamp.entries) == lamp
+    assert (a * b * b.inverse()) == a
+
+
+def test_direct_lamp_keeps_validation():
+    with pytest.raises(ValueError):
+        Lamp((((1,), (1,)), ((0,), (1,))))
+    with pytest.raises(ValueError):
+        Lamp((((0,), (0,)),))
+    with pytest.raises(ValueError):
+        Lamp((((0,), (1,)), ((0,), (2,))))
