@@ -9,6 +9,7 @@ nonzero vectors survives reduction mod p^k once k is large enough.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -27,21 +28,21 @@ def add(a: Vec, b: Vec) -> Vec:
     """Coordinatewise sum; the group law of Z^m."""
     if len(a) != len(b):
         raise RankMismatchError(f"cannot add vectors of ranks {len(a)} and {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def neg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
+    return tuple(map(operator.neg, a))
 
 
 def sub(a: Vec, b: Vec) -> Vec:
     if len(a) != len(b):
         raise RankMismatchError(f"cannot subtract vectors of ranks {len(a)} and {len(b)}")
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def is_zero(a: Vec) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 def is_prime(n: int) -> bool:

@@ -613,8 +613,14 @@ def parse_castle_file(text: str, window: Window) -> Castle:
 
     States use the canonical window state text, words the dotted generator
     names (``e`` for the empty word); tokens are whitespace-separated.
+    Every line is checked first, in file order.  Then each distinct word is
+    evaluated once, shortest first: a word ``g.rest`` whose tail ``rest`` is
+    also a word of the castle is generator g times the tail's element, one
+    product, so the words of a Schreier tree cost one step each.
     """
-    towers: List[Tower] = []
+    group = window.group
+    lookup = group._name_index
+    lines: List[Tuple[StateSet, List[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -630,14 +636,26 @@ def parse_castle_file(text: str, window: Window) -> Castle:
         if not state_tokens or not word_tokens:
             raise TextParseError("tower needs at least one state and one word", lineno)
         base = frozenset(window.parse_state(tok, lineno) for tok in state_tokens)
-        shapes = tuple(
-            window.group.word_element(window.group.parse_word(tok, lineno))
-            for tok in word_tokens
-        )
-        towers.append(Tower(base=base, shapes=shapes))
-    if not towers:
+        for tok in word_tokens:
+            if tok != "e" and not lookup.keys() >= set(tok.split(".")):
+                group.parse_word(tok, lineno)  # raises, naming the first unknown letter
+        lines.append((base, word_tokens))
+    if not lines:
         raise TextParseError("castle file holds no towers")
-    return Castle(towers=tuple(towers))
+    gens = group.generators()
+    elements = {"e": group.identity()}
+    for tok in sorted({tok for _, words in lines for tok in words} - {"e"}, key=len):
+        head, _, tail = tok.partition(".")
+        rest = elements.get(tail or "e")
+        if rest is None:
+            elements[tok] = group.word_element(group.parse_word(tok))
+        else:
+            elements[tok] = gens[lookup[head]] * rest
+    return Castle(
+        towers=tuple(
+            Tower(base=base, shapes=tuple(elements[tok] for tok in words)) for base, words in lines
+        )
+    )
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,7 @@ class FiniteLevel:
         base, lamp = self._digits(i)
         offset = i % L
         by_shift: Dict[Vec, Tuple[int, Dict[Vec, int]]] = {}
+        residue: Dict[Vec, Vec] = {}  # each lamp position reduced mod M once
         out: List[int] = []
         for x in xs:
             seen = by_shift.get(x.shift)
@@ -214,7 +215,10 @@ class FiniteLevel:
             block, classes = seen
             added = None
             for pos, val in x.lamp.entries:
-                k = classes.get(tuple(c % M for c in pos))
+                r = residue.get(pos)
+                if r is None:
+                    r = residue[pos] = tuple(c % M for c in pos)
+                k = classes.get(r)
                 if k is not None:
                     if added is None:
                         added = lamp.copy()
@@ -409,12 +413,14 @@ def _bfs(steps: Sequence[Tuple[int, Sequence[int]]], start: int, size: int) -> O
 
 
 class _WindowAction:
-    __slots__ = ("parts",)
+    __slots__ = ("window", "parts")
 
     def __init__(self, window: "Window", x: WreathElement):
+        self.window = window
         self.parts = [level.prepare(x) for level in window.levels]
 
     def apply(self, state: Tuple[int, ...]) -> Tuple[int, ...]:
+        self.window._require_state(state)
         return tuple(part.apply_index(i) for part, i in zip(self.parts, state))
 
 
@@ -454,14 +460,19 @@ class Window:
     def prepare(self, x: WreathElement) -> _WindowAction:
         return _WindowAction(self, x)
 
-    def images(self, state: Tuple[int, ...], xs: Sequence[WreathElement]) -> List[int]:
-        """The flat index of the image of state under each element of xs, in
-        order: each level's :meth:`FiniteLevel.images`, spelled in mixed
-        radix.  The elements must have the window's ranks."""
+    def _require_state(self, state: Tuple[int, ...]) -> None:
+        """Raise WindowError unless state holds one index per level, each in
+        its level's range."""
         if len(state) != len(self.levels) or not all(
             0 <= i < level.size for level, i in zip(self.levels, state)
         ):
             raise WindowError(f"{state!r} is not a state of this window")
+
+    def images(self, state: Tuple[int, ...], xs: Sequence[WreathElement]) -> List[int]:
+        """The flat index of the image of state under each element of xs, in
+        order: each level's :meth:`FiniteLevel.images`, spelled in mixed
+        radix.  The elements must have the window's ranks."""
+        self._require_state(state)
         flat = [0] * len(xs)
         for level, i in zip(self.levels, state):
             n = level.size

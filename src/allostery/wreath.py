@@ -13,10 +13,11 @@ ordering for ball enumeration and certificate output.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence, Tuple
 
 from .base import Vec, add, is_zero, neg, zero
 from .errors import BudgetExceededError, RankMismatchError, TextParseError
@@ -62,7 +63,7 @@ class Lamp:
             if pos in acc:
                 val = add(acc[pos], val)
             acc[pos] = val
-        return cls(tuple(sorted((p, v) for p, v in acc.items() if not is_zero(v))))
+        return cls._trusted(tuple(sorted([e for e in acc.items() if any(e[1])])))
 
     @property
     def support(self) -> Tuple[Vec, ...]:
@@ -76,11 +77,24 @@ class Lamp:
 
     def shifted(self, by: Vec) -> "Lamp":
         """The translate: position lambda now holds the value formerly at
-        lambda - by.  A translation keeps the lexicographic order."""
-        return Lamp._trusted(tuple((add(p, by), v) for p, v in self.entries))
+        lambda - by."""
+        return Lamp._trusted(_translated(self.entries, by))
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def _translated(entries: Tuple[Tuple[Vec, Vec], ...], by: Vec) -> Tuple[Tuple[Vec, Vec], ...]:
+    """Lamp entries with every position moved by `by`, the same entries when
+    `by` is zero.  A translation keeps the lexicographic order.  Every
+    position must have the rank of `by`."""
+    n = len(by)
+    for p, _ in entries:
+        if len(p) != n:
+            raise RankMismatchError(f"cannot add vectors of ranks {len(p)} and {n}")
+    if not any(by):
+        return entries
+    return tuple([(tuple(map(operator.add, p, by)), v) for p, v in entries])
 
 
 @dataclass(frozen=True)
@@ -89,23 +103,31 @@ class WreathElement:
     shift: Vec
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
-        """(f, a) * (g, b): g is translated by a and merged into f in one
-        pass over a dict, dropping the sums that cancel."""
-        a = self.shift
-        if len(a) != len(other.shift):
+        """(f, a) * (g, b): g is translated by a (not at all when a is zero)
+        and merged into f in one pass over a dict, dropping the sums that
+        cancel."""
+        a, b = self.shift, other.shift
+        if len(a) != len(b):
             raise RankMismatchError("cannot multiply elements with different shift ranks")
-        if not other.lamp.entries:
+        right = _translated(other.lamp.entries, a)
+        if not right:
             lamp = self.lamp
         elif not self.lamp.entries:
-            lamp = other.lamp.shifted(a)
+            lamp = Lamp._trusted(right)
         else:
             acc = dict(self.lamp.entries)
-            for pos, val in other.lamp.entries:
-                pos = add(pos, a)
+            for pos, val in right:
                 old = acc.get(pos)
-                acc[pos] = val if old is None else add(old, val)
-            lamp = Lamp._trusted(tuple(sorted(e for e in acc.items() if any(e[1]))))
-        return WreathElement(lamp, add(a, other.shift))
+                if old is None:
+                    acc[pos] = val
+                    continue
+                val = add(old, val)
+                if any(val):
+                    acc[pos] = val
+                else:
+                    del acc[pos]
+            lamp = Lamp._trusted(tuple(sorted(acc.items())))
+        return WreathElement(lamp, tuple(map(operator.add, a, b)))
 
     def inverse(self) -> "WreathElement":
         sh = neg(self.shift)
@@ -122,23 +144,51 @@ class WreathElement:
 
 
 def format_vec(v: Vec) -> str:
-    return "(" + ",".join(str(x) for x in v) + ")"
+    return "(" + ",".join(map(str, v)) + ")"
 
 
 def format_element(x: WreathElement) -> str:
     """Canonical text form `{pos:vec,...};shift`, lamp entries sorted by position."""
-    lamp = ",".join(f"{format_vec(p)}:{format_vec(v)}" for p, v in x.lamp.entries)
+    lamp = ",".join([f"{format_vec(p)}:{format_vec(v)}" for p, v in x.lamp.entries])
     return "{" + lamp + "};" + format_vec(x.shift)
 
 
-_VEC_RE = re.compile(r"\((-?\d+(?:,-?\d+)*)\)")
+_NUMS = r"-?\d+(?:,-?\d+)*"
+_VEC_RE = re.compile(rf"\(({_NUMS})\)")
+_V = rf"\({_NUMS}\)"
+_ELEMENT_RE = re.compile(rf"\{{(?:{_V}:{_V}(?:,{_V}:{_V})*)?\}};{_V}")
 
 
 def _parse_vec(text: str, pos: int, line: int | None = None) -> Tuple[Vec, int]:
     m = _VEC_RE.match(text, pos)
     if not m:
         raise TextParseError("expected a vector like (0) or (1,-2)", line, pos + 1)
-    return tuple(int(t) for t in m.group(1).split(",")), m.end()
+    return tuple(map(int, m.group(1).split(","))), m.end()
+
+
+def _raise_syntax_error(s: str, line: int | None) -> NoReturn:
+    """Raise the error at the first position where `s` leaves the element
+    grammar, found by scanning it part by part."""
+    if not s.startswith("{"):
+        raise TextParseError("element must start with '{'", line, 1)
+    pos = 1
+    if s[pos : pos + 1] != "}":
+        while True:
+            _, pos = _parse_vec(s, pos, line)
+            if s[pos : pos + 1] != ":":
+                raise TextParseError("expected ':' between position and value", line, pos + 1)
+            _, pos = _parse_vec(s, pos + 1, line)
+            if s[pos : pos + 1] != ",":
+                break
+            pos += 1
+    if s[pos : pos + 1] != "}":
+        raise TextParseError("expected '}' closing the lamp part", line, pos + 1)
+    if s[pos + 1 : pos + 2] != ";":
+        raise TextParseError("expected ';' before the shift part", line, pos + 2)
+    # Every part up to the shift is well formed, so what the grammar
+    # rejects is text after the shift.
+    _, pos = _parse_vec(s, pos + 2, line)
+    raise TextParseError("trailing characters after element", line, pos + 1)
 
 
 def parse_element(
@@ -147,35 +197,17 @@ def parse_element(
     m: int | None = None,
     line: int | None = None,
 ) -> WreathElement:
-    """Parse the canonical element form, optionally checking ranks d and m."""
+    """Parse the element form `{pos:vec,...};shift`, optionally checking
+    ranks d and m.  Entries may come in any order, repeat a position or hold
+    zero; the lamp sums them into normal form."""
     if not isinstance(text, str):
         raise TextParseError(f"element must be text, got {text!r}", line)
     s = text.strip()
-    pos = 0
-    if not s.startswith("{"):
-        raise TextParseError("element must start with '{'", line, 1)
-    pos = 1
-    entries: list[Tuple[Vec, Vec]] = []
-    if s[pos : pos + 1] != "}":
-        while True:
-            p, pos = _parse_vec(s, pos, line)
-            if s[pos : pos + 1] != ":":
-                raise TextParseError("expected ':' between position and value", line, pos + 1)
-            v, pos = _parse_vec(s, pos + 1, line)
-            entries.append((p, v))
-            if s[pos : pos + 1] == ",":
-                pos += 1
-                continue
-            break
-    if s[pos : pos + 1] != "}":
-        raise TextParseError("expected '}' closing the lamp part", line, pos + 1)
-    pos += 1
-    if s[pos : pos + 1] != ";":
-        raise TextParseError("expected ';' before the shift part", line, pos + 1)
-    shift, pos = _parse_vec(s, pos + 1, line)
-    if pos != len(s):
-        raise TextParseError("trailing characters after element", line, pos + 1)
-    x = WreathElement(Lamp.of(entries), shift)
+    if not _ELEMENT_RE.fullmatch(s):
+        _raise_syntax_error(s, line)
+    vecs = [tuple(map(int, body.split(","))) for body in _VEC_RE.findall(s)]
+    shift = vecs.pop()
+    x = WreathElement(Lamp.of(zip(vecs[0::2], vecs[1::2])), shift)
     if m is not None and len(shift) != m:
         raise TextParseError(f"shift rank {len(shift)} != m={m}", line, 1)
     if d is not None:

@@ -3,12 +3,15 @@
 Each one is the earlier, more direct algorithm: the per-state action on
 :class:`CosetState` objects, fixed states listed level by level, a
 breadth-first search over a set of window tuples, a transporter search
-that stops at its target, and a castle tiling over window tuples.
+that stops at its target, a castle tiling over window tuples, and an
+element parser that scans its text part by part.
 """
 
+import re
 from itertools import product
 
-from allostery import CosetState
+from allostery import CosetState, Lamp, WreathElement
+from allostery.errors import TextParseError
 
 
 def apply_state(prepared, s):
@@ -109,3 +112,56 @@ def tiling_witness(castle, window):
                 seen[img] = mark
     missing = [s for s in window.iter_states() if s not in seen]
     return {"missing_state": window.state_text(missing[0])} if missing else None
+
+
+_VEC_RE = re.compile(r"\((-?\d+(?:,-?\d+)*)\)")
+
+
+def _scan_vec(text, pos, line):
+    m = _VEC_RE.match(text, pos)
+    if not m:
+        raise TextParseError("expected a vector like (0) or (1,-2)", line, pos + 1)
+    return tuple(int(t) for t in m.group(1).split(",")), m.end()
+
+
+def scan_element(text, d=None, m=None, line=None):
+    """``parse_element`` as a scanner: one regular expression per vector,
+    the separators checked character by character."""
+    if not isinstance(text, str):
+        raise TextParseError(f"element must be text, got {text!r}", line)
+    s = text.strip()
+    if not s.startswith("{"):
+        raise TextParseError("element must start with '{'", line, 1)
+    pos = 1
+    entries = []
+    if s[pos : pos + 1] != "}":
+        while True:
+            p, pos = _scan_vec(s, pos, line)
+            if s[pos : pos + 1] != ":":
+                raise TextParseError("expected ':' between position and value", line, pos + 1)
+            v, pos = _scan_vec(s, pos + 1, line)
+            entries.append((p, v))
+            if s[pos : pos + 1] == ",":
+                pos += 1
+                continue
+            break
+    if s[pos : pos + 1] != "}":
+        raise TextParseError("expected '}' closing the lamp part", line, pos + 1)
+    pos += 1
+    if s[pos : pos + 1] != ";":
+        raise TextParseError("expected ';' before the shift part", line, pos + 1)
+    shift, pos = _scan_vec(s, pos + 1, line)
+    if pos != len(s):
+        raise TextParseError("trailing characters after element", line, pos + 1)
+    x = WreathElement(Lamp.of(entries), shift)
+    if m is not None and len(shift) != m:
+        raise TextParseError(f"shift rank {len(shift)} != m={m}", line, 1)
+    if d is not None:
+        for p, v in x.lamp.entries:
+            if len(v) != d:
+                raise TextParseError(f"lamp value rank {len(v)} != d={d}", line, 1)
+    if m is not None:
+        for p, _ in x.lamp.entries:
+            if len(p) != m:
+                raise TextParseError(f"lamp position rank {len(p)} != m={m}", line, 1)
+    return x

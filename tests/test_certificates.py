@@ -580,6 +580,55 @@ def test_castle_file_errors(w9):
         assert exc.line == 2
 
 
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("V= (0)|((0)) ; S= e s1\nV= (0)|((0)) ; S= t1 s1.zap.T9 q", "unknown generator 'zap'", 2),
+        ("V= (0)|((0)) ; S= s1.q\nV= (9)|((0)) ; S= e", "unknown generator 'q'", 1),
+        ("V= (9)|((0)) ; S= zap", "base coordinate 9 out of range", 1),
+        ("V= (0)|((0)) ; S= e.s1", "unknown generator 'e'", 1),
+        ("V= (0)|((0)) ; S= s1.e", "unknown generator 'e'", 1),
+        ("V= (0)|((0)) ; S= s1.", "unknown generator ''", 1),
+        ("V= (0)|((0)) ; S= s1..t1", "unknown generator ''", 1),
+        ("# c\n\nV= (0)|((0)) ; S= t1.t1 T1.S1.x1", "unknown generator 'x1'", 3),
+        ("V= (0)|((0)) ; S= e\nV= (0)|((0)) ; S= S1.t2", "unknown generator 't2'", 2),
+    ],
+)
+def test_castle_file_names_the_first_fault_in_file_order(w9, text, message, line):
+    """Lines are checked in file order, states before words and words
+    letter by letter, so the error names the first unknown token."""
+    with pytest.raises(TextParseError) as info:
+        parse_castle_file(text, w9)
+    assert (info.value.message, info.value.line) == (message, line)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_castle_words_match_letter_by_letter(w288, rng, data):
+    """Shapes parsed from a castle file equal the words evaluated letter by
+    letter: Schreier-tree words in shuffled order with some of them deleted
+    (so some tails are missing), plus random words."""
+    group = w288.group
+    orb = w288.orbit(w288.identity_thread())
+    words = [group.word_name(orb.words[s]) for s in orb.order]
+    keep = data.draw(st.floats(0, 1), label="keep")
+    words = [w for w in words if rng.random() < keep]
+    words += data.draw(
+        st.lists(st.lists(st.integers(0, 3), max_size=10).map(group.word_name), max_size=30),
+        label="random words",
+    )
+    rng.shuffle(words)
+    words = words or ["e"]
+    cuts = sorted(rng.sample(range(1, len(words)), min(3, len(words) - 1)))
+    chunks = [words[a:b] for a, b in zip([0] + cuts, cuts + [len(words)])]
+    base = w288.state_text(w288.identity_thread())
+    text = "".join(f"V= {base} ; S= {' '.join(chunk)}\n" for chunk in chunks)
+    castle = parse_castle_file(text, w288)
+    assert [list(t.shapes) for t in castle.towers] == [
+        [group.word_element(group.parse_word(w)) for w in chunk] for chunk in chunks
+    ]
+
+
 def test_audit_round_trip(w9, w9_transversal, group11):
     s1 = group11.parse_element("{(0):(1)};(0)")
     rec = json.loads(json.dumps(audit_castle(w9_transversal, s1, w9).to_dict()))

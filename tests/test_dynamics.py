@@ -322,3 +322,15 @@ def test_window_rank_consistency(d32):
     other = forge(WreathGroup(2, 1).parse_element("{(0):(1,0)};(0)"), 3, Fraction(1, 2), 2, 1)
     with pytest.raises(WindowError):
         Window([d32, other])
+
+
+@pytest.mark.parametrize("state", [(0,), (0, 0, 0), (32, 0), (0, 9), (0, -1), ()])
+def test_prepared_action_rejects_a_state_outside_the_window(w288, group11, state):
+    """A prepared action checks its state as ``Window.images`` does."""
+    t = group11.generators()[2]
+    action = w288.prepare(t)
+    with pytest.raises(WindowError):
+        action.apply(state)
+    with pytest.raises(WindowError):
+        w288.images(state, [t])
+    assert action.apply((31, 8)) == w288.state_at(w288.images((31, 8), [t])[0])

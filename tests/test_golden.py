@@ -140,6 +140,22 @@ def test_fiber_castle_file_has_several_base_states_per_tower(w288):
     assert [(len(t.base), len(t.shapes)) for t in castle.towers] == [(16, 9), (16, 5), (16, 4)]
 
 
+def test_castle_with_no_castle_tails_parses_and_audits_the_same(w288, paths, tmp_path):
+    """Every word of the transversal castle prefixed by ``t1.T1.``: the
+    elements stay the same, but no word's tail is a castle word, so each is
+    evaluated letter by letter.  The castle and the audit's stdout match the
+    golden ones."""
+    left, right = CASTLE.read_text().split("S=")
+    words = ["t1.T1" + ("" if w == "e" else "." + w) for w in right.split()]
+    prefixed = tmp_path / "prefixed.txt"
+    prefixed.write_text(f"{left}S= {' '.join(words)}\n")
+    golden = parse_castle_file(CASTLE.read_text(), w288)
+    assert parse_castle_file(prefixed.read_text(), w288) == golden
+    code, out = run_case("audit_w288", {**paths, "CASTLE": str(prefixed)})
+    assert code == 0
+    assert out == (GOLDEN / "audit_w288.out").read_bytes()
+
+
 if __name__ == "__main__":
     import tempfile
 

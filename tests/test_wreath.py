@@ -3,6 +3,9 @@ from hypothesis import given, strategies as st
 
 from allostery import Lamp, WreathElement, WreathGroup, format_element, parse_element
 from allostery.errors import BudgetExceededError, RankMismatchError, TextParseError
+from allostery.wreath import format_vec
+
+from oracle import scan_element
 
 
 def vecs(rank, lo=-4, hi=4):
@@ -56,6 +59,21 @@ def test_rank_checked_on_multiply():
     b = WreathElement(Lamp.of({(0, 0): (1,)}), (0, 0))
     with pytest.raises(RankMismatchError):
         a * b
+
+
+@pytest.mark.parametrize("left", ["{};(0)", "{(0):(1)};(0)", "{};(2)", "{(0):(1)};(-1)"])
+@pytest.mark.parametrize("entries", [{(0, 0): (1,)}, {(3,): (1,), (0, 0): (1,)}])
+def test_rank_checked_on_multiply_for_lamp_positions(left, entries):
+    """Equal shift ranks, but a right lamp position of another rank: the
+    product raises whether or not the left shift moves it."""
+    with pytest.raises(RankMismatchError):
+        parse_element(left) * WreathElement(Lamp.of(entries), (0,))
+
+
+def test_rank_checked_on_multiply_for_lamp_values_that_meet():
+    a = parse_element("{(0):(1)};(0)")
+    with pytest.raises(RankMismatchError):
+        a * WreathElement(Lamp.of({(0,): (1, 1)}), (0,))
 
 
 @given(elements(), elements(), elements())
@@ -222,3 +240,82 @@ def test_direct_lamp_keeps_validation():
         Lamp((((0,), (0,)),))
     with pytest.raises(ValueError):
         Lamp((((0,), (1,)), ((0,), (2,))))
+
+
+RANKS = st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)])
+
+
+def raw_element_texts(d, m):
+    """Element texts in any entry order, with repeated positions and zero
+    values, and now and then a vector of the other rank."""
+    def vec(rank):
+        return st.one_of(vecs(rank, -2, 2), vecs(rank, -2, 2), vecs(3 - rank, -2, 2))
+
+    entries = st.lists(st.tuples(vec(m), vec(d)), max_size=4)
+    return st.builds(
+        lambda items, shift: "{"
+        + ",".join(f"{format_vec(p)}:{format_vec(v)}" for p, v in items)
+        + "};"
+        + format_vec(shift),
+        entries,
+        vec(m),
+    )
+
+
+EDIT_CHARS = "{}();:,-0123456789 x٣"
+
+
+@st.composite
+def edited(draw, text):
+    """The text with one character deleted, replaced or inserted."""
+    i = draw(st.integers(0, len(text)))
+    c = draw(st.sampled_from(EDIT_CHARS))
+    op = draw(st.sampled_from(["delete", "replace", "insert"]))
+    if op == "insert" or i == len(text):
+        return text[:i] + c + text[i:]
+    return text[:i] + ("" if op == "delete" else c) + text[i + 1 :]
+
+
+def outcome(parse, text, d, m):
+    try:
+        return parse(text, d, m, line=3)
+    except TextParseError as exc:
+        return ("TextParseError", exc.message, exc.line, exc.column)
+    except RankMismatchError as exc:
+        return ("RankMismatchError", str(exc))
+
+
+@given(RANKS, st.data())
+def test_parser_matches_the_scanner(ranks, data):
+    """The one-pattern parser and the part-by-part scanner give the same
+    element, or the same error at the same line and column, on canonical
+    and non-canonical texts and on single-character edits of both."""
+    d, m = ranks
+    text = data.draw(
+        st.one_of(elements(d, m).map(format_element), raw_element_texts(d, m)), label="text"
+    )
+    if data.draw(st.booleans(), label="edit"):
+        text = data.draw(edited(text), label="edited")
+    assert outcome(parse_element, text, d, m) == outcome(scan_element, text, d, m)
+    assert outcome(parse_element, text, None, None) == outcome(scan_element, text, None, None)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " {};(0) ",
+        "{(1):(2),(0):(1)};(0)",
+        "{(0):(1),(0):(-1)};(0)",
+        "{(0):(0)};(5)",
+        "{(0):(1),};(0)",
+        "{(0):(1)(1):(1)};(0)",
+        "{};(0)x",
+        "{};(0,)",
+        "{} ;(0)",
+        "{(0):(1)}",
+        "",
+        5,
+    ],
+)
+def test_parser_matches_the_scanner_on_examples(text):
+    assert outcome(parse_element, text, 1, 1) == outcome(scan_element, text, 1, 1)
