@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .certificates import (
-    Castle,
     CriterionCertificate,
     audit_castle,
     check_castle_audit,
@@ -34,7 +33,7 @@ from .certificates import (
     verify_criterion,
     window_from_records,
 )
-from .config import ENV_BUDGET, RunConfig, apply_env, load_config, parse_epsilon_mode
+from .config import RunConfig, apply_env, load_config, parse_epsilon_mode
 from .dynamics import Window
 from .errors import AllosteryError, MalformedCastleError, TextParseError
 from .forge import SubgroupDatum, default_epsilon, forge

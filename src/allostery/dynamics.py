@@ -24,14 +24,15 @@ support of g, the lamp offset is unchanged; otherwise g's class sum at
 (b + delta) + E[j] is added digit-wise to lamp digit group j.  A level
 therefore turns x into an index map block by block, with one lamp-offset
 permutation per distinct pattern of added sums, and counts fixed states off
-the same blocks.  A single state index is acted on by the same arithmetic on
-its own digits.  :class:`CosetState` is only the state text format.
+the same blocks.  The images of one state under many elements come from the
+same arithmetic on that state's own digits.  :class:`CosetState` is only the
+state text format.
 
 A window is a finite list of levels acted on diagonally; its states are
 tuples of per-level state indices, and its flat index spells such a tuple in
-mixed radix (first level most significant).  Orbits and the inverse-system
-checks run on flat indices.  With pairwise distinct primes a window is the
-finite stage of the inverse system whose limit the certificates speak about.
+mixed radix (first level most significant).  Orbits and images run on flat
+indices.  With pairwise distinct primes a window is the finite stage of the
+inverse system whose limit the certificates speak about.
 """
 
 from __future__ import annotations
@@ -93,13 +94,12 @@ def parse_state(text: str, line: int | None = None) -> CosetState:
 
 
 class _PreparedAction:
-    """The data of one element needed to act on any state of one level:
+    """The data of one element that the block arithmetic of one level needs:
     the reduced shift and the nonzero lamp class sums."""
 
-    __slots__ = ("level", "delta", "class_sums")
+    __slots__ = ("delta", "class_sums")
 
     def __init__(self, level: "FiniteLevel", x: WreathElement):
-        self.level = level
         self.delta = level.subgroup.reduce(x.shift)
         M, p, m, d = level.modulus, level.p, level.m, level.d
         sums: Dict[Vec, List[int]] = {}
@@ -114,22 +114,6 @@ class _PreparedAction:
             reduced = tuple(c % p for c in vals)
             if any(reduced):
                 self.class_sums[q] = reduced
-
-    def apply_index(self, i: int) -> int:
-        """The image of state index i, by arithmetic on its mixed-radix
-        digits: delta is added to the base digits mod M, and the class sum
-        at (base + delta) + E[j] to lamp digit group j mod p."""
-        level = self.level
-        M, p, d = level.modulus, level.p, level.d
-        base, lamp = level._digits(i)
-        base = [(b + t) % M for b, t in zip(base, self.delta)]
-        if self.class_sums:
-            for j, e in enumerate(level.E):
-                g = self.class_sums.get(tuple((b + c) % M for b, c in zip(base, e)))
-                if g is not None:
-                    for k, gk in enumerate(g, start=j * d):
-                        lamp[k] = (lamp[k] + gk) % p
-        return level._index_of(base, lamp)
 
 
 class FiniteLevel:
@@ -189,12 +173,13 @@ class FiniteLevel:
     def images(self, i: int, xs: Iterable[WreathElement]) -> List[int]:
         """The image of state index i under each element of xs, in order.
 
-        The same digit arithmetic as :meth:`_PreparedAction.apply_index`,
-        turned around: i is split into digits once, and for each shift seen
-        the image block and a map from the classes (b + delta) + E[j] to
-        their lamp digit group j are kept.  An element then adds only its
-        lamp entries that land in one of those l classes.  The elements must
-        have the level's ranks (see :meth:`WreathGroup.validate_element`)."""
+        Acting by x = (g, delta) adds delta to the base digits mod M, and
+        g's class sum at (base + delta) + E[j] to lamp digit group j mod p.
+        Here i is split into digits once, and for each shift seen the image
+        block and a map from the classes (b + delta) + E[j] to their lamp
+        digit group j are kept.  An element then adds only its lamp entries
+        that land in one of those l classes.  The elements must have the
+        level's ranks (see :meth:`WreathGroup.validate_element`)."""
         M, p, d, L = self.modulus, self.p, self.d, self._lamp_size
         base, lamp = self._digits(i)
         offset = i % L
@@ -285,17 +270,12 @@ class FiniteLevel:
             self._tables[g] = self.index_map(self.group.generators()[g])
         return self._tables[g]
 
-    def orbit(
-        self,
-        start: int = 0,
-        budget: int = DEFAULT_STATE_BUDGET,
-        gen_indices: Optional[Sequence[int]] = None,
-    ) -> "OrbitResult":
+    def orbit(self, start: int = 0, budget: int = DEFAULT_STATE_BUDGET) -> "OrbitResult":
         """BFS over states; for each reached state a word carrying `start` to it."""
         if self.size > budget:
             raise BudgetExceededError(self.size, budget)
-        gens = range(len(self.group.generators())) if gen_indices is None else gen_indices
-        orb = _bfs([(g, self.table(g)) for g in gens], start, self.size)
+        steps = [(g, self.table(g)) for g in range(len(self.group.generators()))]
+        orb = _bfs(steps, start, self.size)
         orb.order = orb.order.tolist()
         return orb
 
@@ -413,15 +393,18 @@ def _bfs(steps: Sequence[Tuple[int, Sequence[int]]], start: int, size: int) -> O
 
 
 class _WindowAction:
-    __slots__ = ("window", "parts")
+    """One element, checked against the window's ranks once, applied to one
+    state at a time through :meth:`Window.images`."""
+
+    __slots__ = ("window", "x")
 
     def __init__(self, window: "Window", x: WreathElement):
+        window.group.validate_element(x)
         self.window = window
-        self.parts = [level.prepare(x) for level in window.levels]
+        self.x = x
 
     def apply(self, state: Tuple[int, ...]) -> Tuple[int, ...]:
-        self.window._require_state(state)
-        return tuple(part.apply_index(i) for part, i in zip(self.parts, state))
+        return self.window.state_at(self.window.images(state, (self.x,))[0])
 
 
 class Window:
@@ -551,143 +534,6 @@ class Window:
         )
 
 
-@dataclass(frozen=True)
-class StructureMap:
-    """Coordinate projection from a finer window onto a coarser one."""
-
-    positions: Tuple[int, ...]
-
-    def apply(self, state: Tuple[int, ...]) -> Tuple[int, ...]:
-        return tuple(state[p] for p in self.positions)
-
-
-def structure_map(target: Window, source: Window) -> StructureMap:
-    """Projection source -> target; requires target's data to sit inside source's."""
-    used: set[int] = set()
-    positions: list[int] = []
-    for dat in target.data:
-        pos = next(
-            (i for i, other in enumerate(source.data) if i not in used and other == dat),
-            None,
-        )
-        if pos is None:
-            raise WindowError("windows are not nested: missing factor in the finer window")
-        used.add(pos)
-        positions.append(pos)
-    return StructureMap(tuple(positions))
-
-
-def _projection(target: Window, source: Window) -> List[int]:
-    """The structure map source -> target on flat indices: each source digit
-    at a position the map keeps is weighted by its place value in target."""
-    positions = structure_map(target, source).positions
-    weight = [0] * len(source)
-    place = 1
-    for pos, level in zip(reversed(positions), reversed(target.levels)):
-        weight[pos] = place
-        place *= level.size
-    proj = [0]
-    for pos, level in enumerate(source.levels):
-        w = weight[pos]
-        proj = [hi + w * t for hi in proj for t in range(level.size)]
-    return proj
-
-
-@dataclass
-class PairCheck:
-    target_index: int
-    source_index: int
-    equivariant: bool
-    surjective: bool
-    fibers_uniform: bool
-    checked_states: int
-
-    @property
-    def ok(self) -> bool:
-        return self.equivariant and self.surjective and self.fibers_uniform
-
-
-@dataclass
-class InverseSystemReport:
-    pairs: List[PairCheck]
-    identity_ok: bool
-    composition_ok: Optional[bool]
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.identity_ok
-            and all(p.ok for p in self.pairs)
-            and self.composition_ok is not False
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "pairs": [
-                {
-                    "target": p.target_index,
-                    "source": p.source_index,
-                    "equivariant": p.equivariant,
-                    "surjective": p.surjective,
-                    "fibers_uniform": p.fibers_uniform,
-                    "checked_states": p.checked_states,
-                }
-                for p in self.pairs
-            ],
-            "identity_ok": self.identity_ok,
-            "composition_ok": self.composition_ok,
-            "ok": self.ok,
-        }
-
-
-def check_inverse_system(
-    chain: Sequence[Window], budget: int = DEFAULT_STATE_BUDGET
-) -> InverseSystemReport:
-    """Verify the inverse-system laws on a nested chain of windows.
-
-    For every adjacent pair: the projection commutes with every generator on
-    every state, is onto, and has fibers of one common size (so it pushes the
-    uniform measure to the uniform measure).  For every triple i < j < k the
-    two-step composition equals the direct projection, and the self-map of
-    each window is the identity.
-    """
-    if not chain:
-        return InverseSystemReport(pairs=[], identity_ok=True, composition_ok=None)
-    pairs: List[PairCheck] = []
-    gens = range(len(chain[0].group.generators()))
-    for idx in range(len(chain) - 1):
-        small, big = chain[idx], chain[idx + 1]
-        if big.size > budget:
-            raise BudgetExceededError(big.size, budget)
-        proj = _projection(small, big)
-        equivariant = True
-        for g in gens:
-            small_table = small.flat_table(g)
-            equivariant &= all(proj[t] == small_table[y] for t, y in zip(big.flat_table(g), proj))
-        fibers = [0] * small.size
-        for y in proj:
-            fibers[y] += 1
-        surjective = 0 not in fibers
-        pairs.append(
-            PairCheck(
-                target_index=idx,
-                source_index=idx + 1,
-                equivariant=equivariant,
-                surjective=surjective,
-                fibers_uniform=surjective and len(set(fibers)) == 1,
-                checked_states=big.size,
-            )
-        )
-    identity_ok = all(structure_map(w, w).positions == tuple(range(len(w))) for w in chain)
-    composition_ok: Optional[bool] = None
-    if len(chain) >= 3:
-        composition_ok = True
-        for small, mid, big in zip(chain, chain[1:], chain[2:]):
-            outer = _projection(small, mid)
-            composition_ok &= _projection(small, big) == [outer[y] for y in _projection(mid, big)]
-    return InverseSystemReport(pairs=pairs, identity_ok=identity_ok, composition_ok=composition_ok)
-
-
 @dataclass
 class StabilizerWitness:
     """Evidence that the identity thread of a window has the smallest possible
@@ -695,7 +541,7 @@ class StabilizerWitness:
 
     window_gammas: List[Tuple[str, bool]]
     ball_radius: int
-    movers: List[str]
+    mover_count: int
     fixers: List[str]
 
     @property
@@ -709,7 +555,7 @@ class StabilizerWitness:
                 for text, moved in self.window_gammas
             ],
             "ball_radius": self.ball_radius,
-            "mover_count": len(self.movers),
+            "mover_count": self.mover_count,
             "fixer_count": len(self.fixers),
             "fixers": self.fixers,
             "ok": self.ok,
@@ -723,13 +569,10 @@ def stabilizer_witness(window: Window, ball_radius: int = 1) -> StabilizerWitnes
     gammas = [dat.gamma for dat in window.data]
     ball = [entry.element for entry in window.group.ball(ball_radius)]
     images = window.images(window.identity_thread(), gammas + ball)
-    movers: list[str] = []
-    fixers: list[str] = []
-    for x, image in zip(ball, images[len(gammas) :]):
-        (movers if image else fixers).append(x.text())
+    fixers = [x.text() for x, image in zip(ball, images[len(gammas) :]) if not image]
     return StabilizerWitness(
         window_gammas=[(x.text(), image != 0) for x, image in zip(gammas, images)],
         ball_radius=ball_radius,
-        movers=movers,
+        mover_count=len(ball) - len(fixers),
         fixers=fixers,
     )

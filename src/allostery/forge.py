@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
-from .base import CongruenceSubgroup, Vec, is_prime, is_zero, primes, minimal_exponent, sub, zero
+from .base import CongruenceSubgroup, Vec, is_prime, is_zero, primes, minimal_exponent, sub
 from .errors import DatumInvariantError, ForgeError, TextParseError
 from .wreath import WreathElement, format_element, parse_element
 

@@ -17,7 +17,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence, Tuple
+from typing import Iterable, Mapping, NoReturn, Tuple
 
 from .base import Vec, add, is_zero, neg, zero
 from .errors import BudgetExceededError, RankMismatchError, TextParseError

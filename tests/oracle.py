@@ -1,23 +1,33 @@
-"""Reference implementations that the index arithmetic is tested against.
+"""Reference implementations that the index arithmetic is tested against,
+and the inverse-system checks of the acceptance gate.
 
-Each one is the earlier, more direct algorithm: the per-state action on
-:class:`CosetState` objects, fixed states listed level by level, a
+Each reference is the earlier, more direct algorithm: the per-state action
+on :class:`CosetState` objects, fixed states listed level by level, a
 breadth-first search over a set of window tuples, a transporter search
 that stops at its target, a castle tiling over window tuples, and an
-element parser that scans its text part by part.
+element parser that scans its text part by part.  The per-state action
+reads only an element's reduced shift and class sums, so it is independent
+of the digit arithmetic of ``images`` and ``prepare(x).apply``.
+
+The inverse-system checks verify that projections between nested windows
+commute with the generators, are onto, push the uniform measure forward,
+and compose.  A window is a product of levels and the projection drops
+coordinates, so the laws hold by construction; no certificate records them.
 """
 
 import re
+from dataclasses import dataclass
 from itertools import product
+from typing import List, Optional, Sequence, Tuple
 
-from allostery import CosetState, Lamp, WreathElement
-from allostery.errors import TextParseError
+from allostery import CosetState, Lamp, Window, WreathElement
+from allostery.dynamics import DEFAULT_STATE_BUDGET
+from allostery.errors import BudgetExceededError, TextParseError, WindowError
 
 
-def apply_state(prepared, s):
-    """A prepared level action applied to one coset state: delta is added to
-    the base residue, and the class sum at (base + delta) + E[j] to sum j."""
-    level = prepared.level
+def apply_state(level, prepared, s):
+    """A level's prepared action applied to one coset state: delta is added
+    to the base residue, and the class sum at (base + delta) + E[j] to sum j."""
     modulus, p = level.modulus, level.p
     base = tuple((b + t) % modulus for b, t in zip(s.base, prepared.delta))
     new_sums = []
@@ -28,7 +38,7 @@ def apply_state(prepared, s):
 
 
 def act(level, x, s):
-    return apply_state(level.prepare(x), s)
+    return apply_state(level, level.prepare(x), s)
 
 
 def identity_state(level):
@@ -94,18 +104,25 @@ def frontier_word(moves, piece, target):
     return found[target]
 
 
+def window_act(window, x, state):
+    """x applied to one window state, level by level through :func:`act`."""
+    return tuple(
+        level.state_index(act(level, x, level.state_at(i)))
+        for level, i in zip(window.levels, state)
+    )
+
+
 def tiling_witness(castle, window):
     """The witness of the first tiling defect of a castle whose towers repeat
     no shape, or None if its translates tile.  Each translate is one window
-    tuple from ``prepare(x).apply``, taken shape by shape and then base state
+    tuple from :func:`window_act`, taken shape by shape and then base state
     by base state in sorted order; an uncovered castle names its least
     missed tuple."""
     seen = {}
     for ti, tower in enumerate(castle.towers):
         for x in tower.shapes:
-            action = window.prepare(x)
             for v in sorted(tower.base):
-                img = action.apply(v)
+                img = window_act(window, x, v)
                 mark = {"tower": ti, "shape": x.text()}
                 if img in seen:
                     return {"state": window.state_text(img), "first": seen[img], "second": mark}
@@ -165,3 +182,140 @@ def scan_element(text, d=None, m=None, line=None):
             if len(p) != m:
                 raise TextParseError(f"lamp position rank {len(p)} != m={m}", line, 1)
     return x
+
+
+@dataclass(frozen=True)
+class StructureMap:
+    """Coordinate projection from a finer window onto a coarser one."""
+
+    positions: Tuple[int, ...]
+
+    def apply(self, state: Tuple[int, ...]) -> Tuple[int, ...]:
+        return tuple(state[p] for p in self.positions)
+
+
+def structure_map(target: Window, source: Window) -> StructureMap:
+    """Projection source -> target; requires target's data to sit inside source's."""
+    used: set[int] = set()
+    positions: list[int] = []
+    for dat in target.data:
+        pos = next(
+            (i for i, other in enumerate(source.data) if i not in used and other == dat),
+            None,
+        )
+        if pos is None:
+            raise WindowError("windows are not nested: missing factor in the finer window")
+        used.add(pos)
+        positions.append(pos)
+    return StructureMap(tuple(positions))
+
+
+def _projection(target: Window, source: Window) -> List[int]:
+    """The structure map source -> target on flat indices: each source digit
+    at a position the map keeps is weighted by its place value in target."""
+    positions = structure_map(target, source).positions
+    weight = [0] * len(source)
+    place = 1
+    for pos, level in zip(reversed(positions), reversed(target.levels)):
+        weight[pos] = place
+        place *= level.size
+    proj = [0]
+    for pos, level in enumerate(source.levels):
+        w = weight[pos]
+        proj = [hi + w * t for hi in proj for t in range(level.size)]
+    return proj
+
+
+@dataclass
+class PairCheck:
+    target_index: int
+    source_index: int
+    equivariant: bool
+    surjective: bool
+    fibers_uniform: bool
+    checked_states: int
+
+    @property
+    def ok(self) -> bool:
+        return self.equivariant and self.surjective and self.fibers_uniform
+
+
+@dataclass
+class InverseSystemReport:
+    pairs: List[PairCheck]
+    identity_ok: bool
+    composition_ok: Optional[bool]
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.identity_ok
+            and all(p.ok for p in self.pairs)
+            and self.composition_ok is not False
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "pairs": [
+                {
+                    "target": p.target_index,
+                    "source": p.source_index,
+                    "equivariant": p.equivariant,
+                    "surjective": p.surjective,
+                    "fibers_uniform": p.fibers_uniform,
+                    "checked_states": p.checked_states,
+                }
+                for p in self.pairs
+            ],
+            "identity_ok": self.identity_ok,
+            "composition_ok": self.composition_ok,
+            "ok": self.ok,
+        }
+
+
+def check_inverse_system(
+    chain: Sequence[Window], budget: int = DEFAULT_STATE_BUDGET
+) -> InverseSystemReport:
+    """Verify the inverse-system laws on a nested chain of windows.
+
+    For every adjacent pair: the projection commutes with every generator on
+    every state, is onto, and has fibers of one common size (so it pushes the
+    uniform measure to the uniform measure).  For every triple i < j < k the
+    two-step composition equals the direct projection, and the self-map of
+    each window is the identity.
+    """
+    if not chain:
+        return InverseSystemReport(pairs=[], identity_ok=True, composition_ok=None)
+    pairs: List[PairCheck] = []
+    gens = range(len(chain[0].group.generators()))
+    for idx in range(len(chain) - 1):
+        small, big = chain[idx], chain[idx + 1]
+        if big.size > budget:
+            raise BudgetExceededError(big.size, budget)
+        proj = _projection(small, big)
+        equivariant = True
+        for g in gens:
+            small_table = small.flat_table(g)
+            equivariant &= all(proj[t] == small_table[y] for t, y in zip(big.flat_table(g), proj))
+        fibers = [0] * small.size
+        for y in proj:
+            fibers[y] += 1
+        surjective = 0 not in fibers
+        pairs.append(
+            PairCheck(
+                target_index=idx,
+                source_index=idx + 1,
+                equivariant=equivariant,
+                surjective=surjective,
+                fibers_uniform=surjective and len(set(fibers)) == 1,
+                checked_states=big.size,
+            )
+        )
+    identity_ok = all(structure_map(w, w).positions == tuple(range(len(w))) for w in chain)
+    composition_ok: Optional[bool] = None
+    if len(chain) >= 3:
+        composition_ok = True
+        for small, mid, big in zip(chain, chain[1:], chain[2:]):
+            outer = _projection(small, mid)
+            composition_ok &= _projection(small, big) == [outer[y] for y in _projection(mid, big)]
+    return InverseSystemReport(pairs=pairs, identity_ok=identity_ok, composition_ok=composition_ok)

@@ -14,12 +14,12 @@ from itertools import product
 from math import lcm
 from typing import Dict, List, Tuple
 
-from .base import Vec, zero
-from .certificates import Castle, Tower
-from .dynamics import DEFAULT_STATE_BUDGET, Window
-from .errors import WindowError
-from .forge import SubgroupDatum
-from .wreath import Lamp, WreathElement, WreathGroup
+from allostery.base import Vec, zero
+from allostery.certificates import Castle, Tower
+from allostery.dynamics import DEFAULT_STATE_BUDGET, Window
+from allostery.errors import WindowError
+from allostery.forge import SubgroupDatum
+from allostery.wreath import Lamp, WreathElement, WreathGroup
 
 
 def random_vec(rng: random.Random, rank: int, span: int = 4) -> Vec:

@@ -22,7 +22,6 @@ from allostery import (
     build_criterion,
     check_comparison_certificate,
     check_criterion_certificate,
-    check_inverse_system,
     check_non_af_report,
     comparison_certificate,
     forge,
@@ -30,14 +29,15 @@ from allostery import (
     verify_criterion,
 )
 from allostery.errors import MalformedCastleError
-from allostery.sampling import (
+
+from conftest import HALF, fresh_rng, make_transversal_castle
+from oracle import check_inverse_system
+from sampling import (
     check_member_closure,
     random_castle,
     random_comparison_pair,
     random_nontrivial,
 )
-
-from conftest import HALF, fresh_rng, make_transversal_castle
 
 
 @pytest.fixture()

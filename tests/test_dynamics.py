@@ -6,24 +6,34 @@ import pytest
 from allostery import (
     CosetState,
     FiniteLevel,
+    Lamp,
     Window,
-    check_inverse_system,
+    WreathElement,
     format_state,
     parse_state,
     stabilizer_witness,
-    structure_map,
 )
-from allostery.dynamics import _projection
+from allostery.dynamics import _bfs
 from allostery.errors import (
     BudgetExceededError,
     RankMismatchError,
     TextParseError,
     WindowError,
 )
-from allostery.sampling import random_element
 
 from conftest import fresh_rng
-from oracle import act, fixed_states, identity_state, iter_states, state_of, tuple_orbit
+from oracle import (
+    _projection,
+    act,
+    check_inverse_system,
+    fixed_states,
+    identity_state,
+    iter_states,
+    state_of,
+    structure_map,
+    tuple_orbit,
+)
+from sampling import random_element, random_member
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +64,7 @@ def test_index_round_trip(level32, level9):
 def test_act_examples(level32, group11):
     def coset(x):
         """The coset of x: x acting on the identity coset, state 0."""
-        return level32.state_at(level32.prepare(x).apply_index(0))
+        return level32.state_at(level32.images(0, [x])[0])
 
     t = group11.parse_element("{};(1)")
     s1 = group11.parse_element("{(0):(1)};(0)")
@@ -67,11 +77,9 @@ def test_act_examples(level32, group11):
 
 def test_member_acts_trivially_on_identity_coset(level32, d32):
     rng = fresh_rng(3)
-    from allostery.sampling import random_member
-
     for _ in range(20):
         member = random_member(rng, d32)
-        assert level32.prepare(member).apply_index(0) == 0
+        assert level32.images(0, [member])[0] == 0
         assert state_of(level32, member) == identity_state(level32)
 
 
@@ -82,8 +90,8 @@ def test_left_action_law(level32, level9, group11):
             x = random_element(rng, group11)
             y = random_element(rng, group11)
             i = rng.randrange(level.size)
-            after_y = level.prepare(y).apply_index(i)
-            assert level.prepare(x * y).apply_index(i) == level.prepare(x).apply_index(after_y)
+            after_y = level.images(i, [y])[0]
+            assert level.images(i, [x * y])[0] == level.images(after_y, [x])[0]
 
 
 def test_tables_are_permutations(level32):
@@ -101,11 +109,11 @@ def test_level_orbit(level32, level9):
         assert sorted(orb.order) == list(range(level.size))
         for s in orb.order:
             x = level.group.word_element(orb.words[s])
-            assert level.prepare(x).apply_index(0) == s
+            assert level.images(0, [x])[0] == s
 
 
 def test_orbit_with_no_generators(level32):
-    orb = level32.orbit(5, gen_indices=[])
+    orb = _bfs([], 5, level32.size)
     assert orb.size == 1
     assert orb.words == {5: ()}
 
@@ -261,10 +269,10 @@ def test_stabilizer_witness(w288, w32):
     assert witness.ok
     assert all(moved for _, moved in witness.window_gammas)
     assert witness.fixers == ["{};(0)"]
-    assert len(witness.movers) == 4
+    assert witness.mover_count == 4
     wide = stabilizer_witness(w32, ball_radius=2)
     assert wide.ok
-    assert len(wide.movers) + len(wide.fixers) == 17
+    assert wide.mover_count + len(wide.fixers) == 17
     assert set(wide.fixers) == {"{};(0)", "{(0):(-2)};(0)", "{(0):(2)};(0)"}
     rec = wide.to_dict()
     assert rec["ok"] is True and rec["fixer_count"] == 3
@@ -296,11 +304,18 @@ def test_state_parse_errors(level32, w288):
         w288.parse_state("(0)|((0),(0))")
 
 
-def test_rank_mismatch(level32):
-    from allostery import Lamp, WreathElement
-
+@pytest.mark.parametrize(
+    "x",
+    [
+        WreathElement(Lamp(), (1, 0)),
+        WreathElement(Lamp.of({(0, 0): (1,)}), (0,)),
+        WreathElement(Lamp.of({(0,): (1, 1)}), (0,)),
+    ],
+    ids=["shift", "position", "value"],
+)
+def test_rank_mismatch(w288, x):
     with pytest.raises(RankMismatchError):
-        level32.prepare(WreathElement(Lamp.of({(0, 0): (1,)}), (0, 0))).apply_index(0)
+        w288.prepare(x)
 
 
 def test_budgets(level32, w288, w32, group11):

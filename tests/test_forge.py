@@ -16,9 +16,9 @@ from allostery import (
 )
 from allostery.errors import DatumInvariantError, ForgeError
 from allostery.forge import as_epsilon, prime_admissible
-from allostery.sampling import check_member_closure
 
 from conftest import HALF, fresh_rng
+from sampling import check_member_closure
 
 
 def test_forged_datum_single_lamp(d32):

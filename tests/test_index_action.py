@@ -2,7 +2,8 @@
 
 The oracles below act on :class:`CosetState` objects one state at a time (see
 ``oracle.py``) and build orbit words eagerly, as the level did before it
-worked on indices.
+worked on indices.  Subsets of the generators are searched by ``_bfs`` over
+their tables, as the comparison's transporter search uses it.
 """
 
 from fractions import Fraction
@@ -19,9 +20,10 @@ from allostery import (
     certify_transitive,
     forge,
 )
+from allostery.dynamics import _bfs
 from allostery.errors import ForgeError
 
-from oracle import apply_state, fixed_states, iter_states
+from oracle import act, apply_state, fixed_states, iter_states, window_act
 
 MAX_ORACLE_STATES = 3200
 
@@ -44,12 +46,12 @@ LEVELS = small_levels()
 
 def oracle_index_map(level, x):
     prepared = level.prepare(x)
-    return [level.state_index(apply_state(prepared, s)) for s in iter_states(level)]
+    return [level.state_index(apply_state(level, prepared, s)) for s in iter_states(level)]
 
 
 def oracle_fixed_indices(level, x):
     prepared = level.prepare(x)
-    return [i for i, s in enumerate(iter_states(level)) if apply_state(prepared, s) == s]
+    return [i for i, s in enumerate(iter_states(level)) if apply_state(level, prepared, s) == s]
 
 
 def oracle_orbit(level, start, gen_indices):
@@ -102,10 +104,11 @@ def test_index_map_matches_per_state_action(level, letters):
 @given(st.data())
 def test_apply_index_matches_per_state_action(data):
     for level in LEVELS:
-        prepared = level.prepare(data.draw(spread_elements(level.d, level.m)))
+        x = data.draw(spread_elements(level.d, level.m))
+        prepared = level.prepare(x)
         for i in range(level.size):
-            image = apply_state(prepared, level.state_at(i))
-            assert prepared.apply_index(i) == level.state_index(image)
+            image = apply_state(level, prepared, level.state_at(i))
+            assert level.images(i, [x]) == [level.state_index(image)]
 
 
 def fixing_elements(d, m):
@@ -161,7 +164,8 @@ def test_level_images_match_prepared_action(data):
     level = data.draw(st.sampled_from(LEVELS), label="level")
     i = data.draw(st.integers(0, level.size - 1), label="i")
     xs = data.draw(st.lists(image_elements(level.d, level.m), max_size=6), label="xs")
-    assert level.images(i, xs) == [level.prepare(x).apply_index(i) for x in xs]
+    expected = [level.state_index(act(level, x, level.state_at(i))) for x in xs]
+    assert level.images(i, xs) == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -170,8 +174,9 @@ def test_window_images_match_prepared_action(data):
     window = data.draw(st.sampled_from(WINDOWS), label="window")
     state = window.state_at(data.draw(st.integers(0, window.size - 1), label="flat"))
     xs = data.draw(st.lists(image_elements(window.d, window.m), max_size=6), label="xs")
-    expected = [window.flat_index(window.prepare(x).apply(state)) for x in xs]
+    expected = [window.flat_index(window_act(window, x, state)) for x in xs]
     assert window.images(state, xs) == expected
+    assert [window.prepare(x).apply(state) for x in xs] == [window.state_at(f) for f in expected]
 
 
 def test_windows_include_products():
@@ -195,18 +200,21 @@ def test_orbit_matches_word_building_bfs(level, start, data):
         st.one_of(st.just(list(range(n_gens))), st.lists(st.integers(0, n_gens - 1), unique=True))
     )
     words, order = oracle_orbit(level, start, gens)
-    orb = level.orbit(start, gen_indices=gens)
+    if gens == list(range(n_gens)):
+        orb = level.orbit(start)
+    else:
+        orb = _bfs([(g, level.table(g)) for g in gens], start, level.size)
     assert orb.start == start
     assert orb.size == len(order)
-    assert orb.order == order
+    assert list(orb.order) == order
     assert orb.words == words
 
 
 def test_orbit_without_generators_matches_oracle():
     level = LEVELS[0]
     words, order = oracle_orbit(level, 5, [])
-    orb = level.orbit(5, gen_indices=[])
-    assert (orb.words, orb.order) == (words, order) == ({5: ()}, [5])
+    orb = _bfs([], 5, level.size)
+    assert (orb.words, list(orb.order)) == (words, order) == ({5: ()}, [5])
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,0 +1,73 @@
+"""The package holds only code that runs.
+
+Helpers that only tests use live under ``tests/`` (``oracle.py`` and
+``sampling.py``).  These checks read the sources with :mod:`ast`: a module
+of ``src/allostery`` must be imported by another of its modules, and an
+exported name must be used by the package or by the benchmark under
+``bench/``.  ``__init__`` only re-exports, so its imports count for neither.
+"""
+
+import ast
+from pathlib import Path
+
+import allostery
+
+ROOT = Path(__file__).resolve().parents[1]
+ENTRY_POINTS = {"__init__", "cli"}
+
+
+def _parse(paths):
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in paths}
+
+
+MODULES = _parse(sorted((ROOT / "src" / "allostery").glob("*.py")))
+BENCH = _parse(sorted((ROOT / "bench").rglob("*.py")))
+
+
+def _imported_modules(tree):
+    """The package modules that a module imports, by name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                out.update([node.module] if node.module else (a.name for a in node.names))
+            elif node.module and node.module.startswith("allostery."):
+                out.add(node.module.split(".")[1])
+            elif node.module == "allostery":
+                out.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("allostery."))
+    return out
+
+
+def _used_names(tree):
+    """The names a module reads, imports or looks up by a string equal to
+    the name; assignments and definitions do not count."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                out.add(node.value)
+    return out
+
+
+def test_every_module_is_imported_by_another():
+    importers = {name: set() for name in MODULES}
+    for name, tree in MODULES.items():
+        if name != "__init__":
+            for target in _imported_modules(tree) - {name}:
+                importers.setdefault(target, set()).add(name)
+    orphans = sorted(name for name in MODULES if name not in ENTRY_POINTS and not importers[name])
+    assert orphans == []
+
+
+def test_every_export_is_used():
+    used = set().union(*(_used_names(tree) for name, tree in MODULES.items() if name != "__init__"))
+    used |= set().union(*map(_used_names, BENCH.values()))
+    assert sorted(set(allostery.__all__) - used) == []

@@ -2,7 +2,9 @@ import pytest
 
 from allostery import Window, WreathGroup, audit_castle
 from allostery.errors import WindowError
-from allostery.sampling import (
+
+from conftest import fresh_rng
+from sampling import (
     check_member_closure,
     random_castle,
     random_comparison_pair,
@@ -11,8 +13,6 @@ from allostery.sampling import (
     random_nontrivial,
     random_subset,
 )
-
-from conftest import fresh_rng
 
 
 def test_random_element_respects_ranks():
