@@ -6,16 +6,19 @@ translated atom pieces, the audit of a castle against the fixed-set bound,
 and the assembled negative report that a positive-measure fixed set rules
 out castles with small tolerance.
 
-Every producer emits a plain dict (JSON-ready: exact rationals as
-``"num/den"`` strings, group elements as canonical text, words as generator
-index lists, a ``kind`` tag and ``"v": 1``), and every kind has a verifier
-that works from the serialized form alone: it recomputes the claims and
-rejects a record that does not serialize exactly as the recomputation.
+A certificate is its JSON record: every producer returns a plain dict of
+JSON values only (exact rationals as ``"num/den"`` strings, group elements as
+canonical text, words as generator index lists, a ``kind`` tag and
+``"v": 1``), and no list or dict sits at two places in one record.  Every
+kind has a verifier that works from the record alone: it recomputes the
+claims and rejects a record that does not serialize exactly as the
+recomputation.
 """
 
 from __future__ import annotations
 
 import json
+from copy import deepcopy
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -26,7 +29,6 @@ from .base import zero
 from .dynamics import (
     DEFAULT_STATE_BUDGET,
     FiniteLevel,
-    StabilizerWitness,
     Window,
     _bfs,
     stabilizer_witness,
@@ -85,22 +87,6 @@ def _require_same(rec: dict, fresh: dict) -> None:
 # transitivity, by an exact per-level argument at any window size
 
 
-@dataclass(frozen=True)
-class TransitivityResult:
-    status: str  # "pass" | "fail" | "skipped"
-    method: str  # "level-structure" | "none"
-    orbit_size: Optional[int]
-    detail: str
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "method": self.method,
-            "orbit_size": self.orbit_size,
-            "detail": self.detail,
-        }
-
-
 def _level_structure_defect(level: FiniteLevel) -> Optional[str]:
     """None when the unit steps that make a level transitive hold on state 0,
     else the first step that does not.
@@ -131,7 +117,11 @@ def _level_structure_defect(level: FiniteLevel) -> Optional[str]:
     return None
 
 
-def certify_transitive(window: Window) -> TransitivityResult:
+def _transitivity(status: str, method: str, orbit_size: Optional[int], detail: str) -> dict:
+    return {"status": status, "method": method, "orbit_size": orbit_size, "detail": detail}
+
+
+def certify_transitive(window: Window) -> dict:
     """Decide transitivity of the diagonal action, exactly, at any size.
 
     Each level is shown transitive by its digit arithmetic (see
@@ -141,14 +131,14 @@ def certify_transitive(window: Window) -> TransitivityResult:
     with pairwise distinct primes the level sizes are coprime prime powers,
     their product (the window size) divides the orbit size, and the orbit is
     everything.  With repeated primes that argument does not apply and the
-    result is ``skipped``.
+    record's ``status`` is ``skipped`` (method ``none``), not pass or fail.
     """
     for pos, level in enumerate(window.levels):
         defect = _level_structure_defect(level)
         if defect is not None:
-            return TransitivityResult("fail", "level-structure", None, f"level {pos}: {defect}")
+            return _transitivity("fail", "level-structure", None, f"level {pos}: {defect}")
     if window.primes_distinct():
-        return TransitivityResult(
+        return _transitivity(
             "pass",
             "level-structure",
             window.size,
@@ -158,99 +148,41 @@ def certify_transitive(window: Window) -> TransitivityResult:
             "(Z/p)^(ld) and the shifts carry it onto every block; the pairwise-coprime level "
             "sizes all divide the thread-orbit size",
         )
-    return TransitivityResult("skipped", "none", None, "the primes repeat")
+    return _transitivity("skipped", "none", None, "the primes repeat")
 
 
 # --------------------------------------------------------------------------
 # criterion certificate
 
 
-@dataclass(frozen=True)
-class GammaRecord:
-    gamma_text: str
-    prime: int
-    epsilon: Fraction
-    index: int
-    not_in_subgroup: bool
-    fixed_fraction: Fraction
-    fraction_ok: bool
-    count_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.not_in_subgroup and self.fraction_ok and self.count_ok
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma_text,
-            "prime": self.prime,
-            "epsilon": frac_str(self.epsilon),
-            "index": self.index,
-            "not_in_subgroup": self.not_in_subgroup,
-            "fixed_fraction": frac_str(self.fixed_fraction),
-            "fraction_ok": self.fraction_ok,
-            "count_ok": self.count_ok,
-        }
+def record_ok(rec: dict) -> bool:
+    """Whether one gamma record of a criterion certificate holds."""
+    return rec["not_in_subgroup"] and rec["fraction_ok"] and rec["count_ok"]
 
 
-@dataclass(frozen=True)
-class CriterionCertificate:
-    d: int
-    m: int
-    data: Tuple[SubgroupDatum, ...]
-    records: Tuple[GammaRecord, ...]
-    primes_distinct: bool
-    product_lower_bound: Fraction
-    window_s_fixed_fraction: Fraction
-    window_fraction_ok: bool
-    transitivity: TransitivityResult
-    witness: StabilizerWitness
-    verdict: str  # "valid" | "invalid"
-
-    @property
-    def valid(self) -> bool:
-        return self.verdict == "valid"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "criterion",
-            "v": SCHEMA_VERSION,
-            "d": self.d,
-            "m": self.m,
-            "window": [dat.to_dict() for dat in self.data],
-            "records": [rec.to_dict() for rec in self.records],
-            "primes_distinct": self.primes_distinct,
-            "product_lower_bound": frac_str(self.product_lower_bound),
-            "window_s_fixed_fraction": frac_str(self.window_s_fixed_fraction),
-            "window_fraction_ok": self.window_fraction_ok,
-            "transitivity": self.transitivity.to_dict(),
-            "stabilizer": self.witness.to_dict(),
-            "verdict": self.verdict,
-        }
-
-
-def _gamma_record(dat: SubgroupDatum, level: FiniteLevel) -> GammaRecord:
+def _gamma_record(dat: SubgroupDatum, level: FiniteLevel) -> dict:
     """The closed-form fixed fraction of one level, checked against the count
     of states that every lamp generator fixes, made from the level's blocks."""
     frac = dat.fixed_fraction()
     count = level.fixed_count(level.group.lamp_generators())
-    return GammaRecord(
-        gamma_text=dat.gamma.text(),
-        prime=dat.p,
-        epsilon=dat.epsilon,
-        index=dat.index(),
-        not_in_subgroup=not dat.contains(dat.gamma),
-        fixed_fraction=frac,
-        fraction_ok=frac >= 1 - dat.epsilon,
-        count_ok=Fraction(count, level.size) == frac,
-    )
+    return {
+        "gamma": dat.gamma.text(),
+        "prime": dat.p,
+        "epsilon": frac_str(dat.epsilon),
+        "index": dat.index(),
+        "not_in_subgroup": not dat.contains(dat.gamma),
+        "fixed_fraction": frac_str(frac),
+        "fraction_ok": frac >= 1 - dat.epsilon,
+        "count_ok": Fraction(count, level.size) == frac,
+    }
 
 
-def build_criterion(data: Sequence[SubgroupDatum], witness_radius: int = 1) -> CriterionCertificate:
+def build_criterion(data: Sequence[SubgroupDatum], witness_radius: int = 1) -> dict:
     """Assemble the criterion certificate for pre-forged window data.  Every
-    step is exact at any window size, so no state budget applies."""
+    step is exact at any window size, so no state budget applies.  The
+    ``verdict`` is ``valid`` or ``invalid``."""
     window = Window(data)
-    records = tuple(_gamma_record(dat, level) for dat, level in zip(window.data, window.levels))
+    records = [_gamma_record(dat, level) for dat, level in zip(window.data, window.levels)]
     primes_distinct = window.primes_distinct()
     product_bound = prod((1 - dat.epsilon for dat in window.data), start=Fraction(1))
     window_fraction = window.s_fixed_fraction()
@@ -258,27 +190,28 @@ def build_criterion(data: Sequence[SubgroupDatum], witness_radius: int = 1) -> C
     transitivity = certify_transitive(window)
     witness = stabilizer_witness(window, ball_radius=witness_radius)
     failed = (
-        any(not rec.ok for rec in records)
+        not all(map(record_ok, records))
         or not primes_distinct
         or not window_fraction_ok
-        or transitivity.status == "fail"
-        or not witness.ok
+        or transitivity["status"] == "fail"
+        or not witness["ok"]
     )
     # Transitivity is skipped only when the primes repeat, which fails already.
-    verdict = "invalid" if failed else "valid"
-    return CriterionCertificate(
-        d=window.d,
-        m=window.m,
-        data=window.data,
-        records=records,
-        primes_distinct=primes_distinct,
-        product_lower_bound=product_bound,
-        window_s_fixed_fraction=window_fraction,
-        window_fraction_ok=window_fraction_ok,
-        transitivity=transitivity,
-        witness=witness,
-        verdict=verdict,
-    )
+    return {
+        "kind": "criterion",
+        "v": SCHEMA_VERSION,
+        "d": window.d,
+        "m": window.m,
+        "window": [dat.to_dict() for dat in window.data],
+        "records": records,
+        "primes_distinct": primes_distinct,
+        "product_lower_bound": frac_str(product_bound),
+        "window_s_fixed_fraction": frac_str(window_fraction),
+        "window_fraction_ok": window_fraction_ok,
+        "transitivity": transitivity,
+        "stabilizer": witness,
+        "verdict": "invalid" if failed else "valid",
+    }
 
 
 def verify_criterion(
@@ -287,7 +220,7 @@ def verify_criterion(
     m: int,
     epsilon=None,
     witness_radius: int = 1,
-) -> CriterionCertificate:
+) -> dict:
     """Forge data for the given window elements and certify the criterion.
 
     ``epsilon`` may be None (the summable schedule), a fixed rational applied
@@ -301,7 +234,7 @@ def verify_criterion(
     return build_criterion(data, witness_radius=witness_radius)
 
 
-def _rebuild_criterion(rec) -> CriterionCertificate:
+def _rebuild_criterion(rec) -> dict:
     """Rebuild a serialized criterion certificate from its window and ball
     radius, and require the record to serialize exactly as the rebuild."""
     _require_kind(rec, "criterion", "criterion certificate")
@@ -313,7 +246,7 @@ def _rebuild_criterion(rec) -> CriterionCertificate:
     if type(radius) is not int or radius < 0:
         raise CertificateError(f"ball radius must be a nonnegative integer, got {radius!r}")
     fresh = build_criterion(data, witness_radius=radius)
-    _require_same(rec, fresh.to_dict())
+    _require_same(rec, fresh)
     return fresh
 
 
@@ -323,7 +256,7 @@ def check_criterion_certificate(rec: dict) -> bool:
     Returns the recomputed validity; raises CertificateError when the record
     is structurally broken or does not serialize exactly as the rebuild.
     """
-    return _rebuild_criterion(rec).valid
+    return _rebuild_criterion(rec)["verdict"] == "valid"
 
 
 # --------------------------------------------------------------------------
@@ -433,31 +366,24 @@ def boolean_atoms(
     return [frozenset(states[x] for x in blk) for blk in sorted(blocks, key=min)]
 
 
-@dataclass(frozen=True)
-class ComparisonCertificate:
-    data: Tuple[SubgroupDatum, ...]
-    d: int
-    m: int
-    a_set: StateSet
-    b_set: StateSet
-    pieces: Tuple[StateSet, ...]
-    words: Tuple[Word, ...]
-
-    def to_dict(self) -> dict:
-        window = Window(self.data)
-        return {
-            "kind": "comparison",
-            "v": SCHEMA_VERSION,
-            "d": self.d,
-            "m": self.m,
-            "window": [dat.to_dict() for dat in self.data],
-            "A": [window.state_text(s) for s in sorted(self.a_set)],
-            "B": [window.state_text(s) for s in sorted(self.b_set)],
-            "pieces": [
-                [window.state_text(s) for s in sorted(piece)] for piece in self.pieces
-            ],
-            "words": [list(w) for w in self.words],
-        }
+def _comparison_record(
+    window: Window,
+    a: StateSet,
+    b: StateSet,
+    pieces: Sequence[StateSet],
+    words: Sequence[Word],
+) -> dict:
+    return {
+        "kind": "comparison",
+        "v": SCHEMA_VERSION,
+        "d": window.d,
+        "m": window.m,
+        "window": [dat.to_dict() for dat in window.data],
+        "A": [window.state_text(s) for s in sorted(a)],
+        "B": [window.state_text(s) for s in sorted(b)],
+        "pieces": [[window.state_text(s) for s in sorted(piece)] for piece in pieces],
+        "words": [list(w) for w in words],
+    }
 
 
 def comparison_certificate(
@@ -465,7 +391,7 @@ def comparison_certificate(
     b_set: Sequence[State] | StateSet,
     window: Window,
     budget: int = DEFAULT_STATE_BUDGET,
-) -> ComparisonCertificate:
+) -> dict:
     """Decompose A into atoms and move them disjointly into B.
 
     Requires a transitive window and |A| < |B| (the uniform-measure
@@ -506,21 +432,13 @@ def comparison_certificate(
         reps = (next(iter(atom)) for atom in atoms)
         moves.append((g, [atom_of[tuple(tab[i] for tab, i in zip(tables, s))] for s in reps]))
     words = [_bfs(moves, piece, len(atoms)).word(target) for piece, target in zip(pieces, targets)]
-    cert = ComparisonCertificate(
-        data=window.data,
-        d=window.d,
-        m=window.m,
-        a_set=a,
-        b_set=b,
-        pieces=tuple(atoms[i] for i in pieces),
-        words=tuple(words),
-    )
-    if not check_comparison_certificate(cert.to_dict(), budget):
+    cert = _comparison_record(window, a, b, [atoms[i] for i in pieces], words)
+    if not check_comparison_certificate(cert):
         raise CertificateError("freshly produced comparison certificate failed to verify")
     return cert
 
 
-def check_comparison_certificate(rec: dict, budget: int = DEFAULT_STATE_BUDGET) -> bool:
+def check_comparison_certificate(rec: dict) -> bool:
     """Re-check a serialized comparison certificate from scratch: the pieces
     partition A, each transported image lies in B, and images are pairwise
     disjoint.  A record that does not re-serialize to itself (ranks other
@@ -543,8 +461,7 @@ def check_comparison_certificate(rec: dict, budget: int = DEFAULT_STATE_BUDGET) 
         raise CertificateError("piece and word counts differ")
     if not all(pieces):
         raise CertificateError("a piece is empty")
-    fresh = ComparisonCertificate(window.data, window.d, window.m, a, b, pieces, words)
-    _require_same(rec, fresh.to_dict())
+    _require_same(rec, _comparison_record(window, a, b, pieces, words))
     union = set().union(*pieces)
     if sum(len(p) for p in pieces) != len(union) or union != a:
         return False
@@ -658,63 +575,12 @@ def parse_castle_file(text: str, window: Window) -> Castle:
     )
 
 
-@dataclass(frozen=True)
-class TowerAudit:
-    base_size: int
-    shape_size: int
-    defect_count: int
-    defect: Fraction
-    base_measure: Fraction
-
-    def to_dict(self) -> dict:
-        return {
-            "base_size": self.base_size,
-            "shape_size": self.shape_size,
-            "defect_count": self.defect_count,
-            "defect": frac_str(self.defect),
-            "base_measure": frac_str(self.base_measure),
-        }
-
-
-@dataclass(frozen=True)
-class CastleAudit:
-    data: Tuple[SubgroupDatum, ...]
-    castle: dict
-    gamma_text: str
-    towers: Tuple[TowerAudit, ...]
-    fix_measure: Fraction
-    bound: Fraction
-    inequality_ok: bool
-    epsilon: Optional[Fraction]
-    defects_within_epsilon: Optional[bool]
-
-    @property
-    def ok(self) -> bool:
-        return self.inequality_ok and self.defects_within_epsilon is not False
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "castle-audit",
-            "v": SCHEMA_VERSION,
-            "window": [dat.to_dict() for dat in self.data],
-            "castle": self.castle,
-            "gamma": self.gamma_text,
-            "towers": [t.to_dict() for t in self.towers],
-            "fix_measure": frac_str(self.fix_measure),
-            "bound": frac_str(self.bound),
-            "inequality_ok": self.inequality_ok,
-            "epsilon": None if self.epsilon is None else frac_str(self.epsilon),
-            "defects_within_epsilon": self.defects_within_epsilon,
-            "ok": self.ok,
-        }
-
-
 def audit_castle(
     castle: Castle,
     gamma: WreathElement,
     window: Window,
     budget: int = DEFAULT_STATE_BUDGET,
-) -> CastleAudit:
+) -> dict:
     """Check well-formedness, then the fixed-set bound.
 
     Well-formed means: all translates (one per tower shape) are pairwise
@@ -722,7 +588,8 @@ def audit_castle(
     carries a witness — the doubly covered or missed state.  For the test
     set {inverse of gamma}, the measure of the set of gamma-fixed states is
     at most the sum over towers of |KS △ S| times the base measure; the
-    audit recomputes both sides exactly.
+    audit recomputes both sides exactly.  The record's ``ok`` holds when the
+    inequality does and no defect reaches a given tolerance.
     """
     if window.size > budget:
         raise BudgetExceededError(window.size, budget)
@@ -775,38 +642,53 @@ def audit_castle(
             witness={"missing_state": window.state_text(window.state_at(missing))},
         )
     inv = gamma.inverse()
-    tower_audits: List[TowerAudit] = []
+    towers: List[dict] = []
+    defects: List[Fraction] = []
     bound = Fraction(0)
     for tower, shape_set in zip(castle.towers, shape_sets):
         shifted = {inv * s for s in tower.shapes}
         count = len(shifted ^ shape_set)
-        defect = Fraction(count, len(shape_set))
+        defects.append(Fraction(count, len(shape_set)))
         base_measure = Fraction(len(tower.base), window.size)
         bound += count * base_measure
-        tower_audits.append(
-            TowerAudit(
-                base_size=len(tower.base),
-                shape_size=len(shape_set),
-                defect_count=count,
-                defect=defect,
-                base_measure=base_measure,
-            )
+        towers.append(
+            {
+                "base_size": len(tower.base),
+                "shape_size": len(shape_set),
+                "defect_count": count,
+                "defect": frac_str(defects[-1]),
+                "base_measure": frac_str(base_measure),
+            }
         )
     fix_measure = Fraction(window.fixed_count([gamma]), window.size)
-    within: Optional[bool] = None
-    if castle.epsilon is not None:
-        within = all(t.defect < castle.epsilon for t in tower_audits)
-    return CastleAudit(
-        data=window.data,
-        castle=castle.to_dict(window),
-        gamma_text=gamma.text(),
-        towers=tuple(tower_audits),
-        fix_measure=fix_measure,
-        bound=bound,
-        inequality_ok=fix_measure <= bound,
-        epsilon=castle.epsilon,
-        defects_within_epsilon=within,
-    )
+    eps = castle.epsilon
+    within = None if eps is None else all(defect < eps for defect in defects)
+    return {
+        "kind": "castle-audit",
+        "v": SCHEMA_VERSION,
+        "window": [dat.to_dict() for dat in window.data],
+        "castle": castle.to_dict(window),
+        "gamma": gamma.text(),
+        "towers": towers,
+        "fix_measure": frac_str(fix_measure),
+        "bound": frac_str(bound),
+        "inequality_ok": fix_measure <= bound,
+        "epsilon": None if eps is None else frac_str(eps),
+        "defects_within_epsilon": within,
+        "ok": fix_measure <= bound and within is not False,
+    }
+
+
+def malformed_castle_record(exc: MalformedCastleError) -> dict:
+    """The audit record of a castle that is not well formed: the error and
+    its witness state instead of the fixed-set bound."""
+    return {
+        "kind": "castle-audit",
+        "v": SCHEMA_VERSION,
+        "well_formed": False,
+        "error": str(exc),
+        "witness": exc.witness,
+    }
 
 
 def check_castle_audit(rec: dict, budget: int = DEFAULT_STATE_BUDGET) -> bool:
@@ -820,38 +702,15 @@ def check_castle_audit(rec: dict, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     except (KeyError, TypeError, TextParseError) as exc:
         raise CertificateError(f"malformed castle audit: {exc}") from None
     fresh = audit_castle(castle, gamma, window, budget)
-    _require_same(rec, fresh.to_dict())
-    return fresh.ok
+    _require_same(rec, fresh)
+    return fresh["ok"]
 
 
 # --------------------------------------------------------------------------
 # the assembled negative report
 
 
-@dataclass(frozen=True)
-class NonAFReport:
-    certificate: CriterionCertificate
-    bound: Fraction
-    limit_lower_bound: Optional[Fraction]
-    chain: Tuple[dict, ...]
-    conclusion: str
-
-    def to_dict(self) -> dict:
-        limit = self.limit_lower_bound
-        return {
-            "kind": "non-af-report",
-            "v": SCHEMA_VERSION,
-            "window": [dat.to_dict() for dat in self.certificate.data],
-            "bound": frac_str(self.bound),
-            "product_lower_bound": frac_str(self.certificate.product_lower_bound),
-            "limit_lower_bound": None if limit is None else frac_str(limit),
-            "chain": list(self.chain),
-            "conclusion": self.conclusion,
-            "criterion": self.certificate.to_dict(),
-        }
-
-
-def non_af_report(certificate: CriterionCertificate) -> NonAFReport:
+def non_af_report(certificate: dict) -> dict:
     """Assemble the castle-obstruction report from a valid criterion
     certificate: exact stage bound, a lower bound on the limit, and the
     tolerance threshold below which no castle for the first lamp generator
@@ -864,13 +723,19 @@ def non_af_report(certificate: CriterionCertificate) -> NonAFReport:
     least 1 - eps_i, and the product of (1 - eps_i) over i >= n is at least
     1 - (sum of those eps_i) = 1 - 2^-(n+1).  With any other tolerances a
     continuation can push the limit to 0, and the report certifies the
-    finite stage only."""
-    if not certificate.valid:
+    finite stage only.
+
+    The report embeds ``certificate`` itself under ``"criterion"`` and a copy
+    of its window under ``"window"``."""
+    if certificate["verdict"] != "valid":
         raise CertificateError("criterion certificate is not valid")
-    bound = certificate.window_s_fixed_fraction
-    product = certificate.product_lower_bound
-    n = len(certificate.data)
-    on_schedule = all(dat.epsilon == default_epsilon(i) for i, dat in enumerate(certificate.data))
+    bound = Fraction(certificate["window_s_fixed_fraction"])
+    product = Fraction(certificate["product_lower_bound"])
+    window = certificate["window"]
+    n = len(window)
+    on_schedule = all(
+        Fraction(dat["epsilon"]) == default_epsilon(i) for i, dat in enumerate(window)
+    )
     limit = bound * (1 - Fraction(1, 2 ** (n + 1))) if on_schedule else None
     if limit is not None:
         limit_step = {
@@ -922,7 +787,7 @@ def non_af_report(certificate: CriterionCertificate) -> NonAFReport:
             "this report certifies the finite stage only: no castle of the stage has every "
             "defect below the bound, and nothing is claimed about the limit action"
         )
-    chain = (
+    chain = [
         {
             "step": "stage-fraction",
             "statement": "exact fraction of window states fixed by every lamp generator",
@@ -944,14 +809,18 @@ def non_af_report(certificate: CriterionCertificate) -> NonAFReport:
         },
         limit_step,
         obstruction,
-    )
-    return NonAFReport(
-        certificate=certificate,
-        bound=bound,
-        limit_lower_bound=limit,
-        chain=chain,
-        conclusion=conclusion,
-    )
+    ]
+    return {
+        "kind": "non-af-report",
+        "v": SCHEMA_VERSION,
+        "window": deepcopy(window),
+        "bound": frac_str(bound),
+        "product_lower_bound": frac_str(product),
+        "limit_lower_bound": None if limit is None else frac_str(limit),
+        "chain": chain,
+        "conclusion": conclusion,
+        "criterion": certificate,
+    }
 
 
 def check_non_af_report(rec: dict) -> bool:
@@ -960,7 +829,7 @@ def check_non_af_report(rec: dict) -> bool:
     report assembled from that rebuild."""
     _require_kind(rec, "non-af-report", "non-almost-finiteness report")
     fresh = _rebuild_criterion(rec.get("criterion"))
-    if not fresh.valid:
+    if fresh["verdict"] != "valid":
         return False
-    _require_same(rec, non_af_report(fresh).to_dict())
+    _require_same(rec, non_af_report(fresh))
     return True

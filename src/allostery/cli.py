@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .certificates import (
-    CriterionCertificate,
     audit_castle,
     check_castle_audit,
     check_comparison_certificate,
@@ -27,9 +26,11 @@ from .certificates import (
     check_non_af_report,
     comparison_certificate,
     frac_str,
+    malformed_castle_record,
     non_af_report,
     parse_castle_file,
     parse_frac,
+    record_ok,
     verify_criterion,
     window_from_records,
 )
@@ -82,7 +83,7 @@ def _load_window(path: str) -> Window:
     return window_from_records(records)
 
 
-def _criterion(cfg: RunConfig) -> CriterionCertificate:
+def _criterion(cfg: RunConfig) -> dict:
     """The criterion certificate of the configured ball window: one element
     per nonidentity element of the ball of the configured radius."""
     ball = WreathGroup(cfg.d, cfg.m).ball(cfg.radius)
@@ -136,20 +137,21 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         _say(f"criterion certificate: {'valid' if ok else 'invalid'}")
         return EXIT_OK if ok else EXIT_FAILED
     cert = _criterion(cfg)
-    _emit_json(cert.to_dict(), cfg, "criterion")
-    for rec in cert.records:
+    _emit_json(cert, cfg, "criterion")
+    for rec in cert["records"]:
         _say(
-            f"gamma {rec.gamma_text}: p={rec.prime} index={rec.index} "
-            f"fixed {frac_str(rec.fixed_fraction)} "
-            f"{'ok' if rec.ok else 'FAILED'}"
+            f"gamma {rec['gamma']}: p={rec['prime']} index={rec['index']} "
+            f"fixed {rec['fixed_fraction']} "
+            f"{'ok' if record_ok(rec) else 'FAILED'}"
         )
+    transitivity = cert["transitivity"]
     _say(
-        f"window fraction {frac_str(cert.window_s_fixed_fraction)} >= "
-        f"{frac_str(cert.product_lower_bound)}; "
-        f"transitivity {cert.transitivity.status} ({cert.transitivity.method}); "
-        f"verdict {cert.verdict}"
+        f"window fraction {cert['window_s_fixed_fraction']} >= "
+        f"{cert['product_lower_bound']}; "
+        f"transitivity {transitivity['status']} ({transitivity['method']}); "
+        f"verdict {cert['verdict']}"
     )
-    return EXIT_OK if cert.valid else EXIT_FAILED
+    return EXIT_OK if cert["verdict"] == "valid" else EXIT_FAILED
 
 
 def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -179,7 +181,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.check:
-        ok = check_comparison_certificate(_load_json(args.check), cfg.budget_states)
+        ok = check_comparison_certificate(_load_json(args.check))
         _say(f"comparison certificate: {'valid' if ok else 'invalid'}")
         return EXIT_OK if ok else EXIT_FAILED
     if not args.window or not args.a_spec or not args.b_spec:
@@ -189,8 +191,8 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
     a_set = _parse_states(window, args.a_spec, rng)
     b_set = _parse_states(window, args.b_spec, rng)
     cert = comparison_certificate(a_set, b_set, window, cfg.budget_states)
-    _emit_json(cert.to_dict(), cfg, "comparison")
-    _say(f"comparison: {len(cert.pieces)} pieces moved disjointly into B")
+    _emit_json(cert, cfg, "comparison")
+    _say(f"comparison: {len(cert['pieces'])} pieces moved disjointly into B")
     return EXIT_OK
 
 
@@ -212,25 +214,15 @@ def cmd_audit(args: argparse.Namespace, cfg: RunConfig) -> int:
     try:
         audit = audit_castle(castle, gamma, window, cfg.budget_states)
     except MalformedCastleError as exc:
-        _emit_json(
-            {
-                "kind": "castle-audit",
-                "v": 1,
-                "well_formed": False,
-                "error": str(exc),
-                "witness": exc.witness,
-            },
-            cfg,
-            "audit",
-        )
+        _emit_json(malformed_castle_record(exc), cfg, "audit")
         _say(f"malformed castle: {exc}")
         return EXIT_FAILED
-    _emit_json(audit.to_dict(), cfg, "audit")
+    _emit_json(audit, cfg, "audit")
     _say(
-        f"audit: fix measure {frac_str(audit.fix_measure)} <= bound "
-        f"{frac_str(audit.bound)}: {'ok' if audit.inequality_ok else 'VIOLATED'}"
+        f"audit: fix measure {audit['fix_measure']} <= bound "
+        f"{audit['bound']}: {'ok' if audit['inequality_ok'] else 'VIOLATED'}"
     )
-    return EXIT_OK if audit.ok else EXIT_FAILED
+    return EXIT_OK if audit["ok"] else EXIT_FAILED
 
 
 def _report_markdown(report_dict: dict) -> str:
@@ -259,12 +251,11 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
         _say(f"report: {'valid' if ok else 'invalid'}")
         return EXIT_OK if ok else EXIT_FAILED
     cert = _criterion(cfg)
-    if not cert.valid:
-        _emit_json(cert.to_dict(), cfg, "criterion")
-        _say(f"criterion certificate verdict {cert.verdict}; no report emitted")
+    if cert["verdict"] != "valid":
+        _emit_json(cert, cfg, "criterion")
+        _say(f"criterion certificate verdict {cert['verdict']}; no report emitted")
         return EXIT_FAILED
-    report = non_af_report(cert)
-    rec = report.to_dict()
+    rec = non_af_report(cert)
     if cfg.out or cfg.format == "json":
         _emit_json(rec, cfg, "report")
     if cfg.out or cfg.format == "md":

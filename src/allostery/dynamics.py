@@ -534,45 +534,24 @@ class Window:
         )
 
 
-@dataclass
-class StabilizerWitness:
-    """Evidence that the identity thread of a window has the smallest possible
-    stabilizer the finite stage can certify."""
-
-    window_gammas: List[Tuple[str, bool]]
-    ball_radius: int
-    mover_count: int
-    fixers: List[str]
-
-    @property
-    def ok(self) -> bool:
-        return all(moved for _, moved in self.window_gammas)
-
-    def to_dict(self) -> dict:
-        return {
-            "window_gammas": [
-                {"gamma": text, "moves_identity_thread": moved}
-                for text, moved in self.window_gammas
-            ],
-            "ball_radius": self.ball_radius,
-            "mover_count": self.mover_count,
-            "fixer_count": len(self.fixers),
-            "fixers": self.fixers,
-            "ok": self.ok,
-        }
-
-
-def stabilizer_witness(window: Window, ball_radius: int = 1) -> StabilizerWitness:
-    """Check that every window gamma moves the identity thread, and classify
-    all ball elements as movers or fixers of that thread.  The thread has
-    flat index 0, so an element moves it exactly when its image is not 0."""
+def stabilizer_witness(window: Window, ball_radius: int = 1) -> dict:
+    """Evidence that the identity thread of a window has the smallest
+    stabilizer the finite stage can certify: every window gamma moves the
+    thread (then ``ok`` holds), and every ball element is classified as a
+    mover or a fixer of it.  The thread has flat index 0, so an element moves
+    it exactly when its image is not 0."""
     gammas = [dat.gamma for dat in window.data]
     ball = [entry.element for entry in window.group.ball(ball_radius)]
     images = window.images(window.identity_thread(), gammas + ball)
     fixers = [x.text() for x, image in zip(ball, images[len(gammas) :]) if not image]
-    return StabilizerWitness(
-        window_gammas=[(x.text(), image != 0) for x, image in zip(gammas, images)],
-        ball_radius=ball_radius,
-        mover_count=len(ball) - len(fixers),
-        fixers=fixers,
-    )
+    return {
+        "window_gammas": [
+            {"gamma": x.text(), "moves_identity_thread": image != 0}
+            for x, image in zip(gammas, images)
+        ],
+        "ball_radius": ball_radius,
+        "mover_count": len(ball) - len(fixers),
+        "fixer_count": len(fixers),
+        "fixers": fixers,
+        "ok": all(images[: len(gammas)]),
+    }

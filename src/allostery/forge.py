@@ -56,6 +56,16 @@ def prime_admissible(gamma: WreathElement, p: int, d: int) -> bool:
     return True
 
 
+def _separation_vectors(gamma: WreathElement) -> list[Vec]:
+    """The nonzero vectors the shift subgroup of gamma's datum must miss:
+    gamma's shift, unless it is zero, and the pairwise differences of its
+    support positions."""
+    supp = gamma.lamp.support
+    avoid = [] if is_zero(gamma.shift) else [gamma.shift]
+    avoid += [sub(supp[j], supp[i]) for i in range(len(supp)) for j in range(i + 1, len(supp))]
+    return avoid
+
+
 @dataclass(frozen=True)
 class SubgroupDatum:
     """Encoded finite-index subgroup attached to one nontrivial element."""
@@ -117,7 +127,11 @@ class SubgroupDatum:
 
         With ``tolerance=False`` the bound l < epsilon * p^{km} is not
         checked: a datum that misses it is well formed, and the criterion
-        certificate reports it as invalid."""
+        certificate reports it as invalid.
+
+        k may not exceed the forge's exponent at this epsilon, checked before
+        any power of p is taken; a lower epsilon only raises that exponent,
+        so data whose tolerance was lowered after forging still load."""
         if self.d < 1 or self.m < 1:
             raise DatumInvariantError("ranks d and m must be at least 1")
         if not is_prime(self.p):
@@ -128,10 +142,18 @@ class SubgroupDatum:
             raise DatumInvariantError(f"epsilon {self.epsilon} outside (0,1)")
         if self.gamma.is_identity():
             raise DatumInvariantError("gamma must be nontrivial")
+        if len(self.gamma.shift) != self.m:
+            raise DatumInvariantError("shift rank differs from m")
         sub_ = self.shift_subgroup
         supp = self.gamma.lamp.support
         if self.l <= len(supp):
             raise DatumInvariantError(f"l={self.l} must exceed |supp|={len(supp)}")
+        avoid = _separation_vectors(self.gamma)
+        k_max = minimal_exponent(self.p, self.m, avoid, self.l / self.epsilon)
+        if self.k > k_max:
+            raise DatumInvariantError(
+                f"k={self.k} exceeds {k_max}, the forge's exponent at epsilon {self.epsilon}"
+            )
         if tolerance and not Fraction(self.l) < self.epsilon * self.shift_index:
             raise DatumInvariantError(
                 f"l={self.l} not below epsilon*index = {self.epsilon * self.shift_index}"
@@ -153,8 +175,6 @@ class SubgroupDatum:
                 raise DatumInvariantError("lamp value rank differs from d")
             if all(c % self.p == 0 for c in val):
                 raise DatumInvariantError(f"lamp value {val} divisible by p={self.p}")
-        if len(self.gamma.shift) != self.m:
-            raise DatumInvariantError("shift rank differs from m")
 
     def to_dict(self) -> dict:
         return {
@@ -213,13 +233,7 @@ def forge(gamma: WreathElement, p: int, epsilon: EpsilonLike, d: int, m: int) ->
 
     supp = gamma.lamp.support
     l = len(supp) + 1
-    avoid: list[Vec] = []
-    if not is_zero(gamma.shift):
-        avoid.append(gamma.shift)
-    for i in range(len(supp)):
-        for j in range(i + 1, len(supp)):
-            avoid.append(sub(supp[j], supp[i]))
-    k = minimal_exponent(p, m, avoid, Fraction(l, eps))
+    k = minimal_exponent(p, m, _separation_vectors(gamma), Fraction(l, eps))
 
     shift_sub = CongruenceSubgroup(p, k, m)
     classes = {shift_sub.reduce(pos) for pos in supp}

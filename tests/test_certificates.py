@@ -28,7 +28,7 @@ from allostery import (
     verify_criterion,
     window_from_records,
 )
-from allostery.certificates import frac_str, parse_frac
+from allostery.certificates import frac_str, malformed_castle_record, parse_frac, record_ok
 from allostery.errors import (
     BudgetExceededError,
     CertificateError,
@@ -67,9 +67,9 @@ def test_frac_round_trip():
 def test_transitive_by_bfs(w288):
     """The level-structure orbit size is the one a window BFS finds."""
     result = certify_transitive(w288)
-    assert result.status == "pass"
-    assert result.method == "level-structure"
-    assert result.orbit_size == w288.orbit(w288.identity_thread()).size == 288
+    assert result["status"] == "pass"
+    assert result["method"] == "level-structure"
+    assert result["orbit_size"] == w288.orbit(w288.identity_thread()).size == 288
 
 
 def test_transitive_by_level_escalation(w288):
@@ -77,17 +77,17 @@ def test_transitive_by_level_escalation(w288):
     with pytest.raises(BudgetExceededError):
         w288.is_transitive(budget=100)
     result = certify_transitive(w288)
-    assert result.status == "pass"
-    assert result.method == "level-structure"
-    assert result.orbit_size == 288
+    assert result["status"] == "pass"
+    assert result["method"] == "level-structure"
+    assert result["orbit_size"] == 288
 
 
 @pytest.mark.parametrize("names", [("d9",), ("d32",), ("d32", "d9"), ("d32", "d9", "d25")])
 def test_level_structure_passes_exactly_on_transitive_windows(request, names):
     window = Window([request.getfixturevalue(name) for name in names])
     result = certify_transitive(window)
-    assert (result.status == "pass") == window.is_transitive()
-    assert (result.method, result.orbit_size) == ("level-structure", window.size)
+    assert (result["status"] == "pass") == window.is_transitive()
+    assert (result["method"], result["orbit_size"]) == ("level-structure", window.size)
 
 
 def _apply_twice(images):
@@ -115,80 +115,87 @@ def test_level_structure_fails_on_a_wrong_action(w288, monkeypatch, wrong):
     level_type = type(w288.levels[0])
     monkeypatch.setattr(level_type, "images", wrong(level_type.images))
     result = certify_transitive(w288)
-    assert (result.status, result.method, result.orbit_size) == ("fail", "level-structure", None)
-    assert result.detail.startswith("level 0: ")
+    assert (result["status"], result["method"], result["orbit_size"]) == (
+        "fail",
+        "level-structure",
+        None,
+    )
+    assert result["detail"].startswith("level 0: ")
 
 
 def test_transitivity_negative_cases(d32):
     doubled = Window([d32, d32])
     assert not doubled.is_transitive()
     result = certify_transitive(doubled)
-    assert (result.status, result.method, result.orbit_size) == ("skipped", "none", None)
-    assert result.detail == "the primes repeat"
-    assert build_criterion([d32, d32]).verdict == "invalid"
+    assert (result["status"], result["method"], result["orbit_size"]) == ("skipped", "none", None)
+    assert result["detail"] == "the primes repeat"
+    assert build_criterion([d32, d32])["verdict"] == "invalid"
 
 
 def test_criterion_certificate_valid(cert288):
-    assert cert288.verdict == "valid" and cert288.valid
-    assert cert288.primes_distinct
-    assert cert288.product_lower_bound == Fraction(1, 4)
-    assert cert288.window_s_fixed_fraction == Fraction(1, 2)
-    assert cert288.window_fraction_ok
-    assert cert288.transitivity.status == "pass"
-    assert cert288.witness.ok
-    for rec in cert288.records:
-        assert rec.ok and rec.not_in_subgroup and rec.fraction_ok and rec.count_ok
-    assert [rec.prime for rec in cert288.records] == [2, 3]
-    assert [rec.index for rec in cert288.records] == [32, 9]
+    assert cert288["verdict"] == "valid"
+    assert cert288["primes_distinct"]
+    assert Fraction(cert288["product_lower_bound"]) == Fraction(1, 4)
+    assert Fraction(cert288["window_s_fixed_fraction"]) == Fraction(1, 2)
+    assert cert288["window_fraction_ok"]
+    assert cert288["transitivity"]["status"] == "pass"
+    assert cert288["stabilizer"]["ok"]
+    for rec in cert288["records"]:
+        assert record_ok(rec) and rec["not_in_subgroup"] and rec["fraction_ok"] and rec["count_ok"]
+    assert [rec["prime"] for rec in cert288["records"]] == [2, 3]
+    assert [rec["index"] for rec in cert288["records"]] == [32, 9]
 
 
 def test_verify_criterion_from_elements(group11):
     s = group11.parse_element("{(0):(1)};(0)")
     t = group11.parse_element("{};(1)")
     cert = verify_criterion([s, t], 1, 1, epsilon=HALF)
-    assert cert.valid
-    assert [rec.prime for rec in cert.records] == [2, 3]
+    assert cert["verdict"] == "valid"
+    assert [rec["prime"] for rec in cert["records"]] == [2, 3]
     scheduled = verify_criterion([s, t], 1, 1)
-    assert scheduled.valid
-    assert [rec.epsilon for rec in scheduled.records] == [Fraction(1, 4), Fraction(1, 8)]
-    assert [rec.index for rec in scheduled.records] == [64, 27]
+    assert scheduled["verdict"] == "valid"
+    assert [Fraction(rec["epsilon"]) for rec in scheduled["records"]] == [
+        Fraction(1, 4),
+        Fraction(1, 8),
+    ]
+    assert [rec["index"] for rec in scheduled["records"]] == [64, 27]
 
 
 def test_criterion_invalid_epsilon(d32):
     starved = dataclasses.replace(d32, epsilon=Fraction(1, 8))
     cert = build_criterion([starved])
-    assert cert.verdict == "invalid" and not cert.valid
-    assert not cert.records[0].fraction_ok
-    assert not cert.window_fraction_ok
+    assert cert["verdict"] == "invalid"
+    assert not cert["records"][0]["fraction_ok"]
+    assert not cert["window_fraction_ok"]
 
 
 def test_criterion_invalid_duplicate_primes(d32, group11):
     twin = forge(group11.parse_element("{(0):(3)};(0)"), 2, HALF, 1, 1)
     cert = build_criterion([d32, twin])
-    assert not cert.primes_distinct
-    assert cert.verdict == "invalid"
+    assert not cert["primes_distinct"]
+    assert cert["verdict"] == "invalid"
 
 
 def test_criterion_over_budget_skips_brute_check(group11):
     """Levels past the state budget get the same exact count as small ones."""
     gammas = [e.element for e in group11.ball(2) if not e.element.is_identity()]
     cert = verify_criterion(gammas, 1, 1)
-    assert cert.verdict == "valid" and cert.valid
-    assert cert.transitivity.method == "level-structure"
-    assert max(rec.index for rec in cert.records) > DEFAULT_STATE_BUDGET
-    assert all(rec.count_ok for rec in cert.records)
+    assert cert["verdict"] == "valid"
+    assert cert["transitivity"]["method"] == "level-structure"
+    assert max(rec["index"] for rec in cert["records"]) > DEFAULT_STATE_BUDGET
+    assert all(rec["count_ok"] for rec in cert["records"])
 
 
-def test_criterion_round_trip(cert288):
-    rec = json.loads(json.dumps(cert288.to_dict()))
+def test_criterion_round_trip(cert288, d32, d9):
+    rec = json.loads(json.dumps(cert288))
     assert rec["kind"] == "criterion" and rec["v"] == 1
     assert check_criterion_certificate(rec) is True
-    again = json.dumps(build_criterion(list(cert288.data)).to_dict(), sort_keys=True)
-    assert again == json.dumps(cert288.to_dict(), sort_keys=True)
+    again = json.dumps(build_criterion([d32, d9]), sort_keys=True)
+    assert again == json.dumps(cert288, sort_keys=True)
 
 
 def test_criterion_check_rejects_tampering(cert288):
-    rec = cert288.to_dict()
+    rec = cert288
     for path, value in [
         (("records", 0, "index"), 64),
         (("records", 1, "fixed_fraction"), "1/3"),
@@ -210,14 +217,15 @@ def test_criterion_check_rejects_tampering(cert288):
 
 def test_criterion_check_of_invalid_and_over_budget(d32, d9):
     lowered = dataclasses.replace(d32, epsilon=Fraction(1, 8))
-    invalid_rec = build_criterion([lowered]).to_dict()
+    invalid_rec = build_criterion([lowered])
     assert check_criterion_certificate(invalid_rec) is False
-    rec = build_criterion([d32, d9]).to_dict()
+    rec = build_criterion([d32, d9])
     assert [r["count_ok"] for r in rec["records"]] == [True, True]
     assert check_criterion_certificate(rec) is True
-    rec["records"][0]["count_ok"] = False
+    broken = copy.deepcopy(rec)
+    broken["records"][0]["count_ok"] = False
     with pytest.raises(CertificateError):
-        check_criterion_certificate(rec)
+        check_criterion_certificate(broken)
 
 
 def test_atoms_of_extremes(w32):
@@ -248,24 +256,28 @@ def test_translate_budget(w32):
     assert info.value.what == "translates"
 
 
+def _pieces(window, rec):
+    return [frozenset(map(window.parse_state, piece)) for piece in rec["pieces"]]
+
+
 def test_comparison_single_piece(w9):
-    cert = comparison_certificate([(0,)], [(3,), (6,)], w9)
-    assert cert.pieces == (frozenset({(0,)}),)
-    assert cert.words == ((2,),)
-    rec = cert.to_dict()
+    rec = comparison_certificate([(0,)], [(3,), (6,)], w9)
+    assert _pieces(w9, rec) == [frozenset({(0,)})]
+    assert rec["words"] == [[2]]
     assert rec["kind"] == "comparison"
     assert check_comparison_certificate(json.loads(json.dumps(rec))) is True
 
 
 def test_comparison_multi_piece(w9):
     cert = comparison_certificate([(0,), (1,)], [(3,), (4,), (6,)], w9)
-    assert cert.pieces == (frozenset({(0,)}), frozenset({(1,)}))
-    assert sum(len(p) for p in cert.pieces) == 2
-    for piece, word in zip(cert.pieces, cert.words):
+    pieces = _pieces(w9, cert)
+    assert pieces == [frozenset({(0,)}), frozenset({(1,)})]
+    assert sum(len(p) for p in pieces) == 2
+    for piece, word in zip(pieces, cert["words"]):
         mover = w9.group.word_element(word)
         image = {w9.prepare(mover).apply(s) for s in piece}
         assert image <= {(3,), (4,), (6,)}
-    assert check_comparison_certificate(cert.to_dict()) is True
+    assert check_comparison_certificate(cert) is True
 
 
 def test_comparison_requires_smaller_a(w9):
@@ -282,7 +294,7 @@ def test_comparison_requires_transitive_window(d32):
 
 
 def test_comparison_check_rejects_bad_records(w9):
-    rec = comparison_certificate([(0,), (1,)], [(3,), (4,), (6,)], w9).to_dict()
+    rec = comparison_certificate([(0,), (1,)], [(3,), (4,), (6,)], w9)
     shrunk = copy.deepcopy(rec)
     shrunk["B"] = shrunk["B"][1:]
     assert check_comparison_certificate(shrunk) is False
@@ -307,7 +319,7 @@ def test_comparison_needs_no_translate_budget(w32):
     with pytest.raises(BudgetExceededError):
         translate_closure(w32, [a, b], budget=w32.size)
     cert = comparison_certificate(a, b, w32, budget=w32.size)
-    assert check_comparison_certificate(cert.to_dict()) is True
+    assert check_comparison_certificate(cert) is True
 
 
 def _tamper_d(rec):
@@ -382,33 +394,34 @@ def _tamper_empty_piece(rec):
     ],
 )
 def test_comparison_check_rejects_tampered_fields(w9, tamper):
-    rec = comparison_certificate([(0,), (1,)], [(3,), (4,), (6,)], w9).to_dict()
+    rec = comparison_certificate([(0,), (1,)], [(3,), (4,), (6,)], w9)
     assert check_comparison_certificate(copy.deepcopy(rec)) is True
-    tamper(rec)
+    broken = copy.deepcopy(rec)
+    tamper(broken)
     with pytest.raises(CertificateError):
-        check_comparison_certificate(rec)
+        check_comparison_certificate(broken)
 
 
 def test_transversal_audit(w9, w9_transversal, group11):
     s1 = group11.parse_element("{(0):(1)};(0)")
     audit = audit_castle(w9_transversal, s1, w9)
-    assert audit.fix_measure == Fraction(2, 3)
-    assert audit.bound == Fraction(14, 9)
-    assert audit.inequality_ok and audit.ok
-    (tower,) = audit.towers
-    assert tower.base_size == 1 and tower.shape_size == 9
-    assert tower.defect == Fraction(14, 9)
-    assert audit.epsilon is None and audit.defects_within_epsilon is None
+    assert Fraction(audit["fix_measure"]) == Fraction(2, 3)
+    assert Fraction(audit["bound"]) == Fraction(14, 9)
+    assert audit["inequality_ok"] and audit["ok"]
+    (tower,) = audit["towers"]
+    assert tower["base_size"] == 1 and tower["shape_size"] == 9
+    assert Fraction(tower["defect"]) == Fraction(14, 9)
+    assert audit["epsilon"] is None and audit["defects_within_epsilon"] is None
 
 
 def test_audit_tolerance_flag(w9, w9_transversal, group11):
     s1 = group11.parse_element("{(0):(1)};(0)")
     roomy = Castle(towers=w9_transversal.towers, epsilon=Fraction(2))
-    assert audit_castle(roomy, s1, w9).defects_within_epsilon is True
+    assert audit_castle(roomy, s1, w9)["defects_within_epsilon"] is True
     tight = Castle(towers=w9_transversal.towers, epsilon=HALF)
     audit = audit_castle(tight, s1, w9)
-    assert audit.defects_within_epsilon is False
-    assert audit.inequality_ok and not audit.ok
+    assert audit["defects_within_epsilon"] is False
+    assert audit["inequality_ok"] and not audit["ok"]
 
 
 def test_overlap_witness(w9, group11):
@@ -556,8 +569,8 @@ def test_castle_file_round_trip(w9, group11):
     assert len(castle.towers[0].shapes) == 9
     s1 = group11.parse_element("{(0):(1)};(0)")
     audit = audit_castle(castle, s1, w9)
-    assert audit.inequality_ok
-    assert audit.fix_measure == Fraction(2, 3)
+    assert audit["inequality_ok"]
+    assert Fraction(audit["fix_measure"]) == Fraction(2, 3)
     rec = castle.to_dict(w9)
     assert Castle.from_dict(rec, w9) == castle
 
@@ -631,7 +644,7 @@ def test_castle_words_match_letter_by_letter(w288, rng, data):
 
 def test_audit_round_trip(w9, w9_transversal, group11):
     s1 = group11.parse_element("{(0):(1)};(0)")
-    rec = json.loads(json.dumps(audit_castle(w9_transversal, s1, w9).to_dict()))
+    rec = json.loads(json.dumps(audit_castle(w9_transversal, s1, w9)))
     assert rec["kind"] == "castle-audit"
     assert check_castle_audit(rec) is True
     broken = copy.deepcopy(rec)
@@ -645,19 +658,19 @@ def test_audit_round_trip(w9, w9_transversal, group11):
 def test_non_af_report_single_level(d32):
     cert = build_criterion([d32])
     report = non_af_report(cert)
-    assert report.bound == Fraction(3, 4)
-    assert len(report.chain) == 5
-    assert check_non_af_report(report.to_dict()) is True
+    assert Fraction(report["bound"]) == Fraction(3, 4)
+    assert len(report["chain"]) == 5
+    assert check_non_af_report(report) is True
 
 
 def test_non_af_report_three_levels(d32, d9, d25):
     cert = build_criterion([d32, d9, d25])
-    assert cert.valid
+    assert cert["verdict"] == "valid"
     report = non_af_report(cert)
-    assert report.bound == Fraction(2, 5)
-    assert cert.product_lower_bound == Fraction(1, 8)
-    assert report.bound >= cert.product_lower_bound
-    rec = json.loads(json.dumps(report.to_dict()))
+    assert Fraction(report["bound"]) == Fraction(2, 5)
+    assert Fraction(cert["product_lower_bound"]) == Fraction(1, 8)
+    assert Fraction(report["bound"]) >= Fraction(cert["product_lower_bound"])
+    rec = json.loads(json.dumps(report))
     assert rec["kind"] == "non-af-report"
     assert check_non_af_report(rec) is True
     steps = [step["step"] for step in rec["chain"]]
@@ -675,7 +688,7 @@ def test_fixed_epsilon_report_certifies_the_stage_only(d32, d9, d25, group11):
     t = group11.parse_element("{};(1)")
     mixed = verify_criterion([s, t], 1, 1, epsilon=lambda i: Fraction(1, 4) if i == 0 else HALF)
     for cert in (build_criterion([d32, d9, d25]), mixed):
-        rec = non_af_report(cert).to_dict()
+        rec = non_af_report(cert)
         assert rec["limit_lower_bound"] is None
         assert "not almost finite" not in rec["conclusion"]
         assert "finite stage only" in rec["conclusion"]
@@ -689,10 +702,9 @@ def test_scheduled_report_bounds_the_limit(group11):
     s = group11.parse_element("{(0):(1)};(0)")
     t = group11.parse_element("{};(1)")
     cert = verify_criterion([s, t], 1, 1)
-    report = non_af_report(cert)
-    assert report.bound == cert.window_s_fixed_fraction
-    assert report.limit_lower_bound == report.bound * Fraction(7, 8)
-    rec = report.to_dict()
+    rec = non_af_report(cert)
+    assert Fraction(rec["bound"]) == Fraction(cert["window_s_fixed_fraction"])
+    assert Fraction(rec["limit_lower_bound"]) == Fraction(rec["bound"]) * Fraction(7, 8)
     limit_step, obstruction = rec["chain"][3:]
     assert limit_step["lhs"] == obstruction["threshold"] == rec["limit_lower_bound"]
     assert rec["conclusion"].endswith("the limit action is not almost finite")
@@ -706,7 +718,7 @@ def test_non_af_report_requires_validity(d32):
 
 
 def test_non_af_report_check_rejects_tampering(d32, d9):
-    rec = non_af_report(build_criterion([d32, d9])).to_dict()
+    rec = non_af_report(build_criterion([d32, d9]))
     wrong_bound = copy.deepcopy(rec)
     wrong_bound["bound"] = "9/10"
     with pytest.raises(CertificateError):
@@ -725,6 +737,39 @@ def test_non_af_report_check_rejects_tampering(d32, d9):
         check_non_af_report(false_step)
     with pytest.raises(CertificateError):
         check_non_af_report({"kind": "non-af-report", "v": 2})
+
+
+def _containers(node, path="$"):
+    """Every list and dict of a record with its path, in document order."""
+    if isinstance(node, (list, dict)):
+        yield path, node
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _containers(value, f"{path}/{key}")
+
+
+def test_records_are_plain_unaliased_json(cert288, d32, d9, w288, group11):
+    """Each producer's record on W288 holds JSON values only and no list or
+    dict at two paths, so an edit at one path of a record edits nothing
+    else in it."""
+    s1 = group11.parse_element("{(0):(1)};(0)")
+    e = group11.identity()
+    overlapping = Castle(towers=(Tower(frozenset({(0, 0)}), (e,)),) * 2)
+    with pytest.raises(MalformedCastleError) as info:
+        audit_castle(overlapping, s1, w288)
+    records = {
+        "verify": build_criterion([d32, d9]),
+        "report": non_af_report(cert288),
+        "compare": comparison_certificate([(0, 0)], [(1, 1), (2, 2)], w288),
+        "audit": audit_castle(make_transversal_castle(w288), s1, w288),
+        "malformed audit": malformed_castle_record(info.value),
+    }
+    for name, rec in records.items():
+        assert json.loads(json.dumps(rec)) == rec, name
+        seen = {}
+        for path, node in _containers(rec):
+            assert id(node) not in seen, f"{name}: {path} is {seen[id(node)]}"
+            seen[id(node)] = path
 
 
 def test_window_from_records(d32, d9):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 from fractions import Fraction
@@ -87,7 +88,7 @@ def test_verify_check_round_trip(capsys, tmp_path):
 def test_verify_check_invalid_certificate(capsys, tmp_path, d32):
     lowered = dataclasses.replace(d32, epsilon=Fraction(1, 8))
     path = tmp_path / "invalid.json"
-    path.write_text(json.dumps(build_criterion([lowered]).to_dict()))
+    path.write_text(json.dumps(build_criterion([lowered])))
     code, _, err = run(capsys, "verify", "--check", str(path))
     assert code == 1
     assert "invalid" in err
@@ -518,13 +519,13 @@ def test_check_of_a_list(capsys, tmp_path, command):
 
 
 def test_report_check_with_a_number_for_criterion(capsys, tmp_path, d32, d9):
-    rec = json.loads(json.dumps(non_af_report(build_criterion([d32, d9])).to_dict()))
+    rec = json.loads(json.dumps(non_af_report(build_criterion([d32, d9]))))
     rec["criterion"] = 5
     _malformed_check(capsys, tmp_path, "report", rec)
 
 
 def test_verify_check_with_a_number_for_gamma(capsys, tmp_path, d32, d9):
-    rec = build_criterion([d32, d9]).to_dict()
+    rec = copy.deepcopy(build_criterion([d32, d9]))
     rec["window"][1]["gamma"] = 7
     _malformed_check(capsys, tmp_path, "verify", rec)
 
@@ -548,6 +549,18 @@ def test_audit_check_with_a_shapeless_tower(capsys, tmp_path, w9_file):
     rec = _audit_record(capsys, tmp_path, w9_file)
     rec["castle"]["towers"].append({"V": [], "S": []})
     _malformed_check(capsys, tmp_path, "audit", rec)
+
+
+def test_check_with_a_huge_exponent(capsys, tmp_path, w9_file, d32, d9):
+    """A recorded k far past the forge's exponent is rejected before any
+    power of p is taken, which for k = 10**30 would never finish."""
+    records = {
+        "audit": _audit_record(capsys, tmp_path, w9_file),
+        "verify": copy.deepcopy(build_criterion([d32, d9])),
+    }
+    for command, rec in records.items():
+        rec["window"][0]["k"] = 10**30
+        _malformed_check(capsys, tmp_path, command, rec)
 
 
 @pytest.mark.parametrize(

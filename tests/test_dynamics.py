@@ -266,16 +266,15 @@ def test_inverse_system_chain(w32, w288, d25):
 
 def test_stabilizer_witness(w288, w32):
     witness = stabilizer_witness(w288)
-    assert witness.ok
-    assert all(moved for _, moved in witness.window_gammas)
-    assert witness.fixers == ["{};(0)"]
-    assert witness.mover_count == 4
+    assert witness["ok"]
+    assert all(g["moves_identity_thread"] for g in witness["window_gammas"])
+    assert witness["fixers"] == ["{};(0)"]
+    assert witness["mover_count"] == 4
     wide = stabilizer_witness(w32, ball_radius=2)
-    assert wide.ok
-    assert wide.mover_count + len(wide.fixers) == 17
-    assert set(wide.fixers) == {"{};(0)", "{(0):(-2)};(0)", "{(0):(2)};(0)"}
-    rec = wide.to_dict()
-    assert rec["ok"] is True and rec["fixer_count"] == 3
+    assert wide["ok"]
+    assert wide["mover_count"] + len(wide["fixers"]) == 17
+    assert set(wide["fixers"]) == {"{};(0)", "{(0):(-2)};(0)", "{(0):(2)};(0)"}
+    assert wide["ok"] is True and wide["fixer_count"] == 3
 
 
 def test_state_text(level32, w288):

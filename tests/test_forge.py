@@ -143,6 +143,8 @@ def test_default_epsilon_schedule():
 def test_validate_rejects_broken_data(d32):
     cases = [
         {"k": 0},
+        {"k": 4},
+        {"k": 10**30},
         {"l": 1},
         {"E": ((0,),)},
         {"E": ((0,), (0,))},

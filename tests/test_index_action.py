@@ -237,5 +237,5 @@ def test_level_structure_agrees_with_level_bfs(data):
     assume(datum.index() <= MAX_ORACLE_STATES)
     level = FiniteLevel(datum)
     result = certify_transitive(Window([datum]))
-    assert result.method == "level-structure"
-    assert (result.status == "pass") == (level.orbit(0).size == level.size)
+    assert result["method"] == "level-structure"
+    assert (result["status"] == "pass") == (level.orbit(0).size == level.size)

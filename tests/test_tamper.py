@@ -48,10 +48,10 @@ def honest(d32, d9, w9):
     s1 = w9.group.parse_element("{(0):(1)};(0)")
     t1 = w9.group.parse_element("{};(1)")
     return {
-        "criterion": cert.to_dict(),
-        "report": non_af_report(cert).to_dict(),
-        "scheduled-report": non_af_report(verify_criterion([s1, t1], 1, 1)).to_dict(),
-        "audit": audit_castle(make_transversal_castle(w9), s1, w9).to_dict(),
+        "criterion": cert,
+        "report": non_af_report(cert),
+        "scheduled-report": non_af_report(verify_criterion([s1, t1], 1, 1)),
+        "audit": audit_castle(make_transversal_castle(w9), s1, w9),
     }
 
 
