@@ -301,27 +301,25 @@ def translate_closure(
 
 
 def boolean_atoms(
-    sets: Sequence[StateSet], window: Window, budget: int = DEFAULT_STATE_BUDGET
-) -> List[StateSet]:
+    members: Sequence[set[int]], perms: Sequence[Sequence[int]]
+) -> List[set[int]]:
     """Atoms of the finite algebra generated by all translates of the inputs.
 
-    Two states share an atom iff every group element sends them to states
-    with the same membership in each input set.  So the atoms are the
-    coarsest partition of the states that refines the membership pattern and
-    that every generator maps block to block.  Hopcroft's partition
-    refinement ("An n log n algorithm for minimizing states in a finite
-    automaton", 1971) finds it on flat state indices in O(g N log N) steps,
-    without listing any translate.  The atoms partition the state space,
-    every translate is a union of atoms, and the action permutes the atoms.
-    Returned in order of each atom's least state.
+    States are flat indices 0..N-1, the inputs are sets of them, and perms
+    holds each generator's permutation table.  Two states share an atom iff
+    every group element sends them to states with the same membership in
+    each input set.  So the atoms are the coarsest partition of the states
+    that refines the membership pattern and that every generator maps block
+    to block.  Hopcroft's partition refinement ("An n log n algorithm for
+    minimizing states in a finite automaton", 1971) finds it in O(g N log N)
+    steps, without listing any translate.  The atoms partition the state
+    space, every translate is a union of atoms, and the action permutes the
+    atoms.  Returned in order of each atom's least state.
     """
-    if window.size > budget:
-        raise BudgetExceededError(window.size, budget)
-    members = [{window.flat_index(s) for s in st} for st in sets]
     blocks: List[set[int]] = []
     block_of: List[int] = []
     by_pattern: Dict[Tuple[bool, ...], int] = {}
-    for x in range(window.size):
+    for x in range(len(perms[0])):
         pattern = tuple(x in m for m in members)
         if pattern not in by_pattern:
             by_pattern[pattern] = len(blocks)
@@ -331,7 +329,6 @@ def boolean_atoms(
     # Each generator has finite order, so a partition is stable under it iff
     # it is stable under its inverse.  Splitting by forward images (the
     # preimages under the inverse) therefore needs no inverse tables.
-    perms = [window.flat_table(g) for g in range(len(window.group.generators()))]
     largest = max(range(len(blocks)), key=lambda b: len(blocks[b]))
     pending = [b != largest for b in range(len(blocks))]
     work = [b for b in range(len(blocks)) if pending[b]]
@@ -362,8 +359,7 @@ def boolean_atoms(
                     pending.append(False)
                     pending[b] = True
                     work.append(b)
-    states = list(window.iter_states())
-    return [frozenset(states[x] for x in blk) for blk in sorted(blocks, key=min)]
+    return sorted(blocks, key=min)
 
 
 def _comparison_record(
@@ -395,15 +391,14 @@ def comparison_certificate(
     """Decompose A into atoms and move them disjointly into B.
 
     Requires a transitive window and |A| < |B| (the uniform-measure
-    comparison hypothesis).  Pieces are atoms of the translate algebra of
-    {A, B} (see :func:`boolean_atoms`), and the i-th atom inside A is sent to
+    comparison hypothesis).  One flat table per generator serves a BFS from
+    index 0 for transitivity and the atoms of the translate algebra of
+    {A, B} (see :func:`boolean_atoms`).  The i-th atom inside A is sent to
     the i-th atom inside B, both in order of least state.  The atoms form a
-    block system, so each generator permutes atom indices and the action is
-    transitive on them; a breadth-first search over atom indices finds a
-    shortest transporter word from each piece to its target.  Words are
-    found generator by generator, first discovery wins, so they do not
-    depend on how the atoms were computed.  The only budget is the window
-    size; no translate of A or B is ever listed.
+    block system, so each generator permutes atom indices, transitively; a
+    BFS over atom indices finds a shortest transporter word from each piece
+    to its target, first discovery winning.  Only the pieces' states are
+    turned back into tuples.  The only budget is the window size.
     """
     a = frozenset(a_set)
     b = frozenset(b_set)
@@ -411,13 +406,18 @@ def comparison_certificate(
         raise MeasureConditionError(
             f"need |A| < |B|, got |A|={len(a)} and |B|={len(b)}"
         )
-    if not window.is_transitive(budget):
+    if window.size > budget:
+        raise BudgetExceededError(window.size, budget)
+    steps = list(enumerate(map(window.flat_table, range(len(window.group.generators())))))
+    if _bfs(steps, 0, window.size).size != window.size:
         raise CertificateError("comparison requires a transitive window")
-    atoms = boolean_atoms([a, b], window, budget)
-    pieces = [i for i, p in enumerate(atoms) if p <= a]
-    targets_pool = [i for i, p in enumerate(atoms) if p <= b]
-    union = frozenset().union(*(atoms[i] for i in pieces))
-    if union != a:
+    a_idx = {window.flat_index(s) for s in a}
+    b_idx = {window.flat_index(s) for s in b}
+    atoms = boolean_atoms([a_idx, b_idx], [perm for _, perm in steps])
+    pieces = [i for i, atom in enumerate(atoms) if atom <= a_idx]
+    targets_pool = [i for i, atom in enumerate(atoms) if atom <= b_idx]
+    piece_states = [frozenset(map(window.state_at, atoms[i])) for i in pieces]
+    if frozenset().union(*piece_states) != a:
         raise CertificateError("atoms failed to refine A")
     if len(pieces) > len(targets_pool):
         raise CertificateError("fewer atoms inside B than inside A")
@@ -425,14 +425,14 @@ def comparison_certificate(
 
     # The atoms form a block system, so each generator permutes atom
     # indices; one representative state per atom gives that permutation.
-    atom_of = {s: i for i, atom in enumerate(atoms) for s in atom}
-    moves = []
-    for g in range(len(window.group.generators())):
-        tables = window.tables(g)
-        reps = (next(iter(atom)) for atom in atoms)
-        moves.append((g, [atom_of[tuple(tab[i] for tab, i in zip(tables, s))] for s in reps]))
+    atom_of = [0] * window.size
+    for i, atom in enumerate(atoms):
+        for x in atom:
+            atom_of[x] = i
+    reps = [min(atom) for atom in atoms]
+    moves = [(g, [atom_of[perm[rep]] for rep in reps]) for g, perm in steps]
     words = [_bfs(moves, piece, len(atoms)).word(target) for piece, target in zip(pieces, targets)]
-    cert = _comparison_record(window, a, b, [atoms[i] for i in pieces], words)
+    cert = _comparison_record(window, a, b, piece_states, words)
     if not check_comparison_certificate(cert):
         raise CertificateError("freshly produced comparison certificate failed to verify")
     return cert

@@ -41,9 +41,8 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
 from math import prod
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .base import Vec
 from .errors import (
@@ -462,9 +461,6 @@ class Window:
             flat = [f * n + t for f, t in zip(flat, level.images(i, xs))]
         return flat
 
-    def iter_states(self) -> Iterator[Tuple[int, ...]]:
-        return product(*(range(level.size) for level in self.levels))
-
     def tables(self, g: int) -> List[List[int]]:
         return [level.table(g) for level in self.levels]
 
@@ -486,10 +482,6 @@ class Window:
         orb.order = [self.state_at(i) for i in orb.order]
         orb.start = orb.order[0]
         return orb
-
-    def is_transitive(self, budget: int = DEFAULT_STATE_BUDGET) -> bool:
-        """BFS from the identity thread; true iff every product state is reached."""
-        return self.orbit(self.identity_thread(), budget).size == self.size
 
     def s_fixed_fraction(self) -> Fraction:
         """Closed form: product over levels of (1 - l/p^{km})."""

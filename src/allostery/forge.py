@@ -96,11 +96,6 @@ class SubgroupDatum:
         """Exact fraction of cosets fixed by every lamp generator: 1 - l/p^{km}."""
         return 1 - Fraction(self.l, self.shift_index)
 
-    def lamp_fixed_count(self) -> int:
-        """Closed-form count of cosets fixed by a lamp generator:
-        (p^{km} - l) * p^{ld}."""
-        return (self.shift_index - self.l) * self.p ** (self.l * self.d)
-
     def coset_sums(self, x: WreathElement) -> list[Vec]:
         """For each class in E, the sum of x's lamp values over that class,
         reduced mod p."""
@@ -279,14 +274,15 @@ def assign_primes(
         if g in seen:
             raise ForgeError(f"duplicate gamma {format_element(g)}")
         seen.add(g)
-    used: set[int] = set()
+    stream = primes()
+    unused: list[int] = []  # primes drawn from the stream and not yet assigned
     triples = []
     for i, g in enumerate(gammas):
-        for p in primes():
-            if p in used:
-                continue
-            if prime_admissible(g, p, d):
-                used.add(p)
-                triples.append((g, p, as_epsilon(eps_of(i))))
-                break
+        k = 0
+        while k == len(unused) or not prime_admissible(g, unused[k], d):
+            if k == len(unused):
+                unused.append(next(stream))
+            else:
+                k += 1
+        triples.append((g, unused.pop(k), as_epsilon(eps_of(i))))
     return PrimeAssignment(tuple(triples))

@@ -58,6 +58,16 @@ def iter_states(level):
             yield CosetState(base, tuple(flat[j * d : (j + 1) * d] for j in range(level.l)))
 
 
+def window_states(window):
+    """All states of a window as index tuples, in flat index order."""
+    return [window.state_at(i) for i in range(window.size)]
+
+
+def is_transitive(window):
+    """True iff a BFS from the identity thread reaches every window state."""
+    return window.orbit(window.identity_thread()).size == window.size
+
+
 def fixed_states(window, xs):
     """The window states fixed by every element of xs, as a set of tuples:
     each level's listing by ``brute_fixed_indices``, intersected over xs, and
@@ -127,7 +137,7 @@ def tiling_witness(castle, window):
                 if img in seen:
                     return {"state": window.state_text(img), "first": seen[img], "second": mark}
                 seen[img] = mark
-    missing = [s for s in window.iter_states() if s not in seen]
+    missing = [s for s in window_states(window) if s not in seen]
     return {"missing_state": window.state_text(missing[0])} if missing else None
 
 

@@ -21,7 +21,7 @@ from allostery import (
     translate_closure,
 )
 
-from oracle import fixed_states, frontier_word
+from oracle import fixed_states, frontier_word, window_states
 
 GAMMA = "{(0):(1)};(0)"
 
@@ -36,10 +36,18 @@ def small_windows():
     return Window([d9]), Window([d32]), Window([d81]), Window([d32, d9])
 
 
+def tuple_atoms(window, sets):
+    """boolean_atoms on the flat indices of tuple state sets, with its atoms
+    turned back into tuple sets."""
+    members = [{window.flat_index(s) for s in st} for st in sets]
+    perms = [window.flat_table(g) for g in range(len(window.group.generators()))]
+    return [frozenset(map(window.state_at, atom)) for atom in boolean_atoms(members, perms)]
+
+
 def oracle_atoms(window, sets):
     closure = translate_closure(window, sets)
     blocks = {}
-    for s in window.iter_states():
+    for s in window_states(window):
         blocks.setdefault(tuple(s in t for t in closure), []).append(s)
     return [frozenset(b) for b in blocks.values()]
 
@@ -80,7 +88,7 @@ def input_cases():
     every such {A, B} stays cheap."""
     w9, w32, w81, w288 = small_windows()
     cases = [
-        (window, [frozenset({s}) for s in window.iter_states()], max_a, max_b)
+        (window, [frozenset({s}) for s in window_states(window)], max_a, max_b)
         for window, max_a, max_b in ((w9, 3, 5), (w32, 2, 3), (w81, 1, 2))
     ]
     cases += [(window, fixed_set_atoms(window), 2, 3) for window in (w9, w32, w81, w288)]
@@ -108,8 +116,8 @@ def comparison_inputs(draw):
 @given(comparison_inputs())
 def test_refined_atoms_match_closure_atoms(inputs):
     window, a, b = inputs
-    assert boolean_atoms([a, b], window) == oracle_atoms(window, [a, b])
-    assert boolean_atoms([a], window) == oracle_atoms(window, [a])
+    assert tuple_atoms(window, [a, b]) == oracle_atoms(window, [a, b])
+    assert tuple_atoms(window, [a]) == oracle_atoms(window, [a])
 
 
 @settings(max_examples=80, deadline=None)
@@ -130,7 +138,7 @@ def test_flat_table_matches_tuple_tables():
         tables = window.tables(g)
         assert window.flat_table(g) == [
             window.flat_index(tuple(tab[i] for tab, i in zip(tables, s)))
-            for s in window.iter_states()
+            for s in window_states(window)
         ]
 
 
@@ -141,10 +149,10 @@ def test_transporter_words_match_frontier_search():
         gens = window.group.generators()
         for _ in range(6):
             k = rng.randint(1, 4)
-            states = rng.sample(list(window.iter_states()), 2 * k + 1)
+            states = rng.sample(window_states(window), 2 * k + 1)
             a, b = frozenset(states[:k]), frozenset(states[k:])
             cert = comparison_certificate(a, b, window)
-            atoms = boolean_atoms([a, b], window)
+            atoms = tuple_atoms(window, [a, b])
             atom_of = {s: i for i, atom in enumerate(atoms) for s in atom}
             moves = [[atom_of[window.prepare(x).apply(min(atom))] for atom in atoms] for x in gens]
             pieces = [i for i, p in enumerate(atoms) if p <= a]

@@ -34,6 +34,28 @@ def test_is_prime_and_stream():
     assert [next(gen) for _ in range(6)] == [2, 3, 5, 7, 11, 13]
 
 
+def _trial_division(n):
+    return n > 1 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    expected = [n for n in range(-3, 20000) if _trial_division(n)]
+    assert [n for n in range(-3, 20000) if is_prime(n)] == expected
+    gen = primes()
+    assert [next(gen) for _ in expected] == expected
+
+
+def test_is_prime_past_trial_division():
+    # The least strong pseudoprimes to the prime bases up to 2, 7 and 31.
+    assert not any(is_prime(n) for n in [2047, 3215031751, 3825123056546413051])
+    assert is_prime(2**61 - 1)
+    assert not is_prime(2**61 + 1)
+    with pytest.raises(ValueError):
+        is_prime(318_665_857_834_031_151_167_461)
+    with pytest.raises(ValueError):
+        is_prime(2**127 - 1)
+
+
 def test_reduce_examples():
     sub8 = CongruenceSubgroup(2, 3, 1)
     assert sub8.reduce((5,)) == (5,)

@@ -42,7 +42,7 @@ from allostery.errors import (
 from allostery.dynamics import DEFAULT_STATE_BUDGET
 
 from conftest import HALF, make_transversal_castle
-from oracle import fixed_states, tiling_witness
+from oracle import fixed_states, is_transitive, tiling_witness
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ def test_transitive_by_bfs(w288):
 def test_transitive_by_level_escalation(w288):
     """A window past the state budget is certified the same way: no budget applies."""
     with pytest.raises(BudgetExceededError):
-        w288.is_transitive(budget=100)
+        w288.orbit(w288.identity_thread(), budget=100)
     result = certify_transitive(w288)
     assert result["status"] == "pass"
     assert result["method"] == "level-structure"
@@ -86,7 +86,7 @@ def test_transitive_by_level_escalation(w288):
 def test_level_structure_passes_exactly_on_transitive_windows(request, names):
     window = Window([request.getfixturevalue(name) for name in names])
     result = certify_transitive(window)
-    assert (result["status"] == "pass") == window.is_transitive()
+    assert (result["status"] == "pass") == is_transitive(window)
     assert (result["method"], result["orbit_size"]) == ("level-structure", window.size)
 
 
@@ -125,7 +125,7 @@ def test_level_structure_fails_on_a_wrong_action(w288, monkeypatch, wrong):
 
 def test_transitivity_negative_cases(d32):
     doubled = Window([d32, d32])
-    assert not doubled.is_transitive()
+    assert not is_transitive(doubled)
     result = certify_transitive(doubled)
     assert (result["status"], result["method"], result["orbit_size"]) == ("skipped", "none", None)
     assert result["detail"] == "the primes repeat"
@@ -228,23 +228,31 @@ def test_criterion_check_of_invalid_and_over_budget(d32, d9):
         check_criterion_certificate(broken)
 
 
+def _flat_tables(window):
+    return [window.flat_table(g) for g in range(len(window.group.generators()))]
+
+
+def _flat(window, states):
+    return frozenset(map(window.flat_index, states))
+
+
 def test_atoms_of_extremes(w32):
-    singleton = boolean_atoms([frozenset({(0,)})], w32)
-    assert len(singleton) == 32
-    assert all(len(a) == 1 for a in singleton)
-    whole = boolean_atoms([frozenset(w32.iter_states())], w32)
-    assert len(whole) == 1 and len(next(iter(whole))) == 32
+    singleton = boolean_atoms([{0}], _flat_tables(w32))
+    assert singleton == [frozenset({i}) for i in range(32)]
+    whole = boolean_atoms([set(range(32))], _flat_tables(w32))
+    assert whole == [frozenset(range(32))]
 
 
 def test_atoms_partition_and_refine(w32, group11):
     s1 = group11.parse_element("{(0):(1)};(0)")
     fixed = fixed_states(w32, [s1])
-    atoms = boolean_atoms([fixed], w32)
+    atoms = boolean_atoms([_flat(w32, fixed)], _flat_tables(w32))
     sizes = {len(a) for a in atoms}
     assert len(sizes) == 1
     assert sum(len(a) for a in atoms) == 32
-    assert frozenset().union(*atoms) == frozenset(w32.iter_states())
-    for translate in translate_closure(w32, [fixed]):
+    assert frozenset().union(*atoms) == frozenset(range(32))
+    assert [min(a) for a in atoms] == sorted(min(a) for a in atoms)
+    for translate in map(lambda t: _flat(w32, t), translate_closure(w32, [fixed])):
         covering = [a for a in atoms if a <= translate]
         assert frozenset().union(*covering) == translate if covering else not translate
 
@@ -291,6 +299,19 @@ def test_comparison_requires_transitive_window(d32):
     doubled = Window([d32, d32])
     with pytest.raises(CertificateError):
         comparison_certificate([(0, 0)], [(1, 1), (2, 2)], doubled)
+
+
+def test_comparison_errors_come_in_order(d32):
+    """The measure condition, then the state budget before any table is
+    built, then transitivity."""
+    doubled = Window([d32, d32])
+    with pytest.raises(MeasureConditionError):
+        comparison_certificate([(0, 0), (1, 1)], [(2, 2)], doubled, budget=1)
+    with pytest.raises(BudgetExceededError):
+        comparison_certificate([(0, 0)], [(1, 1), (2, 2)], doubled, budget=doubled.size - 1)
+    assert all(level._tables == {} for level in doubled.levels)
+    with pytest.raises(CertificateError, match="transitive"):
+        comparison_certificate([(0, 0)], [(1, 1), (2, 2)], doubled, budget=doubled.size)
 
 
 def test_comparison_check_rejects_bad_records(w9):

@@ -1,7 +1,11 @@
 import copy
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -254,6 +258,17 @@ def test_compare_malformed(capsys, w9_file):
         run(capsys, "compare", "--window", w9_file, "--a", "random:0", "--b", "idx:2")[0]
         == 2
     )
+
+
+def test_compare_refuses_a_non_transitive_window(capsys, tmp_path, d32):
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps([d32.to_dict(), d32.to_dict()]))
+    code, out, err = run(
+        capsys, "compare", "--window", str(path), "--a", "idx:0", "--b", "idx:1,2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "comparison requires a transitive window" in err
 
 
 def test_audit_full_tower(capsys, tmp_path, w9_file):
@@ -561,6 +576,25 @@ def test_check_with_a_huge_exponent(capsys, tmp_path, w9_file, d32, d9):
     for command, rec in records.items():
         rec["window"][0]["k"] = 10**30
         _malformed_check(capsys, tmp_path, command, rec)
+
+
+def test_check_with_a_huge_prime(tmp_path, d32, d9):
+    """A recorded p = 2**61 - 1 is decided prime at once, so the loader
+    goes on to its other bounds; trial division up to its square root would
+    not finish.  A child process with a timeout makes a hang a failure."""
+    rec = copy.deepcopy(build_criterion([d32, d9]))
+    rec["window"][0]["p"] = 2**61 - 1
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(rec))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "allostery.cli", "verify", "--check", str(path)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:")
 
 
 @pytest.mark.parametrize(

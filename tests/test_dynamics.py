@@ -121,8 +121,8 @@ def test_orbit_with_no_generators(level32):
 def test_fixed_point_counts(level32, level9, group11, d32, d9):
     s1 = group11.parse_element("{(0):(1)};(0)")
     t = group11.parse_element("{};(1)")
-    assert len(level32.brute_fixed_indices(s1)) == 24 == d32.lamp_fixed_count()
-    assert len(level9.brute_fixed_indices(s1)) == 6 == d9.lamp_fixed_count()
+    assert len(level32.brute_fixed_indices(s1)) == 24 == d32.fixed_fraction() * d32.index()
+    assert len(level9.brute_fixed_indices(s1)) == 6 == d9.fixed_fraction() * d9.index()
     assert level32.brute_fixed_indices(t) == []
     assert len(level32.brute_fixed_indices(group11.identity())) == 32
     assert d32.fixed_fraction() == Fraction(3, 4)
@@ -135,7 +135,6 @@ def test_window_basics(w288, w32, w9):
     assert w288.identity_thread() == (0, 0)
     assert w288.primes_distinct()
     assert not Window([w32.data[0], w32.data[0]]).primes_distinct()
-    assert list(w288.iter_states()) == [w288.state_at(i) for i in range(288)]
     for i in range(0, 288, 17):
         assert w288.flat_index(w288.state_at(i)) == i
 
@@ -151,11 +150,11 @@ def test_window_action_is_diagonal(w288, group11):
 
 
 def test_window_transitivity(w32, w9, w288, d32):
-    assert w32.is_transitive()
-    assert w9.is_transitive()
-    assert w288.is_transitive()
+    assert w32.orbit(w32.identity_thread()).size == 32
+    assert w9.orbit(w9.identity_thread()).size == 9
     assert w288.orbit(w288.identity_thread()).size == 288
-    assert not Window([d32, d32]).is_transitive()
+    doubled = Window([d32, d32])
+    assert doubled.orbit(doubled.identity_thread()).size < doubled.size
 
 
 def test_window_orbit_matches_tuple_bfs(w288, d32):
@@ -187,7 +186,8 @@ def test_s_fixed_fraction(w32, w9, w288, d25):
     assert w9.s_fixed_fraction() == Fraction(2, 3)
     assert w288.s_fixed_fraction() == Fraction(1, 2)
     s1 = w288.group.lamp_generators()[0]
-    assert w288.fixed_count([s1]) == 144 == prod(dat.lamp_fixed_count() for dat in w288.data)
+    closed_forms = [dat.fixed_fraction() * dat.index() for dat in w288.data]
+    assert w288.fixed_count([s1]) == 144 == prod(closed_forms)
     assert Fraction(w288.fixed_count(w288.group.lamp_generators()), 288) == Fraction(1, 2)
     wider = Window(list(w288.data) + [d25])
     assert wider.s_fixed_fraction() == Fraction(2, 5)
@@ -198,8 +198,8 @@ def test_empty_window():
     empty = Window([])
     assert empty.size == 1
     assert empty.s_fixed_fraction() == 1
-    assert empty.is_transitive()
-    assert list(empty.iter_states()) == [()]
+    assert empty.orbit(empty.identity_thread()).size == 1
+    assert empty.state_at(0) == () and empty.flat_index(()) == 0
 
 
 def test_fixed_points_factorize(w288, group11):

@@ -13,6 +13,7 @@ from allostery import (
     assign_primes,
     default_epsilon,
     forge,
+    primes,
 )
 from allostery.errors import DatumInvariantError, ForgeError
 from allostery.forge import as_epsilon, prime_admissible
@@ -29,7 +30,7 @@ def test_forged_datum_single_lamp(d32):
     assert d32.shift_index == 8
     assert d32.index() == 32
     assert d32.fixed_fraction() == Fraction(3, 4)
-    assert d32.lamp_fixed_count() == 24
+    assert d32.fixed_fraction() * d32.index() == 24
 
 
 def test_forged_datum_pure_shift(d9):
@@ -111,6 +112,21 @@ def test_assign_primes_skips_dividing_primes(group11):
     six = group11.parse_element("{(0):(6)};(0)")
     assignment = assign_primes([six], epsilons=HALF)
     assert assignment.triples[0][1] == 5
+
+
+def test_assign_primes_takes_skipped_primes_later(group11):
+    """Each gamma gets the smallest admissible prime that no earlier gamma
+    took, also when an earlier gamma skipped it."""
+    texts = ["{(0):(30)};(0)", "{(0):(6)};(0)", "{(0):(2)};(0)", "{};(1)", "{(0):(1)};(0)"]
+    gammas = [group11.parse_element(t) for t in texts]
+    assert [p for _, p, _ in assign_primes(gammas).triples] == [7, 5, 3, 2, 11]
+    pool = [entry.element for entry in group11.ball(3)[1:]]
+    used, expected = set(), []
+    for g in pool:
+        p = next(q for q in primes() if q not in used and prime_admissible(g, q, 1))
+        used.add(p)
+        expected.append(p)
+    assert [p for _, p, _ in assign_primes(pool).triples] == expected
 
 
 def test_assign_primes_schedule(group11):

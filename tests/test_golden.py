@@ -19,14 +19,14 @@ import pytest
 from allostery import Window, WreathGroup, forge, parse_castle_file
 from allostery.cli import main
 
-from oracle import fixed_states
+from oracle import fixed_states, window_states
 
 GOLDEN = Path(__file__).parent / "golden"
 CASTLE = GOLDEN / "castle_w288.txt"
 FIBERS = GOLDEN / "castle_w288_fibers.txt"
 GAMMA = "{(0):(1)};(0)"
 
-# name -> (arguments, exit code); W81, W288, CASTLE and FIBERS stand for input paths,
+# name -> (arguments, exit code); W81, W288, W7200, CASTLE and FIBERS stand for input paths,
 # FIXED48 and MOVED for the state specs of :func:`block_specs`.
 CASES = {
     "verify": (("verify",), 0),
@@ -40,6 +40,10 @@ CASES = {
         ("compare", "--window", "W288", "--a", "FIXED48", "--b", "MOVED"),
         0,
     ),
+    "compare_w7200": (
+        ("compare", "--window", "W7200", "--a", "random:5", "--b", "random:11", "--seed", "7"),
+        0,
+    ),
     "audit_w288": (("audit", "CASTLE", "--window", "W288", "--gamma", GAMMA), 0),
     "audit_w288_fibers": (("audit", "FIBERS", "--window", "W288", "--gamma", GAMMA), 0),
 }
@@ -51,7 +55,8 @@ def forge_windows():
     d81 = forge(group.parse_element(GAMMA), 3, half, 1, 1)
     d32 = forge(group.parse_element(GAMMA), 2, half, 1, 1)
     d9 = forge(group.parse_element("{};(1)"), 3, half, 1, 1)
-    return {"W81": Window([d81]), "W288": Window([d32, d9])}
+    d25 = forge(group.parse_element("{};(-1)"), 5, half, 1, 1)
+    return {"W81": Window([d81]), "W288": Window([d32, d9]), "W7200": Window([d32, d9, d25])}
 
 
 def transversal_castle_text(window):
@@ -73,7 +78,7 @@ def fiber_castle_text(window):
     last = Window(window.data[-1:])
     orb = last.orbit(last.identity_thread())
     words = [window.group.word_name(orb.words[s]) for s in orb.order]
-    fiber = [s for s in window.iter_states() if s[-1] == 0]
+    fiber = [s for s in window_states(window) if s[-1] == 0]
     even = " ".join(window.state_text(s) for s in fiber[0::2])
     odd = " ".join(window.state_text(s) for s in fiber[1::2])
     return "".join(

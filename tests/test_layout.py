@@ -2,9 +2,11 @@
 
 Helpers that only tests use live under ``tests/`` (``oracle.py`` and
 ``sampling.py``).  These checks read the sources with :mod:`ast`: a module
-of ``src/allostery`` must be imported by another of its modules, and an
+of ``src/allostery`` must be imported by another of its modules, an
 exported name must be used by the package or by the benchmark under
-``bench/``.  ``__init__`` only re-exports, so its imports count for neither.
+``bench/``, and a public method of a package class must be reached by name,
+as an attribute or a string, from the package or the benchmark.
+``__init__`` only re-exports, so its imports count for none of these.
 """
 
 import ast
@@ -40,20 +42,28 @@ def _imported_modules(tree):
     return out
 
 
-def _used_names(tree):
-    """The names a module reads, imports or looks up by a string equal to
-    the name; assignments and definitions do not count."""
+def _reached_names(tree):
+    """The attribute names a module reads and its identifier-like strings;
+    a ``def`` is not a use of its own name."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            out.update(a.name for a in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 out.add(node.value)
+    return out
+
+
+def _used_names(tree):
+    """The names a module reads or imports, with its :func:`_reached_names`;
+    assignments and definitions do not count."""
+    out = _reached_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
     return out
 
 
@@ -71,3 +81,22 @@ def test_every_export_is_used():
     used = set().union(*(_used_names(tree) for name, tree in MODULES.items() if name != "__init__"))
     used |= set().union(*map(_used_names, BENCH.values()))
     assert sorted(set(allostery.__all__) - used) == []
+
+
+def _public_methods(tree):
+    """(class, method) for each public function defined in a class body."""
+    return {
+        (cls.name, node.name)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    }
+
+
+def test_every_public_method_is_reached():
+    trees = [tree for name, tree in MODULES.items() if name != "__init__"]
+    reached = set().union(*map(_reached_names, trees + list(BENCH.values())))
+    methods = set().union(*map(_public_methods, MODULES.values()))
+    assert sorted(f"{cls}.{name}" for cls, name in methods if name not in reached) == []
