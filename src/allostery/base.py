@@ -10,7 +10,6 @@ nonzero vectors survives reduction mod p^k once k is large enough.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from typing import Iterable, Iterator, Tuple
@@ -75,21 +74,27 @@ def primes() -> Iterator[int]:
             yield n
 
 
-@dataclass(frozen=True)
-class CongruenceSubgroup:
-    """The subgroup (p^k Z)^m of Z^m, of index p^{km}."""
+class CongruenceSubgroup(tuple):
+    """The subgroup (p^k Z)^m of Z^m, of index p^{km}: the tuple
+    (prime, exponent, rank)."""
 
-    prime: int
-    exponent: int
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
-        if self.exponent < 1:
+    def __new__(cls, prime: int, exponent: int, rank: int) -> "CongruenceSubgroup":
+        if not is_prime(prime):
+            raise ValueError(f"{prime} is not prime")
+        if exponent < 1:
             raise ValueError("exponent must be >= 1")
-        if self.rank < 1:
+        if rank < 1:
             raise ValueError("rank must be >= 1")
+        return tuple.__new__(cls, (prime, exponent, rank))
+
+    prime = property(operator.itemgetter(0))
+    exponent = property(operator.itemgetter(1))
+    rank = property(operator.itemgetter(2))
+
+    def __repr__(self) -> str:
+        return f"CongruenceSubgroup(prime={self.prime}, exponent={self.exponent}, rank={self.rank})"
 
     @property
     def modulus(self) -> int:

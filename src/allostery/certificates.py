@@ -18,12 +18,12 @@ recomputation.
 from __future__ import annotations
 
 import json
+import operator
 from copy import deepcopy
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import prod
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .base import zero
 from .dynamics import (
@@ -484,10 +484,15 @@ def check_comparison_certificate(rec: dict) -> bool:
 # castles and their audit
 
 
-@dataclass(frozen=True)
-class Tower:
-    base: StateSet
-    shapes: Tuple[WreathElement, ...]
+class Tower(tuple):
+    """The pair (base, shapes): a set of base states and the elements that
+    translate it.  No __slots__, so that the shape texts can be cached."""
+
+    def __new__(cls, base: StateSet, shapes: Tuple[WreathElement, ...]) -> "Tower":
+        return tuple.__new__(cls, (base, shapes))
+
+    base = property(operator.itemgetter(0))
+    shapes = property(operator.itemgetter(1))
 
     @cached_property
     def shape_texts(self) -> Tuple[str, ...]:
@@ -495,8 +500,7 @@ class Tower:
         return tuple(x.text() for x in self.shapes)
 
 
-@dataclass(frozen=True)
-class Castle:
+class Castle(NamedTuple):
     towers: Tuple[Tower, ...]
     epsilon: Optional[Fraction] = None
 

@@ -13,7 +13,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -207,7 +206,7 @@ def cmd_audit(args: argparse.Namespace, cfg: RunConfig) -> int:
     with open(args.castle, "r", encoding="utf-8") as fh:
         castle = parse_castle_file(fh.read(), window)
     if args.tolerance:
-        castle = replace(castle, epsilon=parse_frac(args.tolerance))
+        castle = castle._replace(epsilon=parse_frac(args.tolerance))
     gamma = window.group.parse_element(args.gamma)
     if gamma.is_identity():
         raise TextParseError("audit needs a nontrivial element")

@@ -4,7 +4,6 @@ environment override for the state budget."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -15,16 +14,28 @@ ENV_BUDGET = "ALLOSTERY_BUDGET_STATES"
 EpsilonMode = Union[str, Fraction]  # "schedule" or a fixed rational
 
 
-@dataclass
 class RunConfig:
-    d: int = 1
-    m: int = 1
-    radius: int = 1
-    epsilon: EpsilonMode = "schedule"
-    budget_states: int = 10**6
-    seed: int = 0
-    out: Optional[str] = None
-    format: str = "json"
+    """The settings of one run; every field can be set by keyword."""
+
+    def __init__(
+        self,
+        d: int = 1,
+        m: int = 1,
+        radius: int = 1,
+        epsilon: EpsilonMode = "schedule",
+        budget_states: int = 10**6,
+        seed: int = 0,
+        out: Optional[str] = None,
+        format: str = "json",
+    ):
+        self.d = d
+        self.m = m
+        self.radius = radius
+        self.epsilon = epsilon
+        self.budget_states = budget_states
+        self.seed = seed
+        self.out = out
+        self.format = format
 
     def validate(self) -> None:
         if self.d < 1 or self.m < 1:
@@ -102,7 +113,7 @@ def apply_env(cfg: RunConfig, environ: Mapping[str, str] = os.environ) -> RunCon
             budget = int(environ[ENV_BUDGET])
         except ValueError:
             raise TextParseError(f"{ENV_BUDGET} must be an integer") from None
-        cfg = replace(cfg, budget_states=budget)
+        cfg = RunConfig(**{**vars(cfg), "budget_states": budget})
         try:
             cfg.validate()
         except ValueError as exc:

@@ -38,11 +38,10 @@ inverse system whose limit the certificates speak about.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import prod
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .base import Vec
 from .errors import (
@@ -57,8 +56,7 @@ from .wreath import Word, WreathElement, WreathGroup, format_vec, _parse_vec
 DEFAULT_STATE_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class CosetState:
+class CosetState(NamedTuple):
     """One coset: base residue plus the E-indexed lamp sums mod p."""
 
     base: Vec
@@ -102,7 +100,7 @@ class _PreparedAction:
         self.delta = level.subgroup.reduce(x.shift)
         M, p, m, d = level.modulus, level.p, level.m, level.d
         sums: Dict[Vec, List[int]] = {}
-        for pos, val in x.lamp.entries:
+        for pos, val in x.lamp:
             if len(pos) != m or len(val) != d:
                 raise RankMismatchError("element ranks do not match the level")
             bucket = sums.setdefault(tuple(c % M for c in pos), [0] * d)
@@ -185,20 +183,20 @@ class FiniteLevel:
         by_shift: Dict[Vec, Tuple[int, Dict[Vec, int]]] = {}
         residue: Dict[Vec, Vec] = {}  # each lamp position reduced mod M once
         out: List[int] = []
-        for x in xs:
-            seen = by_shift.get(x.shift)
+        for entries, shift in xs:
+            seen = by_shift.get(shift)
             if seen is None:
-                if len(x.shift) != self.m:
+                if len(shift) != self.m:
                     raise RankMismatchError("element ranks do not match the level")
-                moved = [(b + t) % M for b, t in zip(base, x.shift)]
+                moved = [(b + t) % M for b, t in zip(base, shift)]
                 classes = {
                     tuple((b + c) % M for b, c in zip(moved, e)): j * d
                     for j, e in enumerate(self.E)
                 }
-                seen = by_shift[x.shift] = (self._index_of(moved, ()), classes)
+                seen = by_shift[shift] = (self._index_of(moved, ()), classes)
             block, classes = seen
             added = None
-            for pos, val in x.lamp.entries:
+            for pos, val in entries:
                 r = residue.get(pos)
                 if r is None:
                     r = residue[pos] = tuple(c % M for c in pos)
@@ -530,20 +528,26 @@ def stabilizer_witness(window: Window, ball_radius: int = 1) -> dict:
     """Evidence that the identity thread of a window has the smallest
     stabilizer the finite stage can certify: every window gamma moves the
     thread (then ``ok`` holds), and every ball element is classified as a
-    mover or a fixer of it.  The thread has flat index 0, so an element moves
-    it exactly when its image is not 0."""
+    mover or a fixer of it.  The thread is state 0 on every level, so an
+    element moves it exactly when some level's image of 0 is not 0; each
+    element is asked of the levels in order until one moves it."""
     gammas = [dat.gamma for dat in window.data]
     ball = [entry.element for entry in window.group.ball(ball_radius)]
-    images = window.images(window.identity_thread(), gammas + ball)
-    fixers = [x.text() for x, image in zip(ball, images[len(gammas) :]) if not image]
+    xs = gammas + ball
+    moves = [False] * len(xs)
+    for level in window.levels:
+        todo = [i for i, moved in enumerate(moves) if not moved]
+        for i, image in zip(todo, level.images(0, [xs[i] for i in todo])):
+            moves[i] = image != 0
+    fixers = [x.text() for x, moved in zip(ball, moves[len(gammas) :]) if not moved]
     return {
         "window_gammas": [
-            {"gamma": x.text(), "moves_identity_thread": image != 0}
-            for x, image in zip(gammas, images)
+            {"gamma": x.text(), "moves_identity_thread": moved}
+            for x, moved in zip(gammas, moves)
         ],
         "ball_radius": ball_radius,
         "mover_count": len(ball) - len(fixers),
         "fixer_count": len(fixers),
         "fixers": fixers,
-        "ok": all(images[: len(gammas)]),
+        "ok": all(moves[: len(gammas)]),
     }

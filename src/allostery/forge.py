@@ -21,9 +21,8 @@ states fixed by the lamp generators all read off the datum directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Tuple
+from typing import Callable, NamedTuple, Sequence, Tuple
 
 from .base import CongruenceSubgroup, Vec, is_prime, is_zero, primes, minimal_exponent, sub
 from .errors import DatumInvariantError, ForgeError, TextParseError
@@ -66,9 +65,9 @@ def _separation_vectors(gamma: WreathElement) -> list[Vec]:
     return avoid
 
 
-@dataclass(frozen=True)
-class SubgroupDatum:
-    """Encoded finite-index subgroup attached to one nontrivial element."""
+class SubgroupDatum(NamedTuple):
+    """Encoded finite-index subgroup attached to one nontrivial element.
+    A changed datum comes from ``_replace``."""
 
     gamma: WreathElement
     p: int
@@ -245,8 +244,7 @@ def forge(gamma: WreathElement, p: int, epsilon: EpsilonLike, d: int, m: int) ->
     return datum
 
 
-@dataclass(frozen=True)
-class PrimeAssignment:
+class PrimeAssignment(NamedTuple):
     """Deterministic (gamma, prime, epsilon) triples with pairwise distinct primes."""
 
     triples: Tuple[Tuple[WreathElement, int, Fraction], ...]

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NoReturn, Tuple
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Tuple
 
 from .base import Vec, add, is_zero, neg, zero
 from .errors import BudgetExceededError, RankMismatchError, TextParseError
@@ -27,32 +26,36 @@ Word = Tuple[int, ...]
 DEFAULT_MAX_RADIUS = 8
 
 
-@dataclass(frozen=True)
-class Lamp:
+class Lamp(tuple):
     """Finitely supported map from positions in Z^m to nonzero vectors in Z^d.
 
-    `entries` is sorted by position and contains no zero values; construct
-    through :meth:`of` to get this normal form.  A direct ``Lamp(entries)``
-    checks it.  The group operations below keep it by construction, so they
-    build their results through :meth:`_trusted` without the check.
+    A lamp is the tuple of its (position, value) entries, sorted by position
+    with no zero values; construct through :meth:`of` to get this normal
+    form.  A direct ``Lamp(entries)`` checks it.  The group operations below
+    keep it by construction, so they build their results through
+    :meth:`_trusted` without the check.
     """
 
-    entries: Tuple[Tuple[Vec, Vec], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        positions = [pos for pos, _ in self.entries]
+    def __new__(cls, entries: Iterable[Tuple[Vec, Vec]] = ()) -> "Lamp":
+        entries = tuple(entries)
+        positions = [pos for pos, _ in entries]
         if positions != sorted(positions) or len(set(positions)) != len(positions):
             raise ValueError("lamp entries must be sorted by distinct positions")
-        for _, val in self.entries:
+        for _, val in entries:
             if is_zero(val):
                 raise ValueError("lamp values must be nonzero")
+        return tuple.__new__(cls, entries)
 
-    @classmethod
-    def _trusted(cls, entries: Tuple[Tuple[Vec, Vec], ...]) -> "Lamp":
-        """A lamp from entries already in normal form, unchecked."""
-        lamp = object.__new__(cls)
-        object.__setattr__(lamp, "entries", entries)
-        return lamp
+    # Lamp._trusted(entries): a lamp from entries already in normal form,
+    # unchecked.
+    _trusted = classmethod(tuple.__new__)
+
+    @property
+    def entries(self) -> Tuple[Tuple[Vec, Vec], ...]:
+        """The (position, value) pairs, in position order: the lamp itself."""
+        return self
 
     @classmethod
     def of(cls, items: Mapping[Vec, Vec] | Iterable[Tuple[Vec, Vec]]) -> "Lamp":
@@ -67,21 +70,21 @@ class Lamp:
 
     @property
     def support(self) -> Tuple[Vec, ...]:
-        return tuple(pos for pos, _ in self.entries)
+        return tuple(pos for pos, _ in self)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self
 
     def neg(self) -> "Lamp":
-        return Lamp._trusted(tuple((p, neg(v)) for p, v in self.entries))
+        return Lamp._trusted(tuple((p, neg(v)) for p, v in self))
 
     def shifted(self, by: Vec) -> "Lamp":
         """The translate: position lambda now holds the value formerly at
         lambda - by."""
-        return Lamp._trusted(_translated(self.entries, by))
+        return Lamp._trusted(_translated(self, by))
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    def __repr__(self) -> str:
+        return f"Lamp(entries={tuple(self)!r})"
 
 
 def _translated(entries: Tuple[Tuple[Vec, Vec], ...], by: Vec) -> Tuple[Tuple[Vec, Vec], ...]:
@@ -97,25 +100,32 @@ def _translated(entries: Tuple[Tuple[Vec, Vec], ...], by: Vec) -> Tuple[Tuple[Ve
     return tuple([(tuple(map(operator.add, p, by)), v) for p, v in entries])
 
 
-@dataclass(frozen=True)
-class WreathElement:
-    lamp: Lamp
-    shift: Vec
+class WreathElement(tuple):
+    """The element (lamp, shift) of Z^d wr Z^m, as that pair."""
+
+    __slots__ = ()
+
+    def __new__(cls, lamp: Lamp, shift: Vec) -> "WreathElement":
+        return tuple.__new__(cls, (lamp, shift))
+
+    lamp = property(operator.itemgetter(0))
+    shift = property(operator.itemgetter(1))
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
         """(f, a) * (g, b): g is translated by a (not at all when a is zero)
         and merged into f in one pass over a dict, dropping the sums that
         cancel."""
-        a, b = self.shift, other.shift
+        f, a = self
+        g, b = other
         if len(a) != len(b):
             raise RankMismatchError("cannot multiply elements with different shift ranks")
-        right = _translated(other.lamp.entries, a)
+        right = _translated(g, a)
         if not right:
-            lamp = self.lamp
-        elif not self.lamp.entries:
+            lamp = f
+        elif not f:
             lamp = Lamp._trusted(right)
         else:
-            acc = dict(self.lamp.entries)
+            acc = dict(f)
             for pos, val in right:
                 old = acc.get(pos)
                 if old is None:
@@ -126,7 +136,7 @@ class WreathElement:
                     acc[pos] = val
                 else:
                     del acc[pos]
-            lamp = Lamp._trusted(tuple(sorted(acc.items())))
+            lamp = Lamp._trusted(sorted(acc.items()))
         return WreathElement(lamp, tuple(map(operator.add, a, b)))
 
     def inverse(self) -> "WreathElement":
@@ -149,8 +159,9 @@ def format_vec(v: Vec) -> str:
 
 def format_element(x: WreathElement) -> str:
     """Canonical text form `{pos:vec,...};shift`, lamp entries sorted by position."""
-    lamp = ",".join([f"{format_vec(p)}:{format_vec(v)}" for p, v in x.lamp.entries])
-    return "{" + lamp + "};" + format_vec(x.shift)
+    lamp, shift = x
+    entries = ",".join([f"{format_vec(p)}:{format_vec(v)}" for p, v in lamp])
+    return "{" + entries + "};" + format_vec(shift)
 
 
 _NUMS = r"-?\d+(?:,-?\d+)*"
@@ -221,27 +232,32 @@ def parse_element(
     return x
 
 
-@dataclass(frozen=True)
-class BallEntry:
+class BallEntry(NamedTuple):
     element: WreathElement
     word: Word
 
 
-@dataclass(frozen=True)
-class WreathGroup:
-    """Ambient group Z^d wr Z^m together with its standard generating set.
+class WreathGroup(tuple):
+    """Ambient group Z^d wr Z^m together with its standard generating set:
+    the pair (d, m).
 
     Generators are ordered lamp-first: s_1, s_1^{-1}, ..., s_d, s_d^{-1},
     then t_1, t_1^{-1}, ..., t_m, t_m^{-1}.  Words are tuples of indices into
     this list and evaluate left to right.
     """
 
-    d: int
-    m: int
+    # No __slots__: the cached name index lives in the instance dict.
 
-    def __post_init__(self):
-        if self.d < 1 or self.m < 1:
+    def __new__(cls, d: int, m: int) -> "WreathGroup":
+        if d < 1 or m < 1:
             raise ValueError("ranks d and m must be >= 1")
+        return tuple.__new__(cls, (d, m))
+
+    d = property(operator.itemgetter(0))
+    m = property(operator.itemgetter(1))
+
+    def __repr__(self) -> str:
+        return f"WreathGroup(d={self.d}, m={self.m})"
 
     def identity(self) -> WreathElement:
         return WreathElement(Lamp(), zero(self.m))
@@ -313,7 +329,7 @@ class WreathGroup:
                 shift[axis - self.d] += sign
                 pos = tuple(shift)
         entries = sorted((p, tuple(v)) for p, v in lamps.items() if any(v))
-        return WreathElement(Lamp._trusted(tuple(entries)), pos)
+        return WreathElement(Lamp._trusted(entries), pos)
 
     def word_name(self, word: Word) -> str:
         if not word:

@@ -5,7 +5,8 @@ Each reference is the earlier, more direct algorithm: the per-state action
 on :class:`CosetState` objects, fixed states listed level by level, a
 breadth-first search over a set of window tuples, a transporter search
 that stops at its target, a castle tiling over window tuples, and an
-element parser that scans its text part by part.  The per-state action
+element parser that scans its text part by part, and a stabilizer witness
+that reads each element's image of the identity thread as one flat index.  The per-state action
 reads only an element's reduced shift and class sums, so it is independent
 of the digit arithmetic of ``images`` and ``prepare(x).apply``.
 
@@ -120,6 +121,26 @@ def window_act(window, x, state):
         level.state_index(act(level, x, level.state_at(i)))
         for level, i in zip(window.levels, state)
     )
+
+
+def flat_stabilizer_witness(window, ball_radius=1):
+    """The stabilizer witness from flat indices: an element moves the
+    identity thread, flat index 0, exactly when its window image is not 0."""
+    gammas = [dat.gamma for dat in window.data]
+    ball = [entry.element for entry in window.group.ball(ball_radius)]
+    images = window.images(window.identity_thread(), gammas + ball)
+    fixers = [x.text() for x, image in zip(ball, images[len(gammas) :]) if not image]
+    return {
+        "window_gammas": [
+            {"gamma": x.text(), "moves_identity_thread": image != 0}
+            for x, image in zip(gammas, images)
+        ],
+        "ball_radius": ball_radius,
+        "mover_count": len(ball) - len(fixers),
+        "fixer_count": len(fixers),
+        "fixers": fixers,
+        "ok": all(images[: len(gammas)]),
+    }
 
 
 def tiling_witness(castle, window):

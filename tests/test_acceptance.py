@@ -5,7 +5,6 @@ One test per numbered criterion, in order; each prints a single
 asserts, so a red run still shows every verdict.
 """
 
-import dataclasses
 import json
 import time
 from fractions import Fraction
@@ -160,7 +159,7 @@ def test_acceptance_8_negative_controls(announce, d32, w9, group11):
     control_a = (
         not is_transitive(doubled) and build_criterion([d32, twin])["verdict"] == "invalid"
     )
-    lowered = dataclasses.replace(d32, epsilon=Fraction(1, 8))
+    lowered = d32._replace(epsilon=Fraction(1, 8))
     invalid_cert = build_criterion([lowered])
     control_b = (
         invalid_cert["verdict"] == "invalid"

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -162,7 +161,7 @@ def test_verify_criterion_from_elements(group11):
 
 
 def test_criterion_invalid_epsilon(d32):
-    starved = dataclasses.replace(d32, epsilon=Fraction(1, 8))
+    starved = d32._replace(epsilon=Fraction(1, 8))
     cert = build_criterion([starved])
     assert cert["verdict"] == "invalid"
     assert not cert["records"][0]["fraction_ok"]
@@ -216,7 +215,7 @@ def test_criterion_check_rejects_tampering(cert288):
 
 
 def test_criterion_check_of_invalid_and_over_budget(d32, d9):
-    lowered = dataclasses.replace(d32, epsilon=Fraction(1, 8))
+    lowered = d32._replace(epsilon=Fraction(1, 8))
     invalid_rec = build_criterion([lowered])
     assert check_criterion_certificate(invalid_rec) is False
     rec = build_criterion([d32, d9])
@@ -733,7 +732,7 @@ def test_scheduled_report_bounds_the_limit(group11):
 
 
 def test_non_af_report_requires_validity(d32):
-    lowered = dataclasses.replace(d32, epsilon=Fraction(1, 8))
+    lowered = d32._replace(epsilon=Fraction(1, 8))
     with pytest.raises(CertificateError):
         non_af_report(build_criterion([lowered]))
 

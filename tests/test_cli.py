@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import os
 import subprocess
@@ -90,7 +89,7 @@ def test_verify_check_round_trip(capsys, tmp_path):
 
 
 def test_verify_check_invalid_certificate(capsys, tmp_path, d32):
-    lowered = dataclasses.replace(d32, epsilon=Fraction(1, 8))
+    lowered = d32._replace(epsilon=Fraction(1, 8))
     path = tmp_path / "invalid.json"
     path.write_text(json.dumps(build_criterion([lowered])))
     code, _, err = run(capsys, "verify", "--check", str(path))

@@ -9,6 +9,8 @@ from allostery import (
     Lamp,
     Window,
     WreathElement,
+    WreathGroup,
+    assign_primes,
     format_state,
     parse_state,
     stabilizer_witness,
@@ -27,6 +29,7 @@ from oracle import (
     act,
     check_inverse_system,
     fixed_states,
+    flat_stabilizer_witness,
     identity_state,
     iter_states,
     state_of,
@@ -275,6 +278,24 @@ def test_stabilizer_witness(w288, w32):
     assert wide["mover_count"] + len(wide["fixers"]) == 17
     assert set(wide["fixers"]) == {"{};(0)", "{(0):(-2)};(0)", "{(0):(2)};(0)"}
     assert wide["ok"] is True and wide["fixer_count"] == 3
+
+
+@pytest.mark.parametrize("d, m, radius", [(1, 1, 1), (1, 1, 2), (1, 1, 3), (2, 2, 1)])
+def test_stabilizer_witness_matches_flat_indices(d, m, radius):
+    """On the ball windows that ``verify`` certifies (schedule epsilon) the
+    level-by-level witness equals the one read from flat indices."""
+    ball = WreathGroup(d, m).ball(radius)
+    gammas = [entry.element for entry in ball if not entry.element.is_identity()]
+    window = Window(assign_primes(gammas, d=d).forge_all(d, m))
+    assert stabilizer_witness(window, radius) == flat_stabilizer_witness(window, radius)
+
+
+def test_stabilizer_witness_with_fixers_matches_flat_indices(w32, w288):
+    for window in (w32, w288):
+        for radius in (0, 1, 2, 3):
+            witness = stabilizer_witness(window, radius)
+            assert witness == flat_stabilizer_witness(window, radius)
+    assert stabilizer_witness(w288, 3)["fixer_count"] > 1
 
 
 def test_state_text(level32, w288):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -171,19 +170,19 @@ def test_validate_rejects_broken_data(d32):
         {"epsilon": Fraction(1, 100)},
     ]
     for fields in cases:
-        broken = dataclasses.replace(d32, **fields)
+        broken = d32._replace(**fields)
         with pytest.raises(DatumInvariantError):
             broken.validate()
 
 
 def test_validate_rejects_broken_gamma(d32, d9, group11):
-    bad_lamp = dataclasses.replace(d32, gamma=group11.parse_element("{(0):(2)};(0)"))
+    bad_lamp = d32._replace(gamma=group11.parse_element("{(0):(2)};(0)"))
     with pytest.raises(DatumInvariantError):
         bad_lamp.validate()
-    kernel_shift = dataclasses.replace(d9, gamma=group11.parse_element("{};(3)"))
+    kernel_shift = d9._replace(gamma=group11.parse_element("{};(3)"))
     with pytest.raises(DatumInvariantError):
         kernel_shift.validate()
-    trivial = dataclasses.replace(d32, gamma=group11.identity())
+    trivial = d32._replace(gamma=group11.identity())
     with pytest.raises(DatumInvariantError):
         trivial.validate()
 
