@@ -1,10 +1,13 @@
-"""The translation group Z^m and its congruence subgroups of prime-power index.
+"""The translation group Z^m, primes, and the exponents of its congruence
+subgroups.
 
 Elements are plain tuples of unbounded Python integers, so all arithmetic is
-exact.  A congruence subgroup (p^k Z)^m is described by its prime p and
-exponent k; it is automatically normal and has index p^{km}.  These subgroups
-are the separation devices used by the subgroup forge: any finite set of
-nonzero vectors survives reduction mod p^k once k is large enough.
+exact.  The congruence subgroup (p^k Z)^m is normal of index p^{km}; it is
+described by plain integers, its modulus p^k and the rank m, and a vector
+lies in it when every coordinate is divisible by p^k.  These subgroups are
+the separation devices used by the subgroup forge: any finite set of nonzero
+vectors survives reduction mod p^k once k is large enough, and
+:func:`minimal_exponent` finds the least such k.
 """
 
 from __future__ import annotations
@@ -74,64 +77,14 @@ def primes() -> Iterator[int]:
             yield n
 
 
-class CongruenceSubgroup(tuple):
-    """The subgroup (p^k Z)^m of Z^m, of index p^{km}: the tuple
-    (prime, exponent, rank)."""
-
-    __slots__ = ()
-
-    def __new__(cls, prime: int, exponent: int, rank: int) -> "CongruenceSubgroup":
-        if not is_prime(prime):
-            raise ValueError(f"{prime} is not prime")
-        if exponent < 1:
-            raise ValueError("exponent must be >= 1")
-        if rank < 1:
-            raise ValueError("rank must be >= 1")
-        return tuple.__new__(cls, (prime, exponent, rank))
-
-    prime = property(operator.itemgetter(0))
-    exponent = property(operator.itemgetter(1))
-    rank = property(operator.itemgetter(2))
-
-    def __repr__(self) -> str:
-        return f"CongruenceSubgroup(prime={self.prime}, exponent={self.exponent}, rank={self.rank})"
-
-    @property
-    def modulus(self) -> int:
-        return self.prime ** self.exponent
-
-    @property
-    def index(self) -> int:
-        return self.prime ** (self.exponent * self.rank)
-
-    def reduce(self, e: Vec) -> Vec:
-        """Canonical residue of e, coordinates in [0, p^k)."""
-        if len(e) != self.rank:
-            raise RankMismatchError(f"expected rank {self.rank}, got {len(e)}")
-        q = self.modulus
-        return tuple(x % q for x in e)
-
-    def contains(self, e: Vec) -> bool:
-        """True iff every coordinate of e is divisible by p^k."""
-        return is_zero(self.reduce(e))
-
-    def residues(self) -> Iterator[Vec]:
-        """All canonical residues in lexicographic order, one at a time.
-
-        An odometer over the digits, so the first residues come at once
-        however large p^k is; ``itertools.product`` would first store
-        ``range(p^k)`` as a tuple."""
-        q = self.modulus
-        digits = [0] * self.rank
-        while True:
-            yield tuple(digits)
-            pos = self.rank - 1
-            while pos >= 0 and digits[pos] == q - 1:
-                digits[pos] = 0
-                pos -= 1
-            if pos < 0:
-                return
-            digits[pos] += 1
+def residues(modulus: int, rank: int) -> Iterator[Vec]:
+    """All vectors of `rank` coordinates in [0, modulus), in lexicographic
+    order, one at a time: the numbers below modulus^rank spelled in radix
+    modulus, first coordinate most significant.  So the first residues come
+    at once however large the modulus is; ``itertools.product`` would first
+    store ``range(modulus)`` as a tuple."""
+    for n in range(modulus**rank):
+        yield tuple(n // modulus**i % modulus for i in reversed(range(rank)))
 
 
 def minimal_exponent(
@@ -145,7 +98,8 @@ def minimal_exponent(
 
     The avoided vectors must be nonzero: a nonzero vector falls outside
     (p^k Z)^rank as soon as p^k exceeds the largest power of p dividing all of
-    its coordinates, so the scan below terminates.
+    its coordinates, so the scan below terminates.  p must be prime and rank
+    at least 1 (ValueError otherwise).
     """
     avoid = [tuple(v) for v in avoid]
     for v in avoid:
@@ -153,11 +107,13 @@ def minimal_exponent(
             raise RankMismatchError(f"avoid vector {v} has rank {len(v)}, expected {rank}")
         if is_zero(v):
             raise ValueError("the zero vector cannot be separated from the kernel")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    q = 1
     for k in count(1):
-        sub = CongruenceSubgroup(p, k, rank)
-        if sub.index <= index_bound:
-            continue
-        if any(sub.contains(v) for v in avoid):
-            continue
-        return k
+        q *= p
+        if q**rank > index_bound and not any(all(c % q == 0 for c in v) for v in avoid):
+            return k
     raise AssertionError("unreachable")

@@ -227,9 +227,9 @@ def verify_criterion(
     to every element, or a callable on the position index.
     """
     if epsilon is None:
-        assignment = assign_primes(gammas, d=d)
+        assignment = assign_primes(gammas)
     else:
-        assignment = assign_primes(gammas, epsilons=epsilon, d=d)
+        assignment = assign_primes(gammas, epsilons=epsilon)
     data = assignment.forge_all(d=d, m=m)
     return build_criterion(data, witness_radius=witness_radius)
 
@@ -683,12 +683,17 @@ def audit_castle(
     }
 
 
-def malformed_castle_record(exc: MalformedCastleError) -> dict:
-    """The audit record of a castle that is not well formed: the error and
-    its witness state instead of the fixed-set bound."""
+def malformed_castle_record(
+    exc: MalformedCastleError, castle: Castle, gamma: WreathElement, window: Window
+) -> dict:
+    """The audit record of a castle that is not well formed: the audit's
+    inputs, then the error and its witness instead of the fixed-set bound."""
     return {
         "kind": "castle-audit",
         "v": SCHEMA_VERSION,
+        "window": [dat.to_dict() for dat in window.data],
+        "castle": castle.to_dict(window),
+        "gamma": gamma.text(),
         "well_formed": False,
         "error": str(exc),
         "witness": exc.witness,
@@ -697,7 +702,8 @@ def malformed_castle_record(exc: MalformedCastleError) -> dict:
 
 def check_castle_audit(rec: dict, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     """Re-run a serialized audit and require the record to serialize exactly
-    as the rerun."""
+    as the rerun, which for a castle that is not well formed is its
+    :func:`malformed_castle_record`; such a record checks as not ok."""
     _require_kind(rec, "castle-audit", "castle audit")
     try:
         window = window_from_records(rec["window"])
@@ -705,9 +711,12 @@ def check_castle_audit(rec: dict, budget: int = DEFAULT_STATE_BUDGET) -> bool:
         gamma = window.group.parse_element(rec["gamma"])
     except (KeyError, TypeError, TextParseError) as exc:
         raise CertificateError(f"malformed castle audit: {exc}") from None
-    fresh = audit_castle(castle, gamma, window, budget)
+    try:
+        fresh = audit_castle(castle, gamma, window, budget)
+    except MalformedCastleError as exc:
+        fresh = malformed_castle_record(exc, castle, gamma, window)
     _require_same(rec, fresh)
-    return fresh["ok"]
+    return fresh.get("ok", False)
 
 
 # --------------------------------------------------------------------------

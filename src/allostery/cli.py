@@ -213,7 +213,7 @@ def cmd_audit(args: argparse.Namespace, cfg: RunConfig) -> int:
     try:
         audit = audit_castle(castle, gamma, window, cfg.budget_states)
     except MalformedCastleError as exc:
-        _emit_json(malformed_castle_record(exc), cfg, "audit")
+        _emit_json(malformed_castle_record(exc, castle, gamma, window), cfg, "audit")
         _say(f"malformed castle: {exc}")
         return EXIT_FAILED
     _emit_json(audit, cfg, "audit")

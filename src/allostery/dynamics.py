@@ -22,11 +22,12 @@ Acting by x = (g, delta) is arithmetic on these digits.  Base block b goes to
 block b + delta.  If no class (b + delta) + c with c in E lies in the class
 support of g, the lamp offset is unchanged; otherwise g's class sum at
 (b + delta) + E[j] is added digit-wise to lamp digit group j.  A level
-therefore turns x into an index map block by block, with one lamp-offset
-permutation per distinct pattern of added sums, and counts fixed states off
-the same blocks.  The images of one state under many elements come from the
-same arithmetic on that state's own digits.  :class:`CosetState` is only the
-state text format.
+reads x once through :meth:`SubgroupDatum.reduce` (its shift residue and its
+nonzero class sums), turns that into an index map block by block, with one
+lamp-offset permutation per distinct pattern of added sums, and counts fixed
+states off the same blocks.  The images of one state under many elements
+come from the same arithmetic on that state's own digits.
+:class:`CosetState` is only the state text format.
 
 A window is a finite list of levels acted on diagonally; its states are
 tuples of per-level state indices, and its flat index spells such a tuple in
@@ -90,29 +91,6 @@ def parse_state(text: str, line: int | None = None) -> CosetState:
     return CosetState(base, tuple(sums))
 
 
-class _PreparedAction:
-    """The data of one element that the block arithmetic of one level needs:
-    the reduced shift and the nonzero lamp class sums."""
-
-    __slots__ = ("delta", "class_sums")
-
-    def __init__(self, level: "FiniteLevel", x: WreathElement):
-        self.delta = level.subgroup.reduce(x.shift)
-        M, p, m, d = level.modulus, level.p, level.m, level.d
-        sums: Dict[Vec, List[int]] = {}
-        for pos, val in x.lamp:
-            if len(pos) != m or len(val) != d:
-                raise RankMismatchError("element ranks do not match the level")
-            bucket = sums.setdefault(tuple(c % M for c in pos), [0] * d)
-            for i, c in enumerate(val):
-                bucket[i] += c
-        self.class_sums: Dict[Vec, Vec] = {}
-        for q, vals in sums.items():
-            reduced = tuple(c % p for c in vals)
-            if any(reduced):
-                self.class_sums[q] = reduced
-
-
 class FiniteLevel:
     """The action of the wreath product on the cosets of one forged subgroup."""
 
@@ -123,8 +101,7 @@ class FiniteLevel:
         self.m = datum.m
         self.E = datum.E
         self.l = datum.l
-        self.subgroup = datum.shift_subgroup
-        self.modulus = self.subgroup.modulus
+        self.modulus = datum.modulus
         self.size = datum.index()
         self.group = WreathGroup(datum.d, datum.m)
         self._lamp_digits = self.l * self.d
@@ -163,9 +140,6 @@ class FiniteLevel:
         d = self.d
         sums = tuple(tuple(lamp[j * d : (j + 1) * d]) for j in range(self.l))
         return CosetState(tuple(base), sums)
-
-    def prepare(self, x: WreathElement) -> _PreparedAction:
-        return _PreparedAction(self, x)
 
     def images(self, i: int, xs: Iterable[WreathElement]) -> List[int]:
         """The image of state index i under each element of xs, in order.
@@ -220,16 +194,16 @@ class FiniteLevel:
         index order, and the lamp-offset permutation of each block whose
         lamp offset changes.  Blocks sharing a pattern of added class sums
         share one permutation."""
-        prepared = self.prepare(x)
+        delta, class_sums = self.datum.reduce(x)
         M = self.modulus
         targets = [0]
-        for t in prepared.delta:
+        for t in delta:
             targets = [hi * M + (b + t) % M for hi in targets for b in range(M)]
         # Source block of each target block whose classes meet the support.
         patterns: Dict[int, list] = {}
-        for q, g in prepared.class_sums.items():
+        for q, g in class_sums.items():
             for j, c in enumerate(self.E):
-                residue = ((a - t - e) % M for a, t, e in zip(q, prepared.delta, c))
+                residue = ((a - t - e) % M for a, t, e in zip(q, delta, c))
                 source = self._index_of(residue, ())
                 patterns.setdefault(source, [None] * self.l)[j] = g
         perms: Dict[tuple, List[int]] = {}
@@ -288,10 +262,10 @@ class FiniteLevel:
         M = self.modulus
         moved = set()
         for x in xs:
-            prepared = self.prepare(x)
-            if any(prepared.delta):
+            delta, class_sums = self.datum.reduce(x)
+            if any(delta):
                 return 0
-            for q in prepared.class_sums:
+            for q in class_sums:
                 moved.update(tuple((a - e) % M for a, e in zip(q, c)) for c in self.E)
         return (M**self.m - len(moved)) * self._lamp_size
 

@@ -15,17 +15,23 @@ picks the smallest l and k satisfying the separation constraints:
   * E consists of the support classes padded with the smallest unused
     residues, in canonical order, so forging is reproducible.
 
-Membership, the index formula p^{km} * p^{ld}, and the closed-form fraction of
-states fixed by the lamp generators all read off the datum directly.
+The datum is the only description of its subgroup: the congruence part is
+the plain integers p^k (:attr:`SubgroupDatum.modulus`) and m.  An element is
+read modulo the subgroup in one place, :meth:`SubgroupDatum.reduce`, which
+gives its shift mod p^k and its nonzero lamp class sums mod p; membership
+and the coset action of :mod:`allostery.dynamics` read that.  The index
+formula p^{km} * p^{ld} and the closed-form fraction of states fixed by the
+lamp generators read off the datum directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence, Tuple
+from itertools import islice
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
-from .base import CongruenceSubgroup, Vec, is_prime, is_zero, primes, minimal_exponent, sub
-from .errors import DatumInvariantError, ForgeError, TextParseError
+from .base import Vec, is_prime, is_zero, minimal_exponent, primes, residues, sub
+from .errors import DatumInvariantError, ForgeError, RankMismatchError, TextParseError
 from .wreath import WreathElement, format_element, parse_element
 
 EpsilonLike = Fraction | int | str
@@ -46,7 +52,7 @@ def as_epsilon(value: EpsilonLike) -> Fraction:
     return eps
 
 
-def prime_admissible(gamma: WreathElement, p: int, d: int) -> bool:
+def prime_admissible(gamma: WreathElement, p: int) -> bool:
     """p is admissible unless some lamp value of gamma is divisible by p in
     every coordinate."""
     for _, val in gamma.lamp.entries:
@@ -79,13 +85,14 @@ class SubgroupDatum(NamedTuple):
     m: int
 
     @property
-    def shift_subgroup(self) -> CongruenceSubgroup:
-        return CongruenceSubgroup(self.p, self.k, self.m)
+    def modulus(self) -> int:
+        """p^k: the shift part of the subgroup is (p^k Z)^m."""
+        return self.p**self.k
 
     @property
     def shift_index(self) -> int:
         """Index of the congruence subgroup in Z^m: p^{km}."""
-        return self.p ** (self.k * self.m)
+        return self.modulus**self.m
 
     def index(self) -> int:
         """Total index: p^{km} from the shift part times p^{ld} from the lamps."""
@@ -95,25 +102,29 @@ class SubgroupDatum(NamedTuple):
         """Exact fraction of cosets fixed by every lamp generator: 1 - l/p^{km}."""
         return 1 - Fraction(self.l, self.shift_index)
 
-    def coset_sums(self, x: WreathElement) -> list[Vec]:
-        """For each class in E, the sum of x's lamp values over that class,
-        reduced mod p."""
-        sub_ = self.shift_subgroup
-        acc = {q: [0] * self.d for q in self.E}
-        for pos, val in x.lamp.entries:
-            q = sub_.reduce(pos)
-            if q in acc:
-                bucket = acc[q]
-                for i, c in enumerate(val):
-                    bucket[i] += c
-        return [tuple(c % self.p for c in acc[q]) for q in self.E]
+    def reduce(self, x: WreathElement) -> Tuple[Vec, Dict[Vec, Vec]]:
+        """x read modulo the subgroup: its shift mod p^k, and for each class
+        of lamp positions mod p^k the sum of x's lamp values over it mod p,
+        for the classes where that sum is nonzero.  Raises
+        RankMismatchError when x's ranks are not the datum's."""
+        M, p, d = self.modulus, self.p, self.d
+        if len(x.shift) != self.m:
+            raise RankMismatchError(f"expected rank {self.m}, got {len(x.shift)}")
+        sums: Dict[Vec, List[int]] = {}
+        for pos, val in x.lamp:
+            if len(pos) != self.m or len(val) != d:
+                raise RankMismatchError("element ranks do not match the level")
+            bucket = sums.setdefault(tuple(c % M for c in pos), [0] * d)
+            for i, c in enumerate(val):
+                bucket[i] += c
+        reduced = {q: tuple(c % p for c in vals) for q, vals in sums.items()}
+        return tuple(c % M for c in x.shift), {q: s for q, s in reduced.items() if any(s)}
 
     def contains(self, x: WreathElement) -> bool:
         """Membership test: shift in the congruence kernel and every E-class
         lamp sum divisible by p."""
-        if not self.shift_subgroup.contains(x.shift):
-            return False
-        return all(is_zero(s) for s in self.coset_sums(x))
+        delta, class_sums = self.reduce(x)
+        return is_zero(delta) and class_sums.keys().isdisjoint(self.E)
 
     def validate(self, tolerance: bool = True) -> None:
         """Check every structural invariant; raise DatumInvariantError on the
@@ -138,8 +149,9 @@ class SubgroupDatum(NamedTuple):
             raise DatumInvariantError("gamma must be nontrivial")
         if len(self.gamma.shift) != self.m:
             raise DatumInvariantError("shift rank differs from m")
-        sub_ = self.shift_subgroup
         supp = self.gamma.lamp.support
+        if any(len(pos) != self.m for pos in supp):
+            raise DatumInvariantError("lamp position rank differs from m")
         if self.l <= len(supp):
             raise DatumInvariantError(f"l={self.l} must exceed |supp|={len(supp)}")
         avoid = _separation_vectors(self.gamma)
@@ -154,15 +166,16 @@ class SubgroupDatum(NamedTuple):
             )
         if len(self.E) != self.l or len(set(self.E)) != self.l:
             raise DatumInvariantError("E must hold exactly l distinct residues")
+        M = self.modulus
         for q in self.E:
-            if sub_.reduce(q) != q:
+            if len(q) != self.m or not all(0 <= c < M for c in q):
                 raise DatumInvariantError(f"E entry {q} is not a canonical residue")
-        classes = [sub_.reduce(pos) for pos in supp]
+        classes = [tuple(c % M for c in pos) for pos in supp]
         if len(set(classes)) != len(classes):
             raise DatumInvariantError("two support positions share a residue class")
         if not set(classes) <= set(self.E):
             raise DatumInvariantError("some support class is missing from E")
-        if not is_zero(self.gamma.shift) and sub_.contains(self.gamma.shift):
+        if not is_zero(self.gamma.shift) and all(c % M == 0 for c in self.gamma.shift):
             raise DatumInvariantError("nontrivial shift of gamma lies in the kernel")
         for _, val in self.gamma.lamp.entries:
             if len(val) != self.d:
@@ -222,23 +235,18 @@ def forge(gamma: WreathElement, p: int, epsilon: EpsilonLike, d: int, m: int) ->
         raise ForgeError("cannot forge a subgroup for the identity")
     if not is_prime(p):
         raise ForgeError(f"{p} is not prime")
-    if not prime_admissible(gamma, p, d):
+    if not prime_admissible(gamma, p):
         raise ForgeError(f"prime {p} divides a lamp value of {format_element(gamma)}")
 
     supp = gamma.lamp.support
     l = len(supp) + 1
     k = minimal_exponent(p, m, _separation_vectors(gamma), Fraction(l, eps))
 
-    shift_sub = CongruenceSubgroup(p, k, m)
-    classes = {shift_sub.reduce(pos) for pos in supp}
-    E = sorted(classes)
-    for q in shift_sub.residues():
-        if len(E) == l:
-            break
-        if q not in classes:
-            E.append(q)
+    M = p**k
+    classes = {tuple(c % M for c in pos) for pos in supp}
+    padding = islice((q for q in residues(M, m) if q not in classes), l - len(classes))
     datum = SubgroupDatum(
-        gamma=gamma, p=p, k=k, l=l, E=tuple(sorted(E)), epsilon=eps, d=d, m=m
+        gamma=gamma, p=p, k=k, l=l, E=tuple(sorted([*classes, *padding])), epsilon=eps, d=d, m=m
     )
     datum.validate()
     return datum
@@ -256,7 +264,6 @@ class PrimeAssignment(NamedTuple):
 def assign_primes(
     gammas: Sequence[WreathElement],
     epsilons: Callable[[int], Fraction] | EpsilonLike = default_epsilon,
-    d: int = 1,
 ) -> PrimeAssignment:
     """Assign to each gamma, in order, the smallest unused admissible prime.
 
@@ -277,7 +284,7 @@ def assign_primes(
     triples = []
     for i, g in enumerate(gammas):
         k = 0
-        while k == len(unused) or not prime_admissible(g, unused[k], d):
+        while k == len(unused) or not prime_admissible(g, unused[k]):
             if k == len(unused):
                 unused.append(next(stream))
             else:

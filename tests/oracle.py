@@ -8,7 +8,7 @@ that stops at its target, a castle tiling over window tuples, and an
 element parser that scans its text part by part, and a stabilizer witness
 that reads each element's image of the identity thread as one flat index.  The per-state action
 reads only an element's reduced shift and class sums, so it is independent
-of the digit arithmetic of ``images`` and ``prepare(x).apply``.
+of the digit arithmetic of ``images`` and ``index_map``.
 
 The inverse-system checks verify that projections between nested windows
 commute with the generators, are onto, push the uniform measure forward,
@@ -26,20 +26,22 @@ from allostery.dynamics import DEFAULT_STATE_BUDGET
 from allostery.errors import BudgetExceededError, TextParseError, WindowError
 
 
-def apply_state(level, prepared, s):
-    """A level's prepared action applied to one coset state: delta is added
-    to the base residue, and the class sum at (base + delta) + E[j] to sum j."""
+def apply_state(level, reduced, s):
+    """An element, read by ``SubgroupDatum.reduce`` as (delta, class sums),
+    applied to one coset state: delta is added to the base residue, and the
+    class sum at (base + delta) + E[j] to sum j."""
     modulus, p = level.modulus, level.p
-    base = tuple((b + t) % modulus for b, t in zip(s.base, prepared.delta))
+    delta, class_sums = reduced
+    base = tuple((b + t) % modulus for b, t in zip(s.base, delta))
     new_sums = []
     for c, old in zip(level.E, s.sums):
-        g = prepared.class_sums.get(tuple((b + e) % modulus for b, e in zip(base, c)))
+        g = class_sums.get(tuple((b + e) % modulus for b, e in zip(base, c)))
         new_sums.append(old if g is None else tuple((o + gi) % p for o, gi in zip(old, g)))
     return CosetState(base, tuple(new_sums))
 
 
 def act(level, x, s):
-    return apply_state(level, level.prepare(x), s)
+    return apply_state(level, level.datum.reduce(x), s)
 
 
 def identity_state(level):

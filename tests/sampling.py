@@ -59,9 +59,8 @@ def random_member(
 ) -> WreathElement:
     """A random element of the forged subgroup: kernel shift plus a lamp
     whose tracked class sums are corrected to vanish mod p."""
-    sub = datum.shift_subgroup
-    p = datum.p
-    shift = tuple(sub.modulus * rng.randint(-2, 2) for _ in range(datum.m))
+    M, p = datum.modulus, datum.p
+    shift = tuple(M * rng.randint(-2, 2) for _ in range(datum.m))
     entries: Dict[Vec, List[int]] = {}
     for _ in range(rng.randint(0, max_entries)):
         pos = random_vec(rng, datum.m, pos_span)
@@ -71,7 +70,7 @@ def random_member(
     for q in datum.E:
         total = [0] * datum.d
         for pos, val in entries.items():
-            if sub.reduce(pos) == q:
+            if tuple(c % M for c in pos) == q:
                 for i, c in enumerate(val):
                     total[i] += c
         residual = [c % p for c in total]
@@ -97,7 +96,7 @@ def check_member_closure(rng: random.Random, datum: SubgroupDatum) -> bool:
         datum.contains(b.inverse()),
     ]
     lamp_only = WreathElement(a.lamp, zero(datum.m))
-    delta = tuple(datum.shift_subgroup.modulus * rng.randint(-2, 2) for _ in range(datum.m))
+    delta = tuple(datum.modulus * rng.randint(-2, 2) for _ in range(datum.m))
     translated = WreathElement(lamp_only.lamp.shifted(delta), zero(datum.m))
     checks.append(datum.contains(lamp_only))
     checks.append(datum.contains(translated))
@@ -149,7 +148,7 @@ def _fiber_castle(rng: random.Random, window: Window, budget: int) -> Castle:
         level.size // dat.shift_index for level, dat in zip(window.levels, window.data)
     ]
     base0 = list(product(*(range(fs) for fs in fiber_sizes)))
-    modulus = lcm(*(dat.shift_subgroup.modulus for dat in window.data))
+    modulus = lcm(*(dat.modulus for dat in window.data))
     empty = Lamp.of({})
     shifts = [
         WreathElement(empty, vec) for vec in product(range(modulus), repeat=window.m)

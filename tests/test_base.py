@@ -1,12 +1,16 @@
+"""Vectors of Z^m, primes, residues and exponents (``allostery.base``), and
+reading elements modulo a congruence subgroup (``SubgroupDatum.reduce``)."""
+
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from allostery import CongruenceSubgroup, is_prime, minimal_exponent, primes
-from allostery.base import add, neg, sub, zero
-from allostery.errors import RankMismatchError
+from allostery import Lamp, SubgroupDatum, WreathElement, is_prime, minimal_exponent, primes
+from allostery import base
+from allostery.base import add, neg, residues, sub, zero
+from allostery.errors import DatumInvariantError, RankMismatchError
 
 
 def vecs(rank, lo=-20, hi=20):
@@ -56,52 +60,61 @@ def test_is_prime_past_trial_division():
         is_prime(2**127 - 1)
 
 
+def shift(v):
+    return WreathElement(Lamp(), tuple(v))
+
+
+def datum(p, k, m):
+    """A datum used only to read elements modulo (p^k Z)^m; not validated."""
+    return SubgroupDatum(shift(zero(m)), p, k, 1, (zero(m),), Fraction(1, 2), 1, m)
+
+
+def residue(p, k, v):
+    """The shift residue of v mod p^k."""
+    return datum(p, k, len(v)).reduce(shift(v))[0]
+
+
 def test_reduce_examples():
-    sub8 = CongruenceSubgroup(2, 3, 1)
-    assert sub8.reduce((5,)) == (5,)
-    assert sub8.reduce((8,)) == (0,)
-    sub3 = CongruenceSubgroup(3, 1, 1)
-    assert sub3.reduce((-1,)) == (2,)
+    assert residue(2, 3, (5,)) == (5,)
+    assert residue(2, 3, (8,)) == (0,)
+    assert residue(3, 1, (-1,)) == (2,)
 
 
 def test_kernel_examples():
-    assert CongruenceSubgroup(2, 3, 1).contains((8,))
-    assert not CongruenceSubgroup(2, 2, 1).contains((6,))
-    assert CongruenceSubgroup(3, 2, 2).contains((0, 9))
+    assert datum(2, 3, 1).contains(shift((8,)))
+    assert not datum(2, 2, 1).contains(shift((6,)))
+    assert datum(3, 2, 2).contains(shift((0, 9)))
 
 
 def test_modulus_and_index():
-    subgroup = CongruenceSubgroup(2, 3, 2)
-    assert subgroup.modulus == 8
-    assert subgroup.index == 64
-    assert len(list(subgroup.residues())) == 64
+    dat = datum(2, 3, 2)
+    assert dat.modulus == 8
+    assert dat.shift_index == 64
+    assert len(list(residues(8, 2))) == 64
 
 
 def test_residues_sorted_lex():
-    sub = CongruenceSubgroup(2, 1, 2)
-    assert list(sub.residues()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert list(residues(2, 2)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     for p, k, rank in [(2, 1, 1), (3, 2, 1), (2, 2, 2), (5, 1, 3), (3, 1, 2)]:
         q = p**k
-        assert list(CongruenceSubgroup(p, k, rank).residues()) == list(
-            product(range(q), repeat=rank)
-        )
+        assert list(residues(q, rank)) == list(product(range(q), repeat=rank))
 
 
 def test_residues_are_lazy():
-    residues = CongruenceSubgroup(2, 60, 1).residues()
-    assert next(residues) == (0,)
-    assert next(residues) == (1,)
-    wide = CongruenceSubgroup(3, 40, 2).residues()
+    lazy = residues(2**60, 1)
+    assert next(lazy) == (0,)
+    assert next(lazy) == (1,)
+    wide = residues(3**40, 2)
     assert [next(wide) for _ in range(3)] == [(0, 0), (0, 1), (0, 2)]
 
 
-def test_bad_subgroup_parameters():
-    with pytest.raises(ValueError):
-        CongruenceSubgroup(4, 1, 1)
-    with pytest.raises(ValueError):
-        CongruenceSubgroup(2, 0, 1)
-    with pytest.raises(ValueError):
-        CongruenceSubgroup(2, 1, 0)
+def test_bad_subgroup_parameters(d32):
+    with pytest.raises(ValueError, match="4 is not prime"):
+        minimal_exponent(4, 1, [], 1)
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        minimal_exponent(2, 0, [], 1)
+    with pytest.raises(DatumInvariantError, match="k must be >= 1"):
+        d32._replace(k=0).validate()
 
 
 def test_minimal_exponent_examples():
@@ -120,31 +133,68 @@ def test_minimal_exponent_rejects_identity():
         minimal_exponent(2, 1, [(0,)], 1)
 
 
+def separates(p, rank, k, avoid, bound):
+    """The definition: (p^k Z)^rank has index p^(k*rank) above bound and
+    contains no vector of avoid."""
+    q = p**k
+    return q**rank > bound and not any(all(c % q == 0 for c in v) for v in avoid)
+
+
 @given(
     st.integers(1, 6),
     st.lists(vecs(1, -40, 40).filter(lambda v: v != (0,)), max_size=3),
 )
 def test_minimal_exponent_minimality(bound, avoid):
     k = minimal_exponent(2, 1, avoid, bound)
-
-    def satisfies(kk):
-        sub = CongruenceSubgroup(2, kk, 1)
-        return sub.index > bound and not any(sub.contains(v) for v in avoid)
-
-    assert satisfies(k)
+    assert separates(2, 1, k, avoid, bound)
     if k > 1:
-        assert not satisfies(k - 1)
+        assert not separates(2, 1, k - 1, avoid, bound)
+
+
+@given(st.data())
+def test_minimal_exponent_matches_definition(data):
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    rank = data.draw(st.sampled_from([1, 2]), label="rank")
+    bound = data.draw(
+        st.one_of(st.integers(0, 3000), st.fractions(0, 3000, max_denominator=64)), label="bound"
+    )
+    avoid = data.draw(st.lists(vecs(rank, -300, 300).filter(any), max_size=3), label="avoid")
+    k = minimal_exponent(p, rank, avoid, bound)
+    assert separates(p, rank, k, avoid, bound)
+    assert not any(separates(p, rank, kk, avoid, bound) for kk in range(1, k))
+
+
+def test_minimal_exponent_tests_its_prime_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(base, "is_prime", counting)
+    assert minimal_exponent(2, 2, [(1024, 0), (0, 3)], 10**6) == 11
+    assert calls == [2]
+    calls.clear()
+    with pytest.raises(ValueError, match="9 is not prime"):
+        minimal_exponent(9, 1, [(1,)], 10**6)
+    assert calls == [9]
 
 
 @given(vecs(2), vecs(2), st.sampled_from([2, 3, 5]), st.integers(1, 3))
 def test_reduce_is_a_homomorphism(a, b, p, k):
-    sub = CongruenceSubgroup(p, k, 2)
-    assert sub.reduce(add(a, b)) == sub.reduce(add(sub.reduce(a), sub.reduce(b)))
+    assert residue(p, k, add(a, b)) == residue(p, k, add(residue(p, k, a), residue(p, k, b)))
+    # On lamps alone (shift 0) the class sums add.
+    x = WreathElement(Lamp.of({a: (1,)}), zero(2))
+    y = WreathElement(Lamp.of({b: (2,)}), zero(2))
+    (_, sx), (_, sy), (_, sxy) = map(datum(p, k, 2).reduce, (x, y, x * y))
+    total = {q: ((sx.get(q, (0,))[0] + sy.get(q, (0,))[0]) % p,) for q in {**sx, **sy}}
+    assert sxy == {q: s for q, s in total.items() if any(s)}
 
 
 @given(vecs(2), st.sampled_from([2, 3, 5]), st.integers(1, 3))
 def test_kernel_iff_zero_residue(v, p, k):
-    subgroup = CongruenceSubgroup(p, k, 2)
-    assert subgroup.contains(v) == (subgroup.reduce(v) == (0, 0))
-    assert subgroup.reduce(subgroup.reduce(v)) == subgroup.reduce(v)
-    assert subgroup.contains(sub(v, subgroup.reduce(v)))
+    dat = datum(p, k, 2)
+    delta = residue(p, k, v)
+    assert dat.contains(shift(v)) == (delta == (0, 0))
+    assert residue(p, k, delta) == delta
+    assert dat.contains(shift(sub(v, delta)))

@@ -782,7 +782,7 @@ def test_records_are_plain_unaliased_json(cert288, d32, d9, w288, group11):
         "report": non_af_report(cert288),
         "compare": comparison_certificate([(0, 0)], [(1, 1), (2, 2)], w288),
         "audit": audit_castle(make_transversal_castle(w288), s1, w288),
-        "malformed audit": malformed_castle_record(info.value),
+        "malformed audit": malformed_castle_record(info.value, overlapping, s1, w288),
     }
     for name, rec in records.items():
         assert json.loads(json.dumps(rec)) == rec, name

@@ -565,6 +565,31 @@ def test_audit_check_with_a_shapeless_tower(capsys, tmp_path, w9_file):
     _malformed_check(capsys, tmp_path, "audit", rec)
 
 
+def test_audit_check_of_a_malformed_castle(capsys, tmp_path, w9_file):
+    """The record of a castle that is not well formed names the audit's
+    inputs, so its check reruns the audit: the record checks as failed (exit
+    1), and a tampered witness or a malformed claim for a well-formed castle
+    is rejected (exit 2)."""
+    castle_path = tmp_path / "overlap.txt"
+    castle_path.write_text("V= (0)|((0)) ; S= e\nV= (0)|((0)) ; S= e\n")
+    args = ("audit", str(castle_path), "--window", w9_file, "--gamma", "{};(1)")
+    code, out, _ = run(capsys, *args)
+    assert code == 1
+    rec = json.loads(out)
+    inputs = ["kind", "v", "window", "castle", "gamma"]
+    assert list(rec) == inputs + ["well_formed", "error", "witness"]
+    audit_path = tmp_path / "audit.json"
+    audit_path.write_text(out)
+    assert run(capsys, "audit", "--check", str(audit_path)) == (1, "", "castle audit: failed\n")
+    tampered = copy.deepcopy(rec)
+    tampered["witness"]["second"]["tower"] = 0
+    _malformed_check(capsys, tmp_path, "audit", tampered)
+    well_formed = _audit_record(capsys, tmp_path, w9_file)
+    claim = {key: well_formed[key] for key in inputs}
+    claim.update({key: rec[key] for key in ("well_formed", "error", "witness")})
+    _malformed_check(capsys, tmp_path, "audit", claim)
+
+
 def test_check_with_a_huge_exponent(capsys, tmp_path, w9_file, d32, d9):
     """A recorded k far past the forge's exponent is rejected before any
     power of p is taken, which for k = 10**30 would never finish."""

@@ -286,7 +286,7 @@ def test_stabilizer_witness_matches_flat_indices(d, m, radius):
     level-by-level witness equals the one read from flat indices."""
     ball = WreathGroup(d, m).ball(radius)
     gammas = [entry.element for entry in ball if not entry.element.is_identity()]
-    window = Window(assign_primes(gammas, d=d).forge_all(d, m))
+    window = Window(assign_primes(gammas).forge_all(d, m))
     assert stabilizer_witness(window, radius) == flat_stabilizer_witness(window, radius)
 
 
@@ -336,6 +336,10 @@ def test_state_parse_errors(level32, w288):
 def test_rank_mismatch(w288, x):
     with pytest.raises(RankMismatchError):
         w288.prepare(x)
+    level = w288.levels[0]
+    for read in (level.datum.reduce, level.index_map, lambda x: level.fixed_count([x])):
+        with pytest.raises(RankMismatchError):
+            read(x)
 
 
 def test_budgets(level32, w288, w32, group11):

@@ -83,18 +83,22 @@ def test_membership_examples(d32, d9, group11):
     assert d9.contains(group11.parse_element("{};(3)"))
 
 
-def test_coset_sums(d32, group11):
-    sums = d32.coset_sums(group11.parse_element("{(0):(3),(1):(1)};(0)"))
-    assert sums == [(1,), (1,)]
-    assert d32.coset_sums(group11.identity()) == [(0,), (0,)]
+def test_reduce_class_sums(d32, group11):
+    """The shift mod p^k = 8, and lamp sums mod p = 2 over the classes mod 8,
+    kept only where nonzero: the class of 1 sums to 2 and drops out."""
+    x = group11.parse_element("{(0):(3),(1):(1),(9):(1),(2):(2),(-3):(1)};(13)")
+    assert d32.reduce(x) == ((5,), {(0,): (1,), (5,): (1,)})
+    y = group11.parse_element("{(0):(3),(1):(1)};(0)")
+    assert d32.reduce(y) == ((0,), {(0,): (1,), (1,): (1,)})
+    assert d32.reduce(group11.identity()) == ((0,), {})
 
 
 def test_prime_admissible(group11):
     gamma = group11.parse_element("{(0):(6)};(0)")
-    assert not prime_admissible(gamma, 2, 1)
-    assert not prime_admissible(gamma, 3, 1)
-    assert prime_admissible(gamma, 5, 1)
-    assert prime_admissible(group11.parse_element("{};(1)"), 2, 1)
+    assert not prime_admissible(gamma, 2)
+    assert not prime_admissible(gamma, 3)
+    assert prime_admissible(gamma, 5)
+    assert prime_admissible(group11.parse_element("{};(1)"), 2)
 
 
 def test_assign_primes_basic(group11):
@@ -122,7 +126,7 @@ def test_assign_primes_takes_skipped_primes_later(group11):
     pool = [entry.element for entry in group11.ball(3)[1:]]
     used, expected = set(), []
     for g in pool:
-        p = next(q for q in primes() if q not in used and prime_admissible(g, q, 1))
+        p = next(q for q in primes() if q not in used and prime_admissible(g, q))
         used.add(p)
         expected.append(p)
     assert [p for _, p, _ in assign_primes(pool).triples] == expected
@@ -223,7 +227,7 @@ def test_member_closure_samples(d32, d9):
 def test_forged_invariants_hold(items, shift, p):
     gamma = WreathElement(Lamp.of(items), shift)
     assume(not gamma.is_identity())
-    assume(prime_admissible(gamma, p, 1))
+    assume(prime_admissible(gamma, p))
     datum = forge(gamma, p, HALF, 1, 1)
     datum.validate()
     assert datum.l == len(gamma.lamp.support) + 1

@@ -36,7 +36,7 @@ def small_levels():
         for m in (1, 2):
             group = WreathGroup(d, m)
             gammas = [e.element for e in group.ball(1) if not e.element.is_identity()]
-            data = assign_primes(gammas, epsilons=Fraction(1, 2), d=d).forge_all(d, m)
+            data = assign_primes(gammas, epsilons=Fraction(1, 2)).forge_all(d, m)
             levels += [FiniteLevel(dat) for dat in data if dat.index() <= MAX_ORACLE_STATES]
     return levels
 
@@ -45,13 +45,13 @@ LEVELS = small_levels()
 
 
 def oracle_index_map(level, x):
-    prepared = level.prepare(x)
-    return [level.state_index(apply_state(level, prepared, s)) for s in iter_states(level)]
+    reduced = level.datum.reduce(x)
+    return [level.state_index(apply_state(level, reduced, s)) for s in iter_states(level)]
 
 
 def oracle_fixed_indices(level, x):
-    prepared = level.prepare(x)
-    return [i for i, s in enumerate(iter_states(level)) if apply_state(level, prepared, s) == s]
+    reduced = level.datum.reduce(x)
+    return [i for i, s in enumerate(iter_states(level)) if apply_state(level, reduced, s) == s]
 
 
 def oracle_orbit(level, start, gen_indices):
@@ -105,9 +105,9 @@ def test_index_map_matches_per_state_action(level, letters):
 def test_apply_index_matches_per_state_action(data):
     for level in LEVELS:
         x = data.draw(spread_elements(level.d, level.m))
-        prepared = level.prepare(x)
+        reduced = level.datum.reduce(x)
         for i in range(level.size):
-            image = apply_state(level, prepared, level.state_at(i))
+            image = apply_state(level, reduced, level.state_at(i))
             assert level.images(i, [x]) == [level.state_index(image)]
 
 

@@ -7,6 +7,8 @@ exported name must be used by the package or by the benchmark under
 ``bench/``, and a public method of a package class must be reached by name,
 as an attribute or a string, from the package or the benchmark.
 ``__init__`` only re-exports, so its imports count for none of these.
+Every parameter of a package function other than ``self`` and ``cls`` is
+read in its body.
 """
 
 import ast
@@ -100,3 +102,27 @@ def test_every_public_method_is_reached():
     reached = set().union(*map(_reached_names, trees + list(BENCH.values())))
     methods = set().union(*map(_public_methods, MODULES.values()))
     assert sorted(f"{cls}.{name}" for cls, name in methods if name not in reached) == []
+
+
+def _unread_parameters(tree):
+    """(function, parameter) for each parameter of a ``def`` that its body
+    never reads by name."""
+    out = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a]
+            read = {
+                node.id
+                for stmt in fn.body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            out.update((fn.name, a) for a in params if a not in read | {"self", "cls"})
+    return out
+
+
+def test_every_parameter_is_read():
+    unread = set().union(*map(_unread_parameters, MODULES.values()))
+    assert sorted(f"{fn}.{arg}" for fn, arg in unread) == []

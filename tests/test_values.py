@@ -11,13 +11,13 @@ import pytest
 
 from allostery import (
     Castle,
-    CongruenceSubgroup,
     CosetState,
     Lamp,
     SubgroupDatum,
     Tower,
     WreathElement,
     WreathGroup,
+    minimal_exponent,
 )
 from allostery.wreath import BallEntry
 
@@ -52,16 +52,12 @@ def test_lamp_checks_its_entries():
 
 def test_bad_primes_and_ranks_are_rejected():
     with pytest.raises(ValueError, match="4 is not prime"):
-        CongruenceSubgroup(4, 1, 1)
-    with pytest.raises(ValueError, match="exponent must be >= 1"):
-        CongruenceSubgroup(prime=2, exponent=0, rank=1)
+        minimal_exponent(4, 1, [], 1)
     with pytest.raises(ValueError, match="rank must be >= 1"):
-        CongruenceSubgroup(2, 1, 0)
+        minimal_exponent(p=2, rank=0, avoid=[], index_bound=1)
     for d, m in ((0, 1), (1, 0), (-1, -1)):
         with pytest.raises(ValueError, match="ranks d and m must be >= 1"):
             WreathGroup(d, m)
-    sub = CongruenceSubgroup(prime=3, exponent=2, rank=2)
-    assert (sub.prime, sub.exponent, sub.rank, sub.modulus, sub.index) == (3, 2, 2, 9, 81)
     group = WreathGroup(d=2, m=1)
     assert (group.d, group.m) == (2, 1)
 
@@ -77,8 +73,6 @@ def test_fields_cannot_be_assigned(group11, d32):
         (x.lamp, "other"),
         (group11, "d"),
         (group11, "m"),
-        (CongruenceSubgroup(2, 1, 1), "prime"),
-        (CongruenceSubgroup(2, 1, 1), "other"),
         (d32, "p"),
         (d32, "epsilon"),
         (BallEntry(x, (0,)), "word"),
@@ -114,7 +108,7 @@ def test_datum_keywords_and_replace_round_trip(d32):
     assert lowered._replace(epsilon=d32.epsilon) == d32
     assert hash(lowered._replace(epsilon=d32.epsilon)) == hash(d32)
     assert SubgroupDatum.from_dict(d32.to_dict()) == d32
-    assert d32.index() == 32 and d32.shift_subgroup == CongruenceSubgroup(2, 3, 1)
+    assert d32.index() == 32 and (d32.modulus, d32.shift_index) == (8, 8)
 
 
 def test_castle_replace_keeps_towers(w32):
