@@ -117,8 +117,9 @@ def _level_structure_defect(level: FiniteLevel) -> Optional[str]:
     return None
 
 
-def _transitivity(status: str, method: str, orbit_size: Optional[int], detail: str) -> dict:
-    return {"status": status, "method": method, "orbit_size": orbit_size, "detail": detail}
+def _transitivity(orbit_size: Optional[int], detail: str) -> dict:
+    status = "fail" if orbit_size is None else "pass"
+    return dict(status=status, method="level-structure", orbit_size=orbit_size, detail=detail)
 
 
 def certify_transitive(window: Window) -> dict:
@@ -130,25 +131,31 @@ def certify_transitive(window: Window) -> dict:
     equivariantly onto each level, so each level size divides the orbit size;
     with pairwise distinct primes the level sizes are coprime prime powers,
     their product (the window size) divides the orbit size, and the orbit is
-    everything.  With repeated primes that argument does not apply and the
-    record's ``status`` is ``skipped`` (method ``none``), not pass or fail.
+    everything.  Two levels that share a prime p are never transitive
+    together: b -> b mod p maps each of them equivariantly onto (Z/p)^m, so
+    the difference of their base blocks mod p is invariant.  The levels are
+    examined in order, each for its own defect and then for an earlier prime.
     """
+    first: Dict[int, int] = {}  # the first level of each prime
     for pos, level in enumerate(window.levels):
         defect = _level_structure_defect(level)
         if defect is not None:
-            return _transitivity("fail", "level-structure", None, f"level {pos}: {defect}")
-    if window.primes_distinct():
-        return _transitivity(
-            "pass",
-            "level-structure",
-            window.size,
-            "on every level each element acts as (b, v) -> (b + delta, v + sigma(b + delta)); "
-            "on state 0, t_j gives base e_j with zero lamp digits and t^E[j] s_i t^-E[j] gives "
-            "lamp digit (j, i) alone, so the lamp elements translate block 0 through all of "
-            "(Z/p)^(ld) and the shifts carry it onto every block; the pairwise-coprime level "
-            "sizes all divide the thread-orbit size",
-        )
-    return _transitivity("skipped", "none", None, "the primes repeat")
+            return _transitivity(None, f"level {pos}: {defect}")
+        p, i = level.p, first.setdefault(level.p, pos)
+        if i != pos:
+            return _transitivity(
+                None,
+                f"levels {i} and {pos} share the prime {p}: b -> b mod {p} maps both "
+                f"equivariantly onto (Z/{p})^m, so their base difference mod {p} is invariant",
+            )
+    return _transitivity(
+        window.size,
+        "on every level each element acts as (b, v) -> (b + delta, v + sigma(b + delta)); "
+        "on state 0, t_j gives base e_j with zero lamp digits and t^E[j] s_i t^-E[j] gives "
+        "lamp digit (j, i) alone, so the lamp elements translate block 0 through all of "
+        "(Z/p)^(ld) and the shifts carry it onto every block; the pairwise-coprime level "
+        "sizes all divide the thread-orbit size",
+    )
 
 
 # --------------------------------------------------------------------------
@@ -183,7 +190,6 @@ def build_criterion(data: Sequence[SubgroupDatum], witness_radius: int = 1) -> d
     ``verdict`` is ``valid`` or ``invalid``."""
     window = Window(data)
     records = [_gamma_record(dat, level) for dat, level in zip(window.data, window.levels)]
-    primes_distinct = window.primes_distinct()
     product_bound = prod((1 - dat.epsilon for dat in window.data), start=Fraction(1))
     window_fraction = window.s_fixed_fraction()
     window_fraction_ok = window_fraction >= product_bound
@@ -191,12 +197,10 @@ def build_criterion(data: Sequence[SubgroupDatum], witness_radius: int = 1) -> d
     witness = stabilizer_witness(window, ball_radius=witness_radius)
     failed = (
         not all(map(record_ok, records))
-        or not primes_distinct
         or not window_fraction_ok
         or transitivity["status"] == "fail"
         or not witness["ok"]
     )
-    # Transitivity is skipped only when the primes repeat, which fails already.
     return {
         "kind": "criterion",
         "v": SCHEMA_VERSION,
@@ -204,7 +208,7 @@ def build_criterion(data: Sequence[SubgroupDatum], witness_radius: int = 1) -> d
         "m": window.m,
         "window": [dat.to_dict() for dat in window.data],
         "records": records,
-        "primes_distinct": primes_distinct,
+        "primes_distinct": window.primes_distinct(),
         "product_lower_bound": frac_str(product_bound),
         "window_s_fixed_fraction": frac_str(window_fraction),
         "window_fraction_ok": window_fraction_ok,
@@ -391,47 +395,38 @@ def comparison_certificate(
     """Decompose A into atoms and move them disjointly into B.
 
     Requires a transitive window and |A| < |B| (the uniform-measure
-    comparison hypothesis).  One flat table per generator serves a BFS from
-    index 0 for transitivity and the atoms of the translate algebra of
-    {A, B} (see :func:`boolean_atoms`).  The i-th atom inside A is sent to
-    the i-th atom inside B, both in order of least state.  The atoms form a
-    block system, so each generator permutes atom indices, transitively; a
-    BFS over atom indices finds a shortest transporter word from each piece
-    to its target, first discovery winning.  Only the pieces' states are
-    turned back into tuples.  The only budget is the window size.
+    comparison hypothesis).  One flat table per generator serves one BFS
+    from index 0, which decides transitivity, and the atoms of the translate
+    algebra of {A, B} (see :func:`boolean_atoms`).  The i-th atom inside A
+    goes to the i-th atom inside B, both in order of least state.  The atoms
+    form a block system, so a word that carries one state of piece P to one
+    state of target T carries all of P onto T.  Every word is read off the
+    one BFS tree: the word of min(T), then the inverse of the word of min(P)
+    (generators 2i and 2i+1 are inverse to each other).  So the words are
+    not shortest.  The only budget is the window size.
     """
     a = frozenset(a_set)
     b = frozenset(b_set)
     if len(a) >= len(b):
-        raise MeasureConditionError(
-            f"need |A| < |B|, got |A|={len(a)} and |B|={len(b)}"
-        )
+        raise MeasureConditionError(f"need |A| < |B|, got |A|={len(a)} and |B|={len(b)}")
     if window.size > budget:
         raise BudgetExceededError(window.size, budget)
     steps = list(enumerate(map(window.flat_table, range(len(window.group.generators())))))
-    if _bfs(steps, 0, window.size).size != window.size:
+    tree = _bfs(steps, 0, window.size)
+    if tree.size != window.size:
         raise CertificateError("comparison requires a transitive window")
     a_idx = {window.flat_index(s) for s in a}
     b_idx = {window.flat_index(s) for s in b}
     atoms = boolean_atoms([a_idx, b_idx], [perm for _, perm in steps])
-    pieces = [i for i, atom in enumerate(atoms) if atom <= a_idx]
-    targets_pool = [i for i, atom in enumerate(atoms) if atom <= b_idx]
-    piece_states = [frozenset(map(window.state_at, atoms[i])) for i in pieces]
+    pieces = [atom for atom in atoms if atom <= a_idx]
+    targets = [atom for atom in atoms if atom <= b_idx]
+    piece_states = [frozenset(map(window.state_at, piece)) for piece in pieces]
     if frozenset().union(*piece_states) != a:
         raise CertificateError("atoms failed to refine A")
-    if len(pieces) > len(targets_pool):
+    if len(pieces) > len(targets):
         raise CertificateError("fewer atoms inside B than inside A")
-    targets = targets_pool[: len(pieces)]
-
-    # The atoms form a block system, so each generator permutes atom
-    # indices; one representative state per atom gives that permutation.
-    atom_of = [0] * window.size
-    for i, atom in enumerate(atoms):
-        for x in atom:
-            atom_of[x] = i
-    reps = [min(atom) for atom in atoms]
-    moves = [(g, [atom_of[perm[rep]] for rep in reps]) for g, perm in steps]
-    words = [_bfs(moves, piece, len(atoms)).word(target) for piece, target in zip(pieces, targets)]
+    to_root = [tuple(g ^ 1 for g in reversed(tree.word(min(piece)))) for piece in pieces]
+    words = [tree.word(min(target)) + back for target, back in zip(targets, to_root)]
     cert = _comparison_record(window, a, b, piece_states, words)
     if not check_comparison_certificate(cert):
         raise CertificateError("freshly produced comparison certificate failed to verify")

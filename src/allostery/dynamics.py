@@ -504,24 +504,24 @@ def stabilizer_witness(window: Window, ball_radius: int = 1) -> dict:
     thread (then ``ok`` holds), and every ball element is classified as a
     mover or a fixer of it.  The thread is state 0 on every level, so an
     element moves it exactly when some level's image of 0 is not 0; each
-    element is asked of the levels in order until one moves it."""
+    level is asked only about the elements that every earlier level fixed."""
     gammas = [dat.gamma for dat in window.data]
     ball = [entry.element for entry in window.group.ball(ball_radius)]
     xs = gammas + ball
-    moves = [False] * len(xs)
+    todo = range(len(xs))  # positions in xs of the elements that fix the thread so far
     for level in window.levels:
-        todo = [i for i, moved in enumerate(moves) if not moved]
-        for i, image in zip(todo, level.images(0, [xs[i] for i in todo])):
-            moves[i] = image != 0
-    fixers = [x.text() for x, moved in zip(ball, moves[len(gammas) :]) if not moved]
+        images = level.images(0, [xs[i] for i in todo])
+        todo = [i for i, image in zip(todo, images) if not image]
+    fixed = set(todo)
+    fixers = [x.text() for i, x in enumerate(ball, len(gammas)) if i in fixed]
     return {
         "window_gammas": [
-            {"gamma": x.text(), "moves_identity_thread": moved}
-            for x, moved in zip(gammas, moves)
+            {"gamma": x.text(), "moves_identity_thread": i not in fixed}
+            for i, x in enumerate(gammas)
         ],
         "ball_radius": ball_radius,
         "mover_count": len(ball) - len(fixers),
         "fixer_count": len(fixers),
         "fixers": fixers,
-        "ok": all(moves[: len(gammas)]),
+        "ok": fixed.isdisjoint(range(len(gammas))),
     }

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .base import Vec, is_prime, is_zero, minimal_exponent, primes, residues, sub
 from .errors import DatumInvariantError, ForgeError, RankMismatchError, TextParseError
@@ -137,9 +137,13 @@ class SubgroupDatum(NamedTuple):
         k may not exceed the forge's exponent at this epsilon, checked before
         any power of p is taken; a lower epsilon only raises that exponent,
         so data whose tolerance was lowered after forging still load."""
+        self._check(tolerance, k_max=None)
+
+    def _check(self, tolerance: bool, k_max: Optional[int]) -> None:
+        """:meth:`validate`, given the forge's k_max for a prime p (None: find both)."""
         if self.d < 1 or self.m < 1:
             raise DatumInvariantError("ranks d and m must be at least 1")
-        if not is_prime(self.p):
+        if k_max is None and not is_prime(self.p):
             raise DatumInvariantError(f"p={self.p} is not prime")
         if self.k < 1:
             raise DatumInvariantError("k must be >= 1")
@@ -154,8 +158,9 @@ class SubgroupDatum(NamedTuple):
             raise DatumInvariantError("lamp position rank differs from m")
         if self.l <= len(supp):
             raise DatumInvariantError(f"l={self.l} must exceed |supp|={len(supp)}")
-        avoid = _separation_vectors(self.gamma)
-        k_max = minimal_exponent(self.p, self.m, avoid, self.l / self.epsilon)
+        if k_max is None:
+            avoid = _separation_vectors(self.gamma)
+            k_max = minimal_exponent(self.p, self.m, avoid, self.l / self.epsilon)
         if self.k > k_max:
             raise DatumInvariantError(
                 f"k={self.k} exceeds {k_max}, the forge's exponent at epsilon {self.epsilon}"
@@ -228,7 +233,7 @@ def forge(gamma: WreathElement, p: int, epsilon: EpsilonLike, d: int, m: int) ->
 
     Raises ForgeError when gamma is trivial, p is inadmissible for its lamp
     values, or epsilon is out of range.  The result always passes
-    :meth:`SubgroupDatum.validate`.
+    :meth:`SubgroupDatum.validate`, which runs on it with the k found here.
     """
     eps = as_epsilon(epsilon)
     if gamma.is_identity():
@@ -248,7 +253,7 @@ def forge(gamma: WreathElement, p: int, epsilon: EpsilonLike, d: int, m: int) ->
     datum = SubgroupDatum(
         gamma=gamma, p=p, k=k, l=l, E=tuple(sorted([*classes, *padding])), epsilon=eps, d=d, m=m
     )
-    datum.validate()
+    datum._check(tolerance=True, k_max=k)
     return datum
 
 

@@ -3,8 +3,8 @@ and the inverse-system checks of the acceptance gate.
 
 Each reference is the earlier, more direct algorithm: the per-state action
 on :class:`CosetState` objects, fixed states listed level by level, a
-breadth-first search over a set of window tuples, a transporter search
-that stops at its target, a castle tiling over window tuples, and an
+breadth-first search over a set of window tuples, transporter words read
+off that search's tree, a castle tiling over window tuples, and an
 element parser that scans its text part by part, and a stabilizer witness
 that reads each element's image of the identity thread as one flat index.  The per-state action
 reads only an element's reduced shift and class sums, so it is independent
@@ -100,21 +100,19 @@ def tuple_orbit(window, start):
     return order, words
 
 
-def frontier_word(moves, piece, target):
-    """Frontier BFS over atom indices that stops once target is found;
-    moves[g] is the permutation of atom indices by generator g."""
-    found = {piece: ()}
-    frontier = [piece]
-    while target not in found and frontier:
-        nxt = []
-        for cur in frontier:
-            for g, move in enumerate(moves):
-                img = move[cur]
-                if img not in found:
-                    found[img] = (g,) + found[cur]
-                    nxt.append(img)
-        frontier = nxt
-    return found[target]
+def tree_words(window, pieces, targets):
+    """The transporter word of each piece to its target, read off the tree
+    of :func:`tuple_orbit` from the identity thread: the word of the
+    target's least state, then the inverse of the word of the piece's least
+    state, each letter replaced by the generator whose element is its
+    inverse."""
+    gens = window.group.generators()
+    inverse = [gens.index(x.inverse()) for x in gens]
+    _, words = tuple_orbit(window, window.identity_thread())
+    return [
+        words[min(target)] + tuple(inverse[g] for g in reversed(words[min(piece)]))
+        for piece, target in zip(pieces, targets)
+    ]
 
 
 def window_act(window, x, state):

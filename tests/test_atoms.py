@@ -1,10 +1,12 @@
-"""Comparison atoms by partition refinement against the translate closure.
+"""Comparison atoms by partition refinement against the translate closure,
+and transporter words against a tree built without flat indices.
 
-The oracles are the earlier algorithms: atoms as the classes of states with
-equal membership in every translate that ``translate_closure`` lists, and
-transporter words from a breadth-first search over frozenset images of
-atoms or from a frontier search over atom indices that stops at its target.
-Set sizes are kept small per window so that the closure stays cheap.
+The atoms' oracle is the earlier algorithm: the classes of states with
+equal membership in every translate that ``translate_closure`` lists.  The
+words' oracle is ``oracle.tree_words``: the comparison reads every word off
+one breadth-first search tree from the identity thread, so its words are
+not shortest, and the oracle builds that tree over window tuples.  Set
+sizes are kept small per window so that the closure stays cheap.
 """
 
 import random
@@ -21,7 +23,7 @@ from allostery import (
     translate_closure,
 )
 
-from oracle import fixed_states, frontier_word, window_states
+from oracle import fixed_states, tree_words, window_states
 
 GAMMA = "{(0):(1)};(0)"
 
@@ -50,30 +52,6 @@ def oracle_atoms(window, sets):
     for s in window_states(window):
         blocks.setdefault(tuple(s in t for t in closure), []).append(s)
     return [frozenset(b) for b in blocks.values()]
-
-
-def oracle_words(window, pieces, targets):
-    gens = range(len(window.group.generators()))
-    tables = [window.tables(g) for g in gens]
-
-    def image(atom, g):
-        return frozenset(tuple(tab[i] for tab, i in zip(tables[g], s)) for s in atom)
-
-    words = []
-    for piece, target in zip(pieces, targets):
-        found = {piece: ()}
-        frontier = [piece]
-        while target not in found and frontier:
-            nxt = []
-            for cur in frontier:
-                for g in gens:
-                    img = image(cur, g)
-                    if img not in found:
-                        found[img] = (g,) + found[cur]
-                        nxt.append(img)
-            frontier = nxt
-        words.append(found[target])
-    return words
 
 
 def fixed_set_atoms(window):
@@ -122,14 +100,14 @@ def test_refined_atoms_match_closure_atoms(inputs):
 
 @settings(max_examples=80, deadline=None)
 @given(comparison_inputs())
-def test_quotient_words_match_frozenset_words(inputs):
+def test_pieces_and_words_match_tree_words(inputs):
     window, a, b = inputs
     cert = comparison_certificate(a, b, window)
     atoms = oracle_atoms(window, [a, b])
     pieces = [p for p in atoms if p <= a]
     targets = [p for p in atoms if p <= b][: len(pieces)]
     assert [frozenset(map(window.parse_state, p)) for p in cert["pieces"]] == pieces
-    assert cert["words"] == [list(w) for w in oracle_words(window, pieces, targets)]
+    assert cert["words"] == [list(w) for w in tree_words(window, pieces, targets)]
 
 
 def test_flat_table_matches_tuple_tables():
@@ -142,20 +120,16 @@ def test_flat_table_matches_tuple_tables():
         ]
 
 
-def test_transporter_words_match_frontier_search():
+def test_transporter_words_on_random_states_match_tree_words():
     w9, w32, _, w288 = small_windows()
     for window in (w9, w32, w288):
         rng = random.Random(window.size)
-        gens = window.group.generators()
         for _ in range(6):
             k = rng.randint(1, 4)
             states = rng.sample(window_states(window), 2 * k + 1)
             a, b = frozenset(states[:k]), frozenset(states[k:])
             cert = comparison_certificate(a, b, window)
             atoms = tuple_atoms(window, [a, b])
-            atom_of = {s: i for i, atom in enumerate(atoms) for s in atom}
-            moves = [[atom_of[window.prepare(x).apply(min(atom))] for atom in atoms] for x in gens]
-            pieces = [i for i, p in enumerate(atoms) if p <= a]
-            targets = [i for i, p in enumerate(atoms) if p <= b][: len(pieces)]
-            expected = [list(frontier_word(moves, p, t)) for p, t in zip(pieces, targets)]
-            assert cert["words"] == expected
+            pieces = [p for p in atoms if p <= a]
+            targets = [p for p in atoms if p <= b][: len(pieces)]
+            assert cert["words"] == [list(w) for w in tree_words(window, pieces, targets)]

@@ -81,12 +81,26 @@ def test_transitive_by_level_escalation(w288):
     assert result["orbit_size"] == 288
 
 
-@pytest.mark.parametrize("names", [("d9",), ("d32",), ("d32", "d9"), ("d32", "d9", "d25")])
+@pytest.mark.parametrize(
+    "names",
+    [
+        ("d9",),
+        ("d32",),
+        ("d32", "d9"),
+        ("d32", "d9", "d25"),
+        ("d32", "d32"),
+        ("d9", "d81"),
+        ("d81", "d32", "d9"),
+    ],
+)
 def test_level_structure_passes_exactly_on_transitive_windows(request, names):
+    """Windows with pairwise distinct primes pass; a repeated prime fails."""
     window = Window([request.getfixturevalue(name) for name in names])
     result = certify_transitive(window)
     assert (result["status"] == "pass") == is_transitive(window)
-    assert (result["method"], result["orbit_size"]) == ("level-structure", window.size)
+    assert result["status"] == ("pass" if window.primes_distinct() else "fail")
+    orbit_size = window.size if result["status"] == "pass" else None
+    assert (result["method"], result["orbit_size"]) == ("level-structure", orbit_size)
 
 
 def _apply_twice(images):
@@ -126,9 +140,15 @@ def test_transitivity_negative_cases(d32):
     doubled = Window([d32, d32])
     assert not is_transitive(doubled)
     result = certify_transitive(doubled)
-    assert (result["status"], result["method"], result["orbit_size"]) == ("skipped", "none", None)
-    assert result["detail"] == "the primes repeat"
-    assert build_criterion([d32, d32])["verdict"] == "invalid"
+    assert (result["status"], result["method"], result["orbit_size"]) == (
+        "fail",
+        "level-structure",
+        None,
+    )
+    assert result["detail"].startswith("levels 0 and 1 share the prime 2: ")
+    cert = build_criterion([d32, d32])
+    assert cert["transitivity"] == result
+    assert cert["verdict"] == "invalid"
 
 
 def test_criterion_certificate_valid(cert288):

@@ -1,3 +1,4 @@
+import importlib
 import json
 from fractions import Fraction
 
@@ -14,6 +15,8 @@ from allostery import (
     forge,
     primes,
 )
+from allostery import base
+from allostery.base import is_prime, minimal_exponent
 from allostery.errors import DatumInvariantError, ForgeError
 from allostery.forge import as_epsilon, prime_admissible
 
@@ -189,6 +192,33 @@ def test_validate_rejects_broken_gamma(d32, d9, group11):
     trivial = d32._replace(gamma=group11.identity())
     with pytest.raises(DatumInvariantError):
         trivial.validate()
+
+
+def test_forge_scans_k_once(group11, monkeypatch, d32):
+    """forge tests p and scans for k once each and hands k to the datum's
+    checks; validate on loaded data still does both, prime first."""
+    forge_module = importlib.import_module("allostery.forge")
+    scans, prime_tests = [], []
+
+    def counting_scan(*args):
+        scans.append(args)
+        return minimal_exponent(*args)
+
+    def counting_is_prime(n):
+        prime_tests.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(forge_module, "minimal_exponent", counting_scan)
+    monkeypatch.setattr(forge_module, "is_prime", counting_is_prime)
+    monkeypatch.setattr(base, "is_prime", counting_is_prime)
+    forge(group11.parse_element("{(0):(1),(2):(1)};(1)"), 3, HALF, 1, 1)
+    assert (len(scans), len(prime_tests)) == (1, 2)
+    scans.clear()
+    prime_tests.clear()
+    SubgroupDatum.from_dict(d32.to_dict())
+    assert (len(scans), len(prime_tests)) == (1, 2)
+    with pytest.raises(DatumInvariantError, match="p=4 is not prime"):
+        d32._replace(p=4, k=0).validate()
 
 
 def test_round_trip(d32, d9):

@@ -130,6 +130,33 @@ def test_stdout_matches_golden(name, paths):
     assert out == (GOLDEN / f"{name}.out").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_passes_its_own_check(name):
+    """Each golden is a valid certificate, not only the bytes of a past run:
+    its command's ``--check`` accepts it."""
+    command = CASES[name][0][0]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([command, "--check", str(GOLDEN / f"{name}.out")]) == 0
+
+
+def test_comparison_searches_once(paths, monkeypatch):
+    """The four-piece block comparison runs one BFS, over the whole window,
+    and reads every transporter word off its tree."""
+    from allostery import certificates
+
+    bfs, calls = certificates._bfs, []
+
+    def counting(*args):
+        calls.append(args[1:])
+        return bfs(*args)
+
+    monkeypatch.setattr(certificates, "_bfs", counting)
+    code, out = run_case("compare_w288_blocks", paths)
+    assert code == 0
+    assert len(json.loads(out)["pieces"]) == 4
+    assert calls == [(0, 288)]
+
+
 def test_castle_file_is_the_transversal_castle(w288):
     from conftest import make_transversal_castle
 
