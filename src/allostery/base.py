@@ -70,11 +70,20 @@ def is_prime(n: int) -> bool:
 
 
 def primes() -> Iterator[int]:
-    """All primes in increasing order."""
+    """All primes in increasing order, by an incremental sieve: `crossed`
+    maps the next odd multiple of each prime p found, from p^2 on, to 2p."""
     yield 2
+    crossed: dict[int, int] = {}
     for n in count(3, 2):
-        if is_prime(n):
+        step = crossed.pop(n, None)
+        if step is None:
+            crossed[n * n] = 2 * n
             yield n
+            continue
+        m = n + step
+        while m in crossed:
+            m += step
+        crossed[m] = step
 
 
 def residues(modulus: int, rank: int) -> Iterator[Vec]:

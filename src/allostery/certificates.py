@@ -41,7 +41,7 @@ from .errors import (
     TextParseError,
 )
 from .forge import SubgroupDatum, assign_primes, default_epsilon
-from .wreath import Lamp, Word, WreathElement
+from .wreath import Lamp, Word, WreathElement, format_element
 
 SCHEMA_VERSION = 1
 
@@ -58,6 +58,14 @@ def parse_frac(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CertificateError(f"bad rational {text!r}: {exc}") from None
+
+
+def parse_tolerance(text: str) -> Fraction:
+    """A castle's defect tolerance: a positive rational."""
+    eps = parse_frac(text)
+    if eps <= 0:
+        raise CertificateError(f"castle tolerance must be positive, got {text!r}")
+    return eps
 
 
 def window_from_records(records: Sequence[dict]) -> Window:
@@ -492,7 +500,7 @@ class Tower(tuple):
     @cached_property
     def shape_texts(self) -> Tuple[str, ...]:
         """The canonical text of each shape, in shape order."""
-        return tuple(x.text() for x in self.shapes)
+        return tuple(map(format_element, self.shapes))
 
 
 class Castle(NamedTuple):
@@ -521,7 +529,7 @@ class Castle(NamedTuple):
             for tw in rec["towers"]
         )
         eps = rec.get("epsilon")
-        return cls(towers=towers, epsilon=None if eps is None else parse_frac(eps))
+        return cls(towers=towers, epsilon=None if eps is None else parse_tolerance(eps))
 
 
 def parse_castle_file(text: str, window: Window) -> Castle:
@@ -536,6 +544,7 @@ def parse_castle_file(text: str, window: Window) -> Castle:
     """
     group = window.group
     lookup = group._name_index
+    word_re = group._word_re
     lines: List[Tuple[StateSet, List[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -553,7 +562,7 @@ def parse_castle_file(text: str, window: Window) -> Castle:
             raise TextParseError("tower needs at least one state and one word", lineno)
         base = frozenset(window.parse_state(tok, lineno) for tok in state_tokens)
         for tok in word_tokens:
-            if tok != "e" and not lookup.keys() >= set(tok.split(".")):
+            if not word_re.fullmatch(tok):
                 group.parse_word(tok, lineno)  # raises, naming the first unknown letter
         lines.append((base, word_tokens))
     if not lines:

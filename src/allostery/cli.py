@@ -28,7 +28,7 @@ from .certificates import (
     malformed_castle_record,
     non_af_report,
     parse_castle_file,
-    parse_frac,
+    parse_tolerance,
     record_ok,
     verify_criterion,
     window_from_records,
@@ -206,7 +206,7 @@ def cmd_audit(args: argparse.Namespace, cfg: RunConfig) -> int:
     with open(args.castle, "r", encoding="utf-8") as fh:
         castle = parse_castle_file(fh.read(), window)
     if args.tolerance:
-        castle = castle._replace(epsilon=parse_frac(args.tolerance))
+        castle = castle._replace(epsilon=parse_tolerance(args.tolerance))
     gamma = window.group.parse_element(args.gamma)
     if gamma.is_identity():
         raise TextParseError("audit needs a nontrivial element")
@@ -217,10 +217,11 @@ def cmd_audit(args: argparse.Namespace, cfg: RunConfig) -> int:
         _say(f"malformed castle: {exc}")
         return EXIT_FAILED
     _emit_json(audit, cfg, "audit")
-    _say(
-        f"audit: fix measure {audit['fix_measure']} <= bound "
-        f"{audit['bound']}: {'ok' if audit['inequality_ok'] else 'VIOLATED'}"
-    )
+    verdict = "ok" if audit["inequality_ok"] else "VIOLATED"
+    if audit["epsilon"] is not None:
+        within = "ok" if audit["defects_within_epsilon"] else "EXCEEDED"
+        verdict += f"; defects below tolerance {audit['epsilon']}: {within}"
+    _say(f"audit: fix measure {audit['fix_measure']} <= bound {audit['bound']}: {verdict}")
     return EXIT_OK if audit["ok"] else EXIT_FAILED
 
 

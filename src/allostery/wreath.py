@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 import re
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NamedTuple, NoReturn, Tuple
 
 from .base import Vec, add, is_zero, neg, zero
@@ -59,7 +59,7 @@ class Lamp(tuple):
 
     @classmethod
     def of(cls, items: Mapping[Vec, Vec] | Iterable[Tuple[Vec, Vec]]) -> "Lamp":
-        pairs = items.items() if isinstance(items, Mapping) else items
+        pairs = items.items() if hasattr(items, "items") else items
         acc: dict[Vec, Vec] = {}
         for pos, val in pairs:
             pos, val = tuple(pos), tuple(val)
@@ -112,9 +112,9 @@ class WreathElement(tuple):
     shift = property(operator.itemgetter(1))
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
-        """(f, a) * (g, b): g is translated by a (not at all when a is zero)
-        and merged into f in one pass over a dict, dropping the sums that
-        cancel."""
+        """(f, a) * (g, b): g is translated by a (not at all when a is zero),
+        and the shorter of f and that translate is merged into a dict copy
+        of the longer, dropping the sums that cancel."""
         f, a = self
         g, b = other
         if len(a) != len(b):
@@ -125,8 +125,9 @@ class WreathElement(tuple):
         elif not f:
             lamp = Lamp._trusted(right)
         else:
-            acc = dict(f)
-            for pos, val in right:
+            short, long = (f, right) if len(f) <= len(right) else (right, f)
+            acc = dict(long)
+            for pos, val in short:
                 old = acc.get(pos)
                 if old is None:
                     acc[pos] = val
@@ -137,7 +138,7 @@ class WreathElement(tuple):
                 else:
                     del acc[pos]
             lamp = Lamp._trusted(sorted(acc.items()))
-        return WreathElement(lamp, tuple(map(operator.add, a, b)))
+        return tuple.__new__(WreathElement, (lamp, tuple(map(operator.add, a, b))))
 
     def inverse(self) -> "WreathElement":
         sh = neg(self.shift)
@@ -153,8 +154,18 @@ class WreathElement(tuple):
         return f"WreathElement({format_element(self)!r})"
 
 
+# Shape text reuses few vectors many times (the 7,200-shape bench castle has
+# 121 distinct ones), so each vector's text and each vector body's tuple are
+# memoised.  A text is only ever made from its tuple, never taken from input,
+# so (01) and (-0) still print as (1) and (0).
+@lru_cache(maxsize=4096)
 def format_vec(v: Vec) -> str:
     return "(" + ",".join(map(str, v)) + ")"
+
+
+@lru_cache(maxsize=4096)
+def _vec(body: str) -> Vec:
+    return tuple(map(int, body.split(",")))
 
 
 def format_element(x: WreathElement) -> str:
@@ -174,7 +185,7 @@ def _parse_vec(text: str, pos: int, line: int | None = None) -> Tuple[Vec, int]:
     m = _VEC_RE.match(text, pos)
     if not m:
         raise TextParseError("expected a vector like (0) or (1,-2)", line, pos + 1)
-    return tuple(map(int, m.group(1).split(","))), m.end()
+    return _vec(m.group(1)), m.end()
 
 
 def _raise_syntax_error(s: str, line: int | None) -> NoReturn:
@@ -216,20 +227,20 @@ def parse_element(
     s = text.strip()
     if not _ELEMENT_RE.fullmatch(s):
         _raise_syntax_error(s, line)
-    vecs = [tuple(map(int, body.split(","))) for body in _VEC_RE.findall(s)]
+    vecs = list(map(_vec, _VEC_RE.findall(s)))
     shift = vecs.pop()
-    x = WreathElement(Lamp.of(zip(vecs[0::2], vecs[1::2])), shift)
+    lamp = Lamp.of(zip(vecs[0::2], vecs[1::2]))
     if m is not None and len(shift) != m:
         raise TextParseError(f"shift rank {len(shift)} != m={m}", line, 1)
     if d is not None:
-        for p, v in x.lamp.entries:
+        for p, v in lamp:
             if len(v) != d:
                 raise TextParseError(f"lamp value rank {len(v)} != d={d}", line, 1)
     if m is not None:
-        for p, _ in x.lamp.entries:
+        for p, _ in lamp:
             if len(p) != m:
                 raise TextParseError(f"lamp position rank {len(p)} != m={m}", line, 1)
-    return x
+    return tuple.__new__(WreathElement, (lamp, shift))
 
 
 class BallEntry(NamedTuple):
@@ -340,6 +351,13 @@ class WreathGroup(tuple):
     @cached_property
     def _name_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.generator_names())}
+
+    @cached_property
+    def _word_re(self) -> "re.Pattern[str]":
+        """The words :meth:`parse_word` accepts, longest names first."""
+        names = sorted(self.generator_names(), key=len, reverse=True)
+        name = "(?:" + "|".join(map(re.escape, names)) + ")"
+        return re.compile(rf"e|{name}(?:\.{name})*")
 
     def parse_word(self, text: str, line: int | None = None) -> Word:
         s = text.strip()

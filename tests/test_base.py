@@ -49,6 +49,14 @@ def test_is_prime_agrees_with_trial_division():
     assert [next(gen) for _ in expected] == expected
 
 
+def test_prime_sieve_matches_is_prime():
+    """The first 10,000 primes of the sieve are the numbers is_prime keeps."""
+    expected = [n for n in range(104_730) if is_prime(n)]
+    assert len(expected) == 10_000
+    gen = primes()
+    assert [next(gen) for _ in range(10_000)] == expected
+
+
 def test_is_prime_past_trial_division():
     # The least strong pseudoprimes to the prime bases up to 2, 7 and 31.
     assert not any(is_prime(n) for n in [2047, 3215031751, 3825123056546413051])

@@ -40,7 +40,7 @@ from allostery.errors import (
 
 from allostery.dynamics import DEFAULT_STATE_BUDGET
 
-from conftest import HALF, make_transversal_castle
+from conftest import HALF, fresh_rng, make_transversal_castle
 from oracle import fixed_states, is_transitive, tiling_witness
 
 
@@ -653,6 +653,47 @@ def test_castle_file_names_the_first_fault_in_file_order(w9, text, message, line
     with pytest.raises(TextParseError) as info:
         parse_castle_file(text, w9)
     assert (info.value.message, info.value.line) == (message, line)
+
+
+@pytest.mark.parametrize("word", ["t1..t1", ".t1", "t1.", "e.t1", "x1"])
+def test_castle_file_word_errors_are_those_of_parse_word(w9, word):
+    """A word the castle-file pattern rejects fails with the error that
+    parse_word gives it, at the word's line."""
+    with pytest.raises(TextParseError) as expected:
+        w9.group.parse_word(word, 2)
+    with pytest.raises(TextParseError) as info:
+        parse_castle_file(f"V= (0)|((0)) ; S= e t1\nV= (0)|((0)) ; S= s1 {word} T1", w9)
+    assert str(info.value) == str(expected.value)
+    assert (info.value.message, info.value.line) == (expected.value.message, 2)
+
+
+def test_seeded_w7200_castle_audits_as_its_word_elements(d32, d9, d25):
+    """The audit of a castle file of shuffled Schreier words on W7200, whose
+    shapes come from one product per word, equals the audit of the castle
+    whose shapes are the words evaluated letter by letter."""
+    window = Window([d32, d9, d25])
+    group = window.group
+    rng = fresh_rng(21)
+    orb = window.orbit(window.state_at(rng.randrange(window.size)))
+    words = [orb.words[s] for s in orb.order]
+    rng.shuffle(words)
+    towers = [words[i::4] for i in range(4)]
+    base = window.state_text(orb.start)
+    text = "".join(
+        f"V= {base} ; S= " + " ".join(map(group.word_name, tower)) + "\n" for tower in towers
+    )
+    parsed = parse_castle_file(text, window)
+    built = Castle(
+        towers=tuple(
+            Tower(base=frozenset({orb.start}), shapes=tuple(map(group.word_element, tower)))
+            for tower in towers
+        )
+    )
+    assert parsed == built
+    gamma = group.parse_element("{(0):(1)};(0)")
+    record = audit_castle(parsed, gamma, window)
+    assert record == audit_castle(built, gamma, window)
+    assert record["ok"] and check_castle_audit(record)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from allostery import build_criterion, non_af_report
+from allostery import build_criterion, non_af_report, parse_element
+from allostery import wreath
 from allostery.cli import main
 
 
@@ -321,6 +322,47 @@ def test_audit_tolerance(capsys, tmp_path, w9_file):
     assert json.loads(tight_out)["defects_within_epsilon"] is False
 
 
+def _audit_with_tolerance(capsys, tmp_path, w9_file, tolerance):
+    castle_path = tmp_path / "castle.txt"
+    castle_path.write_text(FULL_TOWER)
+    return run(
+        capsys, "audit", str(castle_path), "--window", w9_file,
+        "--gamma", "{(0):(1)};(0)", f"--tolerance={tolerance}",
+    )
+
+
+@pytest.mark.parametrize("tolerance", ["0", "-1", "0/3", "-1/2"])
+def test_audit_rejects_a_tolerance_that_is_not_positive(capsys, tmp_path, w9_file, tolerance):
+    code, out, err = _audit_with_tolerance(capsys, tmp_path, w9_file, tolerance)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "tolerance must be positive" in err
+
+
+@pytest.mark.parametrize("tolerance", ["0", "-1"])
+def test_audit_check_rejects_a_recorded_tolerance_that_is_not_positive(
+    capsys, tmp_path, w9_file, tolerance
+):
+    _, out, _ = _audit_with_tolerance(capsys, tmp_path, w9_file, "2")
+    rec = json.loads(out)
+    rec["castle"]["epsilon"] = rec["epsilon"] = tolerance
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(rec))
+    code, out, err = run(capsys, "audit", "--check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "tolerance must be positive" in err
+
+
+def test_audit_says_the_tolerance_verdict(capsys, tmp_path, w9_file):
+    """With a tolerance the stderr line states its verdict, so that exit 1
+    never follows a bare "ok"."""
+    code, _, err = _audit_with_tolerance(capsys, tmp_path, w9_file, "2")
+    assert code == 0
+    assert err == "audit: fix measure 2/3 <= bound 14/9: ok; defects below tolerance 2/1: ok\n"
+    code, _, err = _audit_with_tolerance(capsys, tmp_path, w9_file, "1/2")
+    assert code == 1
+    assert err.endswith("; defects below tolerance 1/2: EXCEEDED\n")
+
+
 def test_audit_overlap_reports_witness(capsys, tmp_path, w9_file):
     castle_path = tmp_path / "overlap.txt"
     castle_path.write_text("V= (0)|((0)) ; S= e\nV= (0)|((0)) ; S= e\n")
@@ -551,6 +593,43 @@ def _audit_record(capsys, tmp_path, w9_file):
         capsys, "audit", str(castle_path), "--window", w9_file, "--gamma", "{(0):(1)};(0)"
     )
     return json.loads(out)
+
+
+# A castle on W9 whose first shape has two lamp entries; each pair below is
+# a canonical shape text of it and another spelling of the same element.
+TWO_ENTRY_TOWER = FULL_TOWER.replace("S= e ", "S= s1.t1.t1.t1.S1.T1.T1.T1 ")
+RESPELLINGS = [
+    ("{(1):(1)};(1)", "{(01):(1)};(1)"),
+    ("{(1):(1)};(1)", "{(1):(01)};(1)"),
+    ("{(0):(1)};(0)", "{(-0):(1)};(0)"),
+    ("{};(1)", "{(0):(-0)};(1)"),
+    ("{(0):(1)};(0)", " {(0):(1)};(0)"),
+    ("{(0):(1),(3):(-1)};(0)", "{(3):(-1),(0):(1)};(0)"),
+    ("{(0):(1)};(0)", "{(0):(2),(0):(-1)};(0)"),
+    ("{(0):(1)};(0)", "{(0):(1),(1):(0)};(0)"),
+]
+
+
+@pytest.mark.parametrize("canonical, respelled", RESPELLINGS)
+def test_audit_check_rejects_a_shape_in_another_spelling(
+    capsys, tmp_path, w9_file, canonical, respelled
+):
+    """The rebuilt castle prints every shape canonically, so a record that
+    spells a shape another way is rejected, though it names the same
+    element."""
+    castle_path = tmp_path / "castle.txt"
+    castle_path.write_text(TWO_ENTRY_TOWER)
+    code, out, _ = run(
+        capsys, "audit", str(castle_path), "--window", w9_file, "--gamma", "{(0):(1)};(0)"
+    )
+    assert code == 0
+    rec = json.loads(out)
+    shapes = rec["castle"]["towers"][0]["S"]
+    assert parse_element(respelled) == parse_element(canonical)
+    shapes[shapes.index(canonical)] = respelled
+    wreath.format_vec.cache_clear()  # the check starts cold, as in a fresh process
+    wreath._vec.cache_clear()
+    _malformed_check(capsys, tmp_path, "audit", rec)
 
 
 def test_audit_check_with_a_float_in_e(capsys, tmp_path, w9_file):

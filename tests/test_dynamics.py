@@ -176,6 +176,32 @@ def test_window_orbit_matches_tuple_bfs(w288, d32):
     assert split.orbit((0, 0)).size < split.size
 
 
+class _Unscannable(list):
+    def index(self, *args):
+        raise AssertionError("the order was scanned")
+
+
+def test_orbit_word_reads_each_state_without_a_scan(w288, level32):
+    """word(s) equals words[s] for every state of a W288 orbit, on flat
+    indices, on index tuples and on a level, and never scans the order."""
+    steps = list(enumerate(map(w288.flat_table, range(len(w288.group.generators())))))
+    orbits = [_bfs(steps, 5, w288.size), w288.orbit(w288.state_at(5)), level32.orbit(3)]
+    for orb in orbits:
+        orb.order = _Unscannable(orb.order)
+        assert orb.size == len(orb.words)
+        assert all(orb.word(s) == orb.words[s] for s in orb.order)
+    tree = orbits[0]
+    for orb, outside in [
+        (_bfs(steps[:0], 7, w288.size), 0),
+        (_bfs(steps[:0], 7, w288.size), w288.size + 5),
+        (w288.orbit(w288.state_at(5)), (-1,) * len(w288.state_at(5))),
+        (_bfs(steps[:0], 7, w288.size), w288.state_at(7)),
+    ]:
+        with pytest.raises(ValueError, match="not in the orbit"):
+            orb.word(outside)
+    assert tree.word(tree.start) == ()
+
+
 def test_window_orbit_words(w288):
     orb = w288.orbit(w288.identity_thread())
     start = orb.start

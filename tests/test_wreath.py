@@ -1,8 +1,11 @@
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, strategies as st
 
 from allostery import Lamp, WreathElement, WreathGroup, format_element, parse_element
 from allostery.errors import BudgetExceededError, RankMismatchError, TextParseError
+from allostery import wreath
 from allostery.wreath import format_vec
 
 from oracle import scan_element
@@ -319,3 +322,66 @@ def test_parser_matches_the_scanner(ranks, data):
 )
 def test_parser_matches_the_scanner_on_examples(text):
     assert outcome(parse_element, text, 1, 1) == outcome(scan_element, text, 1, 1)
+
+
+@given(st.dictionaries(vecs(2), vecs(1, -3, 3).filter(any), max_size=5), st.data())
+def test_lamp_of_normalises_any_spelling(entries, data):
+    """The same lamp written sorted, unsorted, with a position split in two
+    and with zero values added comes out of Lamp.of as the canonical lamp."""
+    canonical = sorted(entries.items())
+    lamp = Lamp.of(canonical)
+    assert lamp == tuple(canonical)
+    messy = data.draw(st.permutations(canonical), label="order")
+    if messy:
+        pos, val = messy[0]
+        part = data.draw(vecs(1, -3, 3), label="part")
+        messy[0] = (pos, (val[0] - part[0],))
+        messy.append((pos, part))
+    zeros = data.draw(st.lists(vecs(2), max_size=2), label="zeros")
+    messy += [(pos, (0,)) for pos in zeros]
+    assert Lamp.of(messy) == lamp
+    assert Lamp.of(dict(entries)) == lamp
+
+
+def test_lamp_of_takes_lists_and_any_mapping():
+    """Positions and values given as lists become tuples, and a mapping that
+    is not a dict is read by its items, so each lamp hashes and equals the
+    tuple-built one."""
+    lamp = Lamp.of({(0,): (1,), (2,): (-1,)})
+    assert Lamp.of([([2], [-1]), ([0], [1])]) == lamp
+    assert Lamp.of(MappingProxyType({(2,): (-1,), (0,): (1,)})) == lamp
+    assert hash(Lamp.of([([0], [1]), ([2], [-1])])) == hash(lamp)
+
+
+@given(RANKS, st.data())
+def test_canonical_texts_print_as_parsed(ranks, data):
+    d, m = ranks
+    text = data.draw(wide_elements(d, m).map(format_element), label="text")
+    assert format_element(parse_element(text, d, m)) == text
+
+
+def test_vector_texts_come_from_the_formatter():
+    """Input spellings never become canonical: (01) and (-0) print as (1)
+    and (0), and the memos of vectors stay bounded."""
+    x = parse_element("{(01):(1),(2):(-0)};(-0)")
+    assert format_element(x) == "{(1):(1)};(0)"
+    for i in range(5000):
+        parse_element(f"{{}};({i})")
+    assert wreath.format_vec.cache_info().currsize <= 4096
+    assert wreath._vec.cache_info().currsize <= 4096
+    assert format_element(parse_element("{(-0):(01)};(00)")) == "{(0):(1)};(0)"
+
+
+WORD_PIECES = ["s1", "S1", "t1", "T1", "s2", "t2", "s10", "S10", "e", "x1", ".", "1", "s", ""]
+
+
+@pytest.mark.parametrize("ranks", [(1, 1), (2, 1), (10, 2)])
+@given(st.lists(st.sampled_from(WORD_PIECES), max_size=6).map("".join))
+def test_word_pattern_accepts_what_parse_word_accepts(ranks, text):
+    group = WreathGroup(*ranks)
+    try:
+        group.parse_word(text)
+        accepted = True
+    except TextParseError:
+        accepted = False
+    assert bool(group._word_re.fullmatch(text)) == accepted
