@@ -22,6 +22,7 @@ import operator
 from copy import deepcopy
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate, chain
 from math import prod
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -47,6 +48,7 @@ SCHEMA_VERSION = 1
 
 State = Tuple[int, ...]
 StateSet = FrozenSet[State]
+_first, _second = operator.itemgetter(0), operator.itemgetter(1)
 
 
 def frac_str(q: Fraction) -> str:
@@ -494,8 +496,8 @@ class Tower(tuple):
     def __new__(cls, base: StateSet, shapes: Tuple[WreathElement, ...]) -> "Tower":
         return tuple.__new__(cls, (base, shapes))
 
-    base = property(operator.itemgetter(0))
-    shapes = property(operator.itemgetter(1))
+    base = property(_first)
+    shapes = property(_second)
 
     @cached_property
     def shape_texts(self) -> Tuple[str, ...]:
@@ -591,78 +593,103 @@ def audit_castle(
 ) -> dict:
     """Check well-formedness, then the fixed-set bound.
 
-    Well-formed means: all translates (one per tower shape) are pairwise
-    disjoint and together cover the state space.  MalformedCastleError
-    carries a witness — the doubly covered or missed state.  For the test
-    set {inverse of gamma}, the measure of the set of gamma-fixed states is
-    at most the sum over towers of |KS △ S| times the base measure; the
-    audit recomputes both sides exactly.  The record's ``ok`` holds when the
-    inequality does and no defect reaches a given tolerance.
+    Well-formed means: every tower has base states and distinct shapes, and
+    all translates (one per tower shape) are pairwise disjoint and together
+    cover the state space.  MalformedCastleError carries a witness — the
+    doubly covered or missed state.  For the test set {inverse of gamma},
+    the measure of the set of gamma-fixed states is at most the sum over
+    towers of |KS △ S| times the base measure; the audit recomputes both
+    sides exactly.  The record's ``ok`` holds when the inequality does and
+    no defect reaches a given tolerance.
+
+    The defect reads off the tiling: |KS △ S| = 2 (|S| - kept), as |KS| = |S|,
+    where kept counts the shapes s with gamma^-1 s in S.  Lemma: for v in the
+    tower's base, gamma^-1 s is in S iff it equals the owner of gamma^-1 (s v),
+    the shape whose translate covers that state, and the owner is in the
+    tower.  Proof: if gamma^-1 s = s' is in S, the state is s' v, and
+    translates are disjoint.  So with v = min V, only an owner s' != s in the
+    tower needs a product; if s owns the state, gamma^-1 s is in S iff gamma = e.
     """
     if window.size > budget:
         raise BudgetExceededError(window.size, budget)
-    # owner[i] is the (tower, shape text) whose translate first covered flat
-    # index i.  Translates are visited shape by shape, and within a shape
-    # base state by base state, so the overlap witness names the first
-    # collision in that order.
-    owner: List[Optional[Tuple[int, str]]] = [None] * window.size
-    covered = 0
-    shape_sets: List[set] = []
-    for ti, tower in enumerate(castle.towers):
-        if not tower.shapes:
+    # owner[i] numbers the shape, counted through the castle, whose translate
+    # covers flat index i (-1: none yet).  Translates go shape by shape, then
+    # base state by base state, so the overlap witness is the first collision
+    # in that order.  heads[ti] lists s v for tower ti's shapes s and v = min V.
+    owner = [-1] * window.size
+    starts = list(accumulate((len(t.shapes) for t in castle.towers), initial=0))
+    heads: List[List[int]] = []
+    for ti, (tower, start) in enumerate(zip(castle.towers, starts)):
+        shapes = tower.shapes
+        if not shapes:
             raise MalformedCastleError("tower has no shapes", witness={"tower": ti})
-        distinct: set[WreathElement] = set()
-        for shape, text in zip(tower.shapes, tower.shape_texts):
-            if shape in distinct:
-                raise MalformedCastleError(
-                    "repeated shape element in one tower",
-                    witness={"tower": ti, "shape": text},
-                )
-            distinct.add(shape)
-            window.group.validate_element(shape)
-        shape_sets.append(distinct)
+        if not tower.base:
+            raise MalformedCastleError("tower has no base states", witness={"tower": ti})
+        entries = list(chain.from_iterable(map(_first, shapes)))  # (position, value)
+        ranks = (
+            set(map(len, map(_second, shapes))),
+            set(map(len, map(_first, entries))) | {window.m},
+            set(map(len, map(_second, entries))) | {window.d},
+        )
+        if len(set(shapes)) < len(shapes) or ranks != ({window.m}, {window.m}, {window.d}):
+            seen: set[WreathElement] = set()  # name the first offender
+            for shape, text in zip(shapes, tower.shape_texts):
+                if shape in seen:
+                    raise MalformedCastleError(
+                        "repeated shape element in one tower",
+                        witness={"tower": ti, "shape": text},
+                    )
+                seen.add(shape)
+                window.group.validate_element(shape)
+        heads.append([])
         base = sorted(tower.base)
         # Shapes go in chunks of at most window.size images, so a castle
         # with far too many translates fails without building them all.
-        step = max(1, window.size // max(1, len(base)))
-        for lo in range(0, len(tower.shapes), step):
-            rows = [window.images(v, tower.shapes[lo : lo + step]) for v in base]
-            for si, text in enumerate(tower.shape_texts[lo : lo + step]):
-                mark = (ti, text)
-                for row in rows:
-                    img = row[si]
+        step = max(1, window.size // len(base))
+        for lo in range(0, len(shapes), step):
+            rows = [window.images(v, shapes[lo : lo + step]) for v in base]
+            heads[ti] += rows[0]
+            for k, imgs in enumerate(zip(*rows), start + lo):
+                for img in imgs:
                     first = owner[img]
-                    if first is not None:
+                    if first >= 0:
+                        tj = sum(s <= first for s in starts) - 1  # the tower of shape `first`
+                        first_text = castle.towers[tj].shape_texts[first - starts[tj]]
                         raise MalformedCastleError(
                             "castle translates overlap",
                             witness={
                                 "state": window.state_text(window.state_at(img)),
-                                "first": {"tower": first[0], "shape": first[1]},
-                                "second": {"tower": ti, "shape": text},
+                                "first": {"tower": tj, "shape": first_text},
+                                "second": {"tower": ti, "shape": tower.shape_texts[k - start]},
                             },
                         )
-                    owner[img] = mark
-                covered += len(rows)
-    if covered != window.size:
-        missing = owner.index(None)
+                    owner[img] = k
+    if -1 in owner:
         raise MalformedCastleError(
             "castle translates do not cover the state space",
-            witness={"missing_state": window.state_text(window.state_at(missing))},
+            witness={"missing_state": window.state_text(window.state_at(owner.index(-1)))},
         )
     inv = gamma.inverse()
+    pre = window.index_map(inv)
+    trivial = inv.is_identity()
     towers: List[dict] = []
     defects: List[Fraction] = []
     bound = Fraction(0)
-    for tower, shape_set in zip(castle.towers, shape_sets):
-        shifted = {inv * s for s in tower.shapes}
-        count = len(shifted ^ shape_set)
-        defects.append(Fraction(count, len(shape_set)))
+    for tower, start, head in zip(castle.towers, starts, heads):
+        shapes = tower.shapes
+        kept = 0
+        for si, img in enumerate(head):
+            sj = owner[pre[img]] - start  # the owner of gamma^-1 (s v), if in this tower
+            if 0 <= sj < len(shapes) and (trivial if sj == si else inv * shapes[si] == shapes[sj]):
+                kept += 1
+        count = 2 * (len(shapes) - kept)
+        defects.append(Fraction(count, len(shapes)))
         base_measure = Fraction(len(tower.base), window.size)
         bound += count * base_measure
         towers.append(
             {
                 "base_size": len(tower.base),
-                "shape_size": len(shape_set),
+                "shape_size": len(shapes),
                 "defect_count": count,
                 "defect": frac_str(defects[-1]),
                 "base_measure": frac_str(base_measure),

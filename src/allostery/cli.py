@@ -10,6 +10,7 @@ config and seed — no timestamps anywhere.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -339,6 +340,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    was_enabled = gc.isenabled()
+    gc.disable()  # commands leave no cycles but argparse's few hundred (README, Layout)
     try:
         cfg = _config_from_args(args)
         return args.func(args, cfg)
@@ -348,6 +351,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (AllosteryError, OSError, TypeError, ValueError) as exc:
         _say(f"error: {exc}")
         return EXIT_MALFORMED
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

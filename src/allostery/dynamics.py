@@ -452,6 +452,14 @@ class Window:
             flat = [f * n + t for f, t in zip(flat, level.images(i, xs))]
         return flat
 
+    def index_map(self, x: WreathElement) -> array:
+        """The image of every flat index under x, as an array (see :meth:`flat_index`)."""
+        flat = array("l", [0])
+        for level in self.levels:
+            n, tab = level.size, level.index_map(x)
+            flat = array("l", (f * n + t for f in flat for t in tab))
+        return flat
+
     def tables(self, g: int) -> List[List[int]]:
         return [level.table(g) for level in self.levels]
 

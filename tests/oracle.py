@@ -4,11 +4,12 @@ and the inverse-system checks of the acceptance gate.
 Each reference is the earlier, more direct algorithm: the per-state action
 on :class:`CosetState` objects, fixed states listed level by level, a
 breadth-first search over a set of window tuples, transporter words read
-off that search's tree, a castle tiling over window tuples, and an
-element parser that scans its text part by part, and a stabilizer witness
-that reads each element's image of the identity thread as one flat index.  The per-state action
-reads only an element's reduced shift and class sums, so it is independent
-of the digit arithmetic of ``images`` and ``index_map``.
+off that search's tree, a castle tiling over window tuples, castle
+defects from the products of gamma^-1 with every shape, an element parser
+that scans its text part by part, and a stabilizer witness that reads each
+element's image of the identity thread as one flat index.  The per-state
+action reads only an element's reduced shift and class sums, so it is
+independent of the digit arithmetic of ``images`` and ``index_map``.
 
 The inverse-system checks verify that projections between nested windows
 commute with the generators, are onto, push the uniform measure forward,
@@ -160,6 +161,14 @@ def tiling_witness(castle, window):
                 seen[img] = mark
     missing = [s for s in window_states(window) if s not in seen]
     return {"missing_state": window.state_text(missing[0])} if missing else None
+
+
+def defect_counts(castle, gamma):
+    """|KS △ S| for K = {gamma^-1} and each tower's shape set S, from the
+    products gamma^-1 s themselves: the audit's count before it was read off
+    the tiling."""
+    inv = gamma.inverse()
+    return [len({inv * s for s in t.shapes} ^ set(t.shapes)) for t in castle.towers]
 
 
 _VEC_RE = re.compile(r"\((-?\d+(?:,-?\d+)*)\)")

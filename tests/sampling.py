@@ -2,9 +2,10 @@
 
 Everything takes an explicit ``random.Random`` so suites are reproducible;
 nothing here touches the global generator.  The castle generators produce
-well-formed castles by construction (transversal points of one orbit, or a
-base-residue fiber moved around by a change of basepoint), so audits of
-their output exercise the inequality rather than the malformedness path.
+well-formed castles by construction (transversal points of one orbit, a
+base-residue fiber moved around by a change of basepoint, or a last-level
+fiber cut into small bases), so audits of their output exercise the
+inequality rather than the malformedness path.
 """
 
 from __future__ import annotations
@@ -164,6 +165,38 @@ def _fiber_castle(rng: random.Random, window: Window, budget: int) -> Castle:
         for chunk in _split_chunks(rng, shapes, 3)
     )
     return Castle(towers=towers)
+
+
+def random_chunked_castle(rng: random.Random, window: Window) -> Castle:
+    """A random castle that tiles: the fiber F over a random state r of the
+    last level is cut into chunks of one to three states, in one to three
+    random ways, and each word of the last level's Schreier transversal from
+    r is given one of those cuts.  A word w carries F onto the fiber over
+    w r, so each chunk with the words given its cut is a tower."""
+    last = Window(window.data[-1:])
+    r = rng.randrange(last.size)
+    orb = last.orbit((r,))
+    fiber = [s for s in map(window.state_at, range(window.size)) if s[-1] == r]
+    cuts = []
+    for _ in range(rng.randint(1, 3)):
+        states = rng.sample(fiber, len(fiber))
+        chunks = []
+        while states:
+            k = rng.randint(1, 3)
+            chunks.append(frozenset(states[:k]))
+            del states[:k]
+        cuts.append(chunks)
+    words = [[] for _ in cuts]
+    for q in orb.order:
+        words[rng.randrange(len(cuts))].append(window.group.word_element(orb.words[q]))
+    return Castle(
+        towers=tuple(
+            Tower(base=chunk, shapes=tuple(shapes))
+            for chunks, shapes in zip(cuts, words)
+            if shapes
+            for chunk in chunks
+        )
+    )
 
 
 def random_castle(

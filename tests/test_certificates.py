@@ -1,6 +1,7 @@
 import copy
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,7 +42,16 @@ from allostery.errors import (
 from allostery.dynamics import DEFAULT_STATE_BUDGET
 
 from conftest import HALF, fresh_rng, make_transversal_castle
-from oracle import fixed_states, is_transitive, tiling_witness
+from sampling import random_castle, random_chunked_castle
+from oracle import (
+    defect_counts,
+    fixed_states,
+    is_transitive,
+    tiling_witness,
+    window_act,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -510,6 +520,30 @@ def test_duplicate_shape_witness_is_first_repeat_by_position(w9, group11):
         assert info.value.witness == {"tower": 0, "shape": dup.text()}
 
 
+def test_audit_rejects_a_tower_with_no_base_states(w9, w9_transversal, group11):
+    """A tower without base states covers nothing, so it is malformed even
+    when the other towers tile."""
+    (tower,) = w9_transversal.towers
+    castle = Castle(towers=(tower, Tower(base=frozenset(), shapes=tower.shapes[:1])))
+    with pytest.raises(MalformedCastleError) as info:
+        audit_castle(castle, group11.parse_element("{(0):(1)};(0)"), w9)
+    assert str(info.value) == "tower has no base states"
+    assert info.value.witness == {"tower": 1}
+
+
+@pytest.mark.parametrize("repeat_first", [True, False])
+def test_audit_names_the_first_bad_shape(w288, group11, repeat_first):
+    """A tower with both a repeated shape and a shape of the wrong rank
+    fails on whichever comes first in shape order."""
+    e, t1 = group11.identity(), group11.shift_generator(0)
+    wrong = WreathElement(Lamp(), (1, 0))
+    shapes = (e, t1, t1, wrong) if repeat_first else (e, t1, wrong, t1)
+    castle = Castle(towers=(Tower(base=frozenset({(0, 0)}), shapes=shapes),))
+    error = MalformedCastleError if repeat_first else RankMismatchError
+    with pytest.raises(error):
+        audit_castle(castle, group11.parse_element("{};(1)"), w288)
+
+
 @pytest.mark.parametrize(
     "shape",
     [
@@ -594,6 +628,58 @@ def test_tiling_witness_matches_tuple_oracle(w288, group11, data):
         with pytest.raises(MalformedCastleError) as info:
             audit_castle(castle, gamma, w288)
         assert info.value.witness == expected
+
+
+def pair_castle(window, gamma):
+    """Two towers over the identity thread v.  The first holds pairs w,
+    gamma^-1 w, where w is the tree word of a state q that gamma^-1 moves and
+    neither q nor gamma^-1 q is in an earlier pair; the second holds the
+    tree word of every other state.  So at least half the first tower's
+    shapes s have gamma^-1 s in the tower."""
+    inv = gamma.inverse()
+    v = window.identity_thread()
+    orb = window.orbit(v)
+    rest = {q: window.group.word_element(orb.words[q]) for q in orb.order}
+    pairs = []
+    for q in orb.order:
+        p = window_act(window, inv, q)
+        if q in rest and p in rest and p != q:
+            pairs += [rest[q], inv * rest[q]]
+            del rest[q], rest[p]
+    shapes = [tuple(pairs), tuple(rest.values())]
+    return Castle(towers=tuple(Tower(base=frozenset({v}), shapes=s) for s in shapes if s))
+
+
+def defect_record_counts(castle, gamma, window):
+    return [t["defect_count"] for t in audit_castle(castle, gamma, window)["towers"]]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["W32", "W81", "W288"]), st.randoms(use_true_random=False))
+def test_defects_read_off_the_tiling_match_the_products(w32, d81, w288, name, rng):
+    """For every nonidentity element of ball(2), the audit's defect counts
+    equal |KS △ S| from the products gamma^-1 s, on a random castle whose
+    towers have one to three base states and on one of ``random_castle``."""
+    window = {"W32": w32, "W81": Window([d81]), "W288": w288}[name]
+    for castle in (random_chunked_castle(rng, window), random_castle(rng, window)):
+        for entry in window.group.ball(2)[1:]:
+            gamma = entry.element
+            assert defect_record_counts(castle, gamma, window) == defect_counts(castle, gamma)
+
+
+def test_defects_of_the_fiber_castle_and_of_pair_towers(w288):
+    """The same on the golden fiber castle and on pair castles, for every
+    nonidentity element of ball(3).  In a pair tower at least half the
+    shapes s have gamma^-1 s in the tower, so the audit compares that many
+    products with the owner of gamma^-1 (s v) and finds them equal."""
+    fibers = parse_castle_file((GOLDEN / "castle_w288_fibers.txt").read_text(), w288)
+    for entry in w288.group.ball(3)[1:]:
+        gamma = entry.element
+        assert defect_record_counts(fibers, gamma, w288) == defect_counts(fibers, gamma)
+        castle = pair_castle(w288, gamma)
+        counts = defect_record_counts(castle, gamma, w288)
+        assert counts == defect_counts(castle, gamma)
+        assert counts[0] <= len(castle.towers[0].shapes)
 
 
 def test_castle_file_round_trip(w9, group11):

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import os
 import subprocess
@@ -8,7 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from allostery import build_criterion, non_af_report, parse_element
+from allostery import (
+    Castle,
+    audit_castle,
+    build_criterion,
+    non_af_report,
+    parse_element,
+    window_from_records,
+)
+from allostery.certificates import malformed_castle_record
+from allostery.errors import MalformedCastleError
 from allostery import wreath
 from allostery.cli import main
 
@@ -667,6 +677,56 @@ def test_audit_check_of_a_malformed_castle(capsys, tmp_path, w9_file):
     claim = {key: well_formed[key] for key in inputs}
     claim.update({key: rec[key] for key in ("well_formed", "error", "witness")})
     _malformed_check(capsys, tmp_path, "audit", claim)
+
+
+def test_audit_check_of_a_castle_with_a_baseless_tower(capsys, tmp_path, w9_file):
+    """A castle whose extra tower has a shape but no base states is
+    malformed; its record reruns as such and checks as failed (exit 1)."""
+    rec = _audit_record(capsys, tmp_path, w9_file)
+    rec["castle"]["towers"].append({"V": [], "S": ["{};(0)"]})
+    window = window_from_records(rec["window"])
+    castle = Castle.from_dict(rec["castle"], window)
+    gamma = window.group.parse_element(rec["gamma"])
+    with pytest.raises(MalformedCastleError) as info:
+        audit_castle(castle, gamma, window)
+    malformed = malformed_castle_record(info.value, castle, gamma, window)
+    assert (malformed["error"], malformed["witness"]) == ("tower has no base states", {"tower": 1})
+    path = tmp_path / "baseless.json"
+    path.write_text(json.dumps(malformed))
+    assert run(capsys, "audit", "--check", str(path)) == (1, "", "castle audit: failed\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_pauses_the_collector_and_restores_it(capsys, tmp_path, w9_file, monkeypatch, enabled):
+    """The cyclic collector is off while a command runs, and main leaves it
+    as the caller had it on every exit: 0, 1 (malformed castle) and 2 (an
+    identity gamma)."""
+    castle = tmp_path / "castle.txt"
+    castle.write_text(FULL_TOWER)
+    overlap = tmp_path / "overlap.txt"
+    overlap.write_text("V= (0)|((0)) ; S= e\nV= (0)|((0)) ; S= e\n")
+    during = []
+
+    def audit(*args):
+        during.append(gc.isenabled())
+        return audit_castle(*args)
+
+    monkeypatch.setattr("allostery.cli.audit_castle", audit)
+    cases = [
+        (0, castle, "{(0):(1)};(0)"),
+        (1, overlap, "{};(1)"),
+        (2, castle, "{};(0)"),
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        for code, path, gamma in cases:
+            gc.enable() if enabled else gc.disable()
+            assert run(capsys, "audit", str(path), "--window", w9_file, "--gamma", gamma)[0] == code
+            assert gc.isenabled() is enabled
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert during == [False, False]
 
 
 def test_check_with_a_huge_exponent(capsys, tmp_path, w9_file, d32, d9):

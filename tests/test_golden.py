@@ -8,6 +8,7 @@ documented change of output, run from the repository root:
 """
 
 import contextlib
+import gc
 import io
 import json
 import sys
@@ -155,6 +156,26 @@ def test_comparison_searches_once(paths, monkeypatch):
     assert code == 0
     assert len(json.loads(out)["pieces"]) == 4
     assert calls == [(0, 288)]
+
+
+def test_an_audit_leaves_the_same_few_cycles_whatever_the_castle(paths, tmp_path):
+    """What an audit command leaves for the cyclic collector does not grow
+    with the castle: the golden W288 castle and the W7200 transversal castle
+    (7,200 shapes) leave the same small count, so pausing the collector
+    while a command runs cannot make memory grow with castle size."""
+    big = tmp_path / "castle_w7200.txt"
+    big.write_text(transversal_castle_text(forge_windows()["W7200"]))
+    counts = []
+    for castle, window in ((paths["CASTLE"], paths["W288"]), (str(big), paths["W7200"])):
+        gc.collect()
+        gc.disable()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main(["audit", castle, "--window", window, "--gamma", GAMMA]) == 0
+            counts.append(gc.collect())
+        finally:
+            gc.enable()
+    assert counts[0] == counts[1] <= 1000
 
 
 def test_castle_file_is_the_transversal_castle(w288):

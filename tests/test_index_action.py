@@ -179,6 +179,16 @@ def test_window_images_match_prepared_action(data):
     assert [window.prepare(x).apply(state) for x in xs] == [window.state_at(f) for f in expected]
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_window_index_map_matches_prepared_action(data):
+    window = data.draw(st.sampled_from([w for w in WINDOWS if w.size <= 3200]), label="window")
+    x = data.draw(image_elements(window.d, window.m), label="x")
+    states = map(window.state_at, range(window.size))
+    expected = [window.flat_index(window_act(window, x, s)) for s in states]
+    assert list(window.index_map(x)) == expected
+
+
 def test_windows_include_products():
     assert any(len(w) == 2 for w in WINDOWS) and any(len(w) == 0 for w in WINDOWS)
 

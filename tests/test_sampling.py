@@ -7,6 +7,7 @@ from conftest import fresh_rng
 from sampling import (
     check_member_closure,
     random_castle,
+    random_chunked_castle,
     random_comparison_pair,
     random_element,
     random_member,
@@ -58,9 +59,9 @@ def test_random_castles_are_well_formed(w9, w32, w288, group11):
     gamma = group11.parse_element("{};(1)")
     for window in (w9, w32, w288):
         for _ in range(8):
-            castle = random_castle(rng, window)
-            audit = audit_castle(castle, gamma, window)
-            assert audit["inequality_ok"]
+            for castle in (random_castle(rng, window), random_chunked_castle(rng, window)):
+                audit = audit_castle(castle, gamma, window)
+                assert audit["inequality_ok"]
 
 
 def test_random_castle_needs_levels():
