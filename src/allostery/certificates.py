@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import json
 import operator
+from bisect import bisect_right
 from copy import deepcopy
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import prod
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -48,7 +49,6 @@ SCHEMA_VERSION = 1
 
 State = Tuple[int, ...]
 StateSet = FrozenSet[State]
-_first, _second = operator.itemgetter(0), operator.itemgetter(1)
 
 
 def frac_str(q: Fraction) -> str:
@@ -496,8 +496,8 @@ class Tower(tuple):
     def __new__(cls, base: StateSet, shapes: Tuple[WreathElement, ...]) -> "Tower":
         return tuple.__new__(cls, (base, shapes))
 
-    base = property(_first)
-    shapes = property(_second)
+    base = property(operator.itemgetter(0))
+    shapes = property(operator.itemgetter(1))
 
     @cached_property
     def shape_texts(self) -> Tuple[str, ...]:
@@ -603,12 +603,11 @@ def audit_castle(
     no defect reaches a given tolerance.
 
     The defect reads off the tiling: |KS △ S| = 2 (|S| - kept), as |KS| = |S|,
-    where kept counts the shapes s with gamma^-1 s in S.  Lemma: for v in the
-    tower's base, gamma^-1 s is in S iff it equals the owner of gamma^-1 (s v),
-    the shape whose translate covers that state, and the owner is in the
-    tower.  Proof: if gamma^-1 s = s' is in S, the state is s' v, and
-    translates are disjoint.  So with v = min V, only an owner s' != s in the
-    tower needs a product; if s owns the state, gamma^-1 s is in S iff gamma = e.
+    with kept = #{s in S : gamma^-1 s in S}.  Lemma: for v in the tower's base,
+    gamma^-1 s is in S iff it equals the owner s' of gamma^-1 (s v), the shape
+    whose translate covers that state, and s' is in the tower.  Proof: if
+    gamma^-1 s = s' is in S, the state is s' v, and translates are disjoint.
+    The audit takes v = min V; for s' = s, gamma^-1 s = s iff gamma = e.
     """
     if window.size > budget:
         raise BudgetExceededError(window.size, budget)
@@ -625,22 +624,15 @@ def audit_castle(
             raise MalformedCastleError("tower has no shapes", witness={"tower": ti})
         if not tower.base:
             raise MalformedCastleError("tower has no base states", witness={"tower": ti})
-        entries = list(chain.from_iterable(map(_first, shapes)))  # (position, value)
-        ranks = (
-            set(map(len, map(_second, shapes))),
-            set(map(len, map(_first, entries))) | {window.m},
-            set(map(len, map(_second, entries))) | {window.d},
-        )
-        if len(set(shapes)) < len(shapes) or ranks != ({window.m}, {window.m}, {window.d}):
-            seen: set[WreathElement] = set()  # name the first offender
-            for shape, text in zip(shapes, tower.shape_texts):
-                if shape in seen:
-                    raise MalformedCastleError(
-                        "repeated shape element in one tower",
-                        witness={"tower": ti, "shape": text},
-                    )
-                seen.add(shape)
-                window.group.validate_element(shape)
+        distinct: set[WreathElement] = set()
+        for shape, text in zip(shapes, tower.shape_texts):
+            if shape in distinct:
+                raise MalformedCastleError(
+                    "repeated shape element in one tower",
+                    witness={"tower": ti, "shape": text},
+                )
+            distinct.add(shape)
+            window.group.validate_element(shape)
         heads.append([])
         base = sorted(tower.base)
         # Shapes go in chunks of at most window.size images, so a castle
@@ -653,7 +645,7 @@ def audit_castle(
                 for img in imgs:
                     first = owner[img]
                     if first >= 0:
-                        tj = sum(s <= first for s in starts) - 1  # the tower of shape `first`
+                        tj = bisect_right(starts, first) - 1
                         first_text = castle.towers[tj].shape_texts[first - starts[tj]]
                         raise MalformedCastleError(
                             "castle translates overlap",

@@ -452,30 +452,31 @@ class Window:
             flat = [f * n + t for f, t in zip(flat, level.images(i, xs))]
         return flat
 
-    def index_map(self, x: WreathElement) -> array:
-        """The image of every flat index under x, as an array (see :meth:`flat_index`)."""
+    def _spell(self, tabs: Sequence[Sequence[int]]) -> array:
+        """The permutation of flat indices (see :meth:`flat_index`) that acts
+        on each level by its table in tabs."""
         flat = array("l", [0])
-        for level in self.levels:
-            n, tab = level.size, level.index_map(x)
+        for level, tab in zip(self.levels, tabs):
+            n = level.size
             flat = array("l", (f * n + t for f in flat for t in tab))
         return flat
+
+    def index_map(self, x: WreathElement) -> array:
+        """The image of every flat index under x."""
+        return self._spell([level.index_map(x) for level in self.levels])
 
     def tables(self, g: int) -> List[List[int]]:
         return [level.table(g) for level in self.levels]
 
-    def flat_table(self, g: int) -> List[int]:
-        """Generator g as a permutation of flat indices (see :meth:`flat_index`)."""
-        flat = [0]
-        for level in self.levels:
-            n, tab = level.size, level.table(g)
-            flat = [f * n + t for f in flat for t in tab]
-        return flat
+    def flat_table(self, g: int) -> array:
+        """Generator g as a permutation of flat indices."""
+        return self._spell(self.tables(g))
 
     def orbit(self, start: Tuple[int, ...], budget: int = DEFAULT_STATE_BUDGET) -> OrbitResult:
         """BFS on flat indices; the result's states are index tuples."""
         if self.size > budget:
             raise BudgetExceededError(self.size, budget)
-        steps = [(g, array("l", self.flat_table(g))) for g in range(len(self.group.generators()))]
+        steps = [(g, self.flat_table(g)) for g in range(len(self.group.generators()))]
         orb = _bfs(steps, self.flat_index(start), self.size)
         del steps  # the tables go before the tuples are built, to bound peak memory
         orb.order = [self.state_at(i) for i in orb.order]

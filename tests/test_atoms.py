@@ -114,7 +114,7 @@ def test_flat_table_matches_tuple_tables():
     window = small_windows()[3]
     for g in range(len(window.group.generators())):
         tables = window.tables(g)
-        assert window.flat_table(g) == [
+        assert list(window.flat_table(g)) == [
             window.flat_index(tuple(tab[i] for tab, i in zip(tables, s)))
             for s in window_states(window)
         ]

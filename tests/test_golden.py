@@ -158,20 +158,32 @@ def test_comparison_searches_once(paths, monkeypatch):
     assert calls == [(0, 288)]
 
 
-def test_an_audit_leaves_the_same_few_cycles_whatever_the_castle(paths, tmp_path):
-    """What an audit command leaves for the cyclic collector does not grow
-    with the castle: the golden W288 castle and the W7200 transversal castle
-    (7,200 shapes) leave the same small count, so pausing the collector
-    while a command runs cannot make memory grow with castle size."""
+# command -> its arguments at a small and a large input; W7200C stands for
+# the W7200 transversal castle (7,200 shapes).
+CYCLE_CASES = {
+    "audit": (CASES["audit_w288"][0], ("audit", "W7200C", "--window", "W7200", "--gamma", GAMMA)),
+    "compare": (CASES["compare_w81"][0], CASES["compare_w7200"][0]),
+    "report": (("report", "--radius", "1", "--epsilon", "1/2"), CASES["report_radius2"][0]),
+    "verify": (("verify", "--radius", "1"), ("verify", "--radius", "3")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CYCLE_CASES))
+def test_a_command_leaves_the_same_few_cycles_whatever_its_input(command, paths, tmp_path):
+    """What a command leaves for the cyclic collector does not grow with its
+    input: a small and a large input leave the same small count, so pausing
+    the collector while a command runs cannot make memory grow with input
+    size."""
     big = tmp_path / "castle_w7200.txt"
     big.write_text(transversal_castle_text(forge_windows()["W7200"]))
+    inputs = {**paths, "W7200C": str(big)}
     counts = []
-    for castle, window in ((paths["CASTLE"], paths["W288"]), (str(big), paths["W7200"])):
+    for args in CYCLE_CASES[command]:
         gc.collect()
         gc.disable()
         try:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                assert main(["audit", castle, "--window", window, "--gamma", GAMMA]) == 0
+                assert main([inputs.get(a, a) for a in args]) == 0
             counts.append(gc.collect())
         finally:
             gc.enable()
