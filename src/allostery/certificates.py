@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import operator
+from array import array
 from bisect import bisect_right
 from copy import deepcopy
 from functools import cached_property
@@ -491,10 +492,15 @@ def check_comparison_certificate(rec: dict) -> bool:
 
 class Tower(tuple):
     """The pair (base, shapes): a set of base states and the elements that
-    translate it.  No __slots__, so that the shape texts can be cached."""
+    translate it.  No __slots__: the instance dict caches the shape texts and
+    holds what equality and hashing do not see: ``group``, whose ranks the
+    shapes have by construction (None: unknown), and for a tower read from a
+    castle file ``words``, the file's word plan and each shape's plan index."""
 
-    def __new__(cls, base: StateSet, shapes: Tuple[WreathElement, ...]) -> "Tower":
-        return tuple.__new__(cls, (base, shapes))
+    def __new__(cls, base: StateSet, shapes: Tuple[WreathElement, ...], group=None, words=None):
+        tower = tuple.__new__(cls, (base, shapes))
+        tower.group, tower.words = group, words
+        return tower
 
     base = property(operator.itemgetter(0))
     shapes = property(operator.itemgetter(1))
@@ -527,6 +533,7 @@ class Castle(NamedTuple):
             Tower(
                 base=frozenset(window.parse_state(t) for t in tw["V"]),
                 shapes=tuple(window.group.parse_element(x) for x in tw["S"]),
+                group=window.group,
             )
             for tw in rec["towers"]
         )
@@ -534,18 +541,10 @@ class Castle(NamedTuple):
         return cls(towers=towers, epsilon=None if eps is None else parse_tolerance(eps))
 
 
-def parse_castle_file(text: str, window: Window) -> Castle:
-    """Parse the one-tower-per-line castle format: ``V=<states>; S=<words>``.
-
-    States use the canonical window state text, words the dotted generator
-    names (``e`` for the empty word); tokens are whitespace-separated.
-    Every line is checked first, in file order.  Then each distinct word is
-    evaluated once, shortest first: a word ``g.rest`` whose tail ``rest`` is
-    also a word of the castle is generator g times the tail's element, one
-    product, so the words of a Schreier tree cost one step each.
-    """
+def _castle_lines(text: str, window: Window, check_words: bool) -> List[Tuple[StateSet, List[str]]]:
+    """Each line's base states and words, checked in file order: its form,
+    its states and, with check_words, each word letter by letter."""
     group = window.group
-    lookup = group._name_index
     word_re = group._word_re
     lines: List[Tuple[StateSet, List[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -563,26 +562,97 @@ def parse_castle_file(text: str, window: Window) -> Castle:
         if not state_tokens or not word_tokens:
             raise TextParseError("tower needs at least one state and one word", lineno)
         base = frozenset(window.parse_state(tok, lineno) for tok in state_tokens)
-        for tok in word_tokens:
+        for tok in word_tokens if check_words else ():
             if not word_re.fullmatch(tok):
                 group.parse_word(tok, lineno)  # raises, naming the first unknown letter
         lines.append((base, word_tokens))
     if not lines:
         raise TextParseError("castle file holds no towers")
-    gens = group.generators()
-    elements = {"e": group.identity()}
-    for tok in sorted({tok for _, words in lines for tok in words} - {"e"}, key=len):
-        head, _, tail = tok.partition(".")
-        rest = elements.get(tail or "e")
-        if rest is None:
-            elements[tok] = group.word_element(group.parse_word(tok))
-        else:
-            elements[tok] = gens[lookup[head]] * rest
+    return lines
+
+
+def parse_castle_file(text: str, window: Window) -> Castle:
+    """Parse the one-tower-per-line castle format: ``V=<states>; S=<words>``.
+
+    States use the canonical window state text, words the dotted generator
+    names (``e`` for the empty word); tokens are whitespace-separated.
+    Each distinct word is checked and evaluated once, shortest first: a word
+    ``g.rest`` whose tail ``rest`` is also a word of the castle is valid when
+    g names a generator, and is g times the tail's element, one product, so
+    the words of a Schreier tree cost one step each.  Any other word goes
+    letter by letter.  On any fault the lines are scanned again in file
+    order, so the error names the first bad token and its line.
+
+    The towers carry the window's group and the plan that :func:`_walk`
+    reads, ``(tails, heads)``: planned word i is generator ``heads[i]`` times
+    planned word ``tails[i]``, planned before it (-1: the empty word).
+    """
+    try:
+        lines = _castle_lines(text, window, check_words=False)
+        group = window.group
+        gens, lookup, identity = group.generators(), group._name_index, group.identity()
+        elements: Dict[str, WreathElement] = {}
+        ids = {"": -1, "e": -1}  # plan index of each planned word
+        tails: List[int] = []
+        heads: List[int] = []
+        for tok in sorted({tok for _, words in lines for tok in words} - {"e"}, key=len):
+            head, dot, tail = tok.partition(".")
+            g = lookup.get(head)
+            rest = elements.get(tail) if dot else identity
+            if g is None or rest is None:  # not a generator times a castle word
+                elements[tok] = group.word_element(group.parse_word(tok))  # raises on a bad word
+                pending = []
+                while tail not in ids:
+                    pending.append(tail)
+                    tail = tail.partition(".")[2]
+                for word in reversed(pending):
+                    ids[word] = len(tails)
+                    tails.append(ids[tail])
+                    heads.append(lookup[word.partition(".")[0]])
+                    tail = word
+            else:
+                elements[tok] = gens[g] * rest
+            ids[tok] = len(tails)
+            tails.append(ids[tail])
+            heads.append(g)
+    except TextParseError:
+        _castle_lines(text, window, check_words=True)  # raises the first fault in file order
+        raise
+    elements["e"] = identity
+    plan = (tails, heads)
     return Castle(
         towers=tuple(
-            Tower(base=base, shapes=tuple(elements[tok] for tok in words)) for base, words in lines
+            Tower(base, tuple(map(elements.get, ws)), group, (plan, tuple(map(ids.get, ws))))
+            for base, ws in lines
         )
     )
+
+
+def _walk(
+    tower: Tower, base: Sequence[State], window: Window, tables: List[array], memos: dict
+) -> List[List[int]]:
+    """For each v in base, the flat index of s v for each shape s of a tower
+    read from a castle file: the shape of word g.rest carries v to
+    ``tables[g][rest v]``, as (g rest) v = g (rest v).  ``memos[id(tails), v]``
+    holds the translates of v found so far by plan index, and v at -1, so
+    each (word, base state) pair is computed once."""
+    (tails, heads), ids = tower.words
+    rows = []
+    for v in base:
+        window._require_state(v)
+        memo = memos.setdefault((id(tails), v), {-1: window.flat_index(v)})
+        row = []
+        for i in ids:
+            chain = []
+            while i not in memo:
+                chain.append(i)
+                i = tails[i]
+            x = memo[i]
+            for j in reversed(chain):
+                x = memo[j] = tables[heads[j]][x]
+            row.append(x)
+        rows.append(row)
+    return rows
 
 
 def audit_castle(
@@ -611,6 +681,12 @@ def audit_castle(
     """
     if window.size > budget:
         raise BudgetExceededError(window.size, budget)
+    # Towers read from a castle file against this window's group are walked
+    # (see _walk) unless the castle has more translates than states: it
+    # cannot tile, and the chunks below find its first overlap early.
+    walk = sum(len(t.base) * len(t.shapes) for t in castle.towers) <= window.size
+    tables: List[array] = []
+    memos: Dict[Tuple[int, State], Dict[int, int]] = {}
     # owner[i] numbers the shape, counted through the castle, whose translate
     # covers flat index i (-1: none yet).  Translates go shape by shape, then
     # base state by base state, so the overlap witness is the first collision
@@ -624,6 +700,7 @@ def audit_castle(
             raise MalformedCastleError("tower has no shapes", witness={"tower": ti})
         if not tower.base:
             raise MalformedCastleError("tower has no base states", witness={"tower": ti})
+        ranked = tower.group == window.group  # built with the window's ranks
         distinct: set[WreathElement] = set()
         for shape, text in zip(shapes, tower.shape_texts):
             if shape in distinct:
@@ -632,14 +709,20 @@ def audit_castle(
                     witness={"tower": ti, "shape": text},
                 )
             distinct.add(shape)
-            window.group.validate_element(shape)
+            if not ranked:
+                window.group.validate_element(shape)
         heads.append([])
         base = sorted(tower.base)
         # Shapes go in chunks of at most window.size images, so a castle
         # with far too many translates fails without building them all.
         step = max(1, window.size // len(base))
         for lo in range(0, len(shapes), step):
-            rows = [window.images(v, shapes[lo : lo + step]) for v in base]
+            if walk and ranked and tower.words:
+                if not tables:
+                    tables = [window.flat_table(g) for g in range(len(window.group.generators()))]
+                rows = _walk(tower, base, window, tables, memos)
+            else:
+                rows = [window.images(v, shapes[lo : lo + step]) for v in base]
             heads[ti] += rows[0]
             for k, imgs in enumerate(zip(*rows), start + lo):
                 for img in imgs:

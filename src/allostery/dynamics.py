@@ -458,7 +458,10 @@ class Window:
         flat = array("l", [0])
         for level, tab in zip(self.levels, tabs):
             n = level.size
-            flat = array("l", (f * n + t for f in flat for t in tab))
+            out = array("l")
+            for f in flat:
+                out.extend(map((f * n).__add__, tab))
+            flat = out
         return flat
 
     def index_map(self, x: WreathElement) -> array:

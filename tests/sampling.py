@@ -20,7 +20,7 @@ from allostery.certificates import Castle, Tower
 from allostery.dynamics import DEFAULT_STATE_BUDGET, Window
 from allostery.errors import WindowError
 from allostery.forge import SubgroupDatum
-from allostery.wreath import Lamp, WreathElement, WreathGroup
+from allostery.wreath import Lamp, Word, WreathElement, WreathGroup
 
 
 def random_vec(rng: random.Random, rank: int, span: int = 4) -> Vec:
@@ -167,12 +167,7 @@ def _fiber_castle(rng: random.Random, window: Window, budget: int) -> Castle:
     return Castle(towers=towers)
 
 
-def random_chunked_castle(rng: random.Random, window: Window) -> Castle:
-    """A random castle that tiles: the fiber F over a random state r of the
-    last level is cut into chunks of one to three states, in one to three
-    random ways, and each word of the last level's Schreier transversal from
-    r is given one of those cuts.  A word w carries F onto the fiber over
-    w r, so each chunk with the words given its cut is a tower."""
+def _chunked_towers(rng: random.Random, window: Window) -> List[Tuple[frozenset, List[Word]]]:
     last = Window(window.data[-1:])
     r = rng.randrange(last.size)
     orb = last.orbit((r,))
@@ -188,14 +183,31 @@ def random_chunked_castle(rng: random.Random, window: Window) -> Castle:
         cuts.append(chunks)
     words = [[] for _ in cuts]
     for q in orb.order:
-        words[rng.randrange(len(cuts))].append(window.group.word_element(orb.words[q]))
+        words[rng.randrange(len(cuts))].append(orb.words[q])
+    return [(chunk, ws) for chunks, ws in zip(cuts, words) if ws for chunk in chunks]
+
+
+def random_chunked_castle(rng: random.Random, window: Window) -> Castle:
+    """A random castle that tiles: the fiber F over a random state r of the
+    last level is cut into chunks of one to three states, in one to three
+    random ways, and each word of the last level's Schreier transversal from
+    r is given one of those cuts.  A word w carries F onto the fiber over
+    w r, so each chunk with the words given its cut is a tower."""
     return Castle(
         towers=tuple(
-            Tower(base=chunk, shapes=tuple(shapes))
-            for chunks, shapes in zip(cuts, words)
-            if shapes
-            for chunk in chunks
+            Tower(base=chunk, shapes=tuple(map(window.group.word_element, words)))
+            for chunk, words in _chunked_towers(rng, window)
         )
+    )
+
+
+def random_chunked_castle_file(rng: random.Random, window: Window) -> str:
+    """The castle of :func:`random_chunked_castle` for the same rng state,
+    as castle file text: one line per tower, its words as generator names."""
+    return "".join(
+        f"V= {' '.join(map(window.state_text, sorted(chunk)))} ; "
+        f"S= {' '.join(map(window.group.word_name, words))}\n"
+        for chunk, words in _chunked_towers(rng, window)
     )
 
 

@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from allostery import (
     Tower,
     Window,
     WreathElement,
+    WreathGroup,
     audit_castle,
     boolean_atoms,
     build_criterion,
@@ -28,6 +30,7 @@ from allostery import (
     verify_criterion,
     window_from_records,
 )
+from allostery import certificates
 from allostery.certificates import frac_str, malformed_castle_record, parse_frac, record_ok
 from allostery.errors import (
     BudgetExceededError,
@@ -42,7 +45,7 @@ from allostery.errors import (
 from allostery.dynamics import DEFAULT_STATE_BUDGET
 
 from conftest import HALF, fresh_rng, make_transversal_castle
-from sampling import random_castle, random_chunked_castle
+from sampling import random_castle, random_chunked_castle, random_chunked_castle_file
 from oracle import (
     defect_counts,
     fixed_states,
@@ -731,6 +734,9 @@ def test_castle_file_errors(w9):
         ("V= (0)|((0)) ; S= s1..t1", "unknown generator ''", 1),
         ("# c\n\nV= (0)|((0)) ; S= t1.t1 T1.S1.x1", "unknown generator 'x1'", 3),
         ("V= (0)|((0)) ; S= e\nV= (0)|((0)) ; S= S1.t2", "unknown generator 't2'", 2),
+        ("V= (0)|((0)) ; S= s1 q.s1", "unknown generator 'q'", 1),
+        ("V= (0)|((0)) ; S= e t1.zap\nV= (0)|((0)) S= e", "unknown generator 'zap'", 1),
+        ("V= (0)|((0)) ; S= s1 s1.s1.", "unknown generator ''", 1),
     ],
 )
 def test_castle_file_names_the_first_fault_in_file_order(w9, text, message, line):
@@ -782,31 +788,117 @@ def test_seeded_w7200_castle_audits_as_its_word_elements(d32, d9, d25):
     assert record["ok"] and check_castle_audit(record)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.randoms(use_true_random=False), st.data())
-def test_castle_words_match_letter_by_letter(w288, rng, data):
-    """Shapes parsed from a castle file equal the words evaluated letter by
-    letter: Schreier-tree words in shuffled order with some of them deleted
-    (so some tails are missing), plus random words."""
-    group = w288.group
-    orb = w288.orbit(w288.identity_thread())
-    words = [group.word_name(orb.words[s]) for s in orb.order]
-    keep = data.draw(st.floats(0, 1), label="keep")
-    words = [w for w in words if rng.random() < keep]
-    words += data.draw(
-        st.lists(st.lists(st.integers(0, 3), max_size=10).map(group.word_name), max_size=30),
-        label="random words",
-    )
+def audit_record(castle, gamma, window):
+    """The audit record of a castle, or its malformed-castle record."""
+    try:
+        return audit_castle(castle, gamma, window)
+    except MalformedCastleError as exc:
+        return malformed_castle_record(exc, castle, gamma, window)
+
+
+def schreier_castle_file(window, rng, keep, extra):
+    """Schreier-tree words of the window in shuffled order, each kept with
+    probability keep (so some tails are missing), plus the extra words, cut
+    into at most four towers over the identity thread."""
+    orb = window.orbit(window.identity_thread())
+    words = [window.group.word_name(orb.words[s]) for s in orb.order]
+    words = [w for w in words if rng.random() < keep] + extra
     rng.shuffle(words)
     words = words or ["e"]
     cuts = sorted(rng.sample(range(1, len(words)), min(3, len(words) - 1)))
     chunks = [words[a:b] for a, b in zip([0] + cuts, cuts + [len(words)])]
-    base = w288.state_text(w288.identity_thread())
-    text = "".join(f"V= {base} ; S= {' '.join(chunk)}\n" for chunk in chunks)
+    base = window.state_text(window.identity_thread())
+    return "".join(f"V= {base} ; S= {' '.join(chunk)}\n" for chunk in chunks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_castle_words_match_letter_by_letter(w288, rng, data):
+    """Shapes parsed from a castle file equal the words evaluated letter by
+    letter, and the audit that walks the words on the generator tables
+    gives the record, malformed or not, of the same castle read back from
+    its record, which the audit takes through Window.images.  The files:
+    Schreier-tree words with some deleted and random words added, the golden
+    fiber castle (16 base states per tower), and random_chunked_castle's."""
+    group = w288.group
+    source = data.draw(st.sampled_from(["schreier", "fibers", "chunked"]), label="source")
+    if source == "schreier":
+        extra = data.draw(
+            st.lists(st.lists(st.integers(0, 3), max_size=10).map(group.word_name), max_size=30),
+            label="random words",
+        )
+        text = schreier_castle_file(w288, rng, data.draw(st.floats(0, 1), label="keep"), extra)
+    elif source == "fibers":
+        text = (GOLDEN / "castle_w288_fibers.txt").read_text()
+    else:
+        seed = rng.random()
+        text = random_chunked_castle_file(random.Random(seed), w288)
+        assert parse_castle_file(text, w288) == random_chunked_castle(random.Random(seed), w288)
     castle = parse_castle_file(text, w288)
+    lines = [line.split("S=")[1].split() for line in text.splitlines()]
     assert [list(t.shapes) for t in castle.towers] == [
-        [group.word_element(group.parse_word(w)) for w in chunk] for chunk in chunks
+        [group.word_element(group.parse_word(w)) for w in words] for words in lines
     ]
+    gamma = data.draw(st.sampled_from(group.ball(2)[1:]), label="gamma").element
+    images = Castle.from_dict(castle.to_dict(w288), w288)
+    assert audit_record(castle, gamma, w288) == audit_record(images, gamma, w288)
+
+
+def count_translates(monkeypatch):
+    """Count the translates that Window.images and the castle walk build,
+    and keep the walk's memos."""
+    counts = {"images": [], "walk": []}
+    images, walk = Window.images, certificates._walk
+
+    def counted_images(self, state, xs):
+        counts["images"].append(len(xs))
+        return images(self, state, xs)
+
+    def counted_walk(tower, base, window, tables, memos):
+        counts["walk"].append(len(base) * len(tower.shapes))
+        counts["memos"] = memos
+        return walk(tower, base, window, tables, memos)
+
+    monkeypatch.setattr(Window, "images", counted_images)
+    monkeypatch.setattr(certificates, "_walk", counted_walk)
+    return counts
+
+
+def test_a_castle_with_more_translates_than_states_is_not_walked(w288, group11, monkeypatch):
+    """A castle file whose translates outnumber the states cannot tile; it
+    fails with the first overlap in shape-major order after one chunk of
+    images per base state, and is never walked.  The same words in three
+    towers over one base state tile and are walked, each word once."""
+    counts = count_translates(monkeypatch)
+    orb = w288.orbit(w288.identity_thread())
+    names = [group11.word_name(orb.words[s]) for s in orb.order]
+    words = " ".join(names)
+    v = w288.state_text(orb.order[0])
+    gamma = group11.parse_element("{(0):(1)};(0)")
+    text = "".join(f"V= {v} ; S= {' '.join(names[i::3])}\n" for i in range(3))
+    walked = parse_castle_file(text, w288)
+    assert audit_castle(walked, gamma, w288)["ok"]
+    assert counts.pop("walk") == [w288.size // 3] * 3 and counts.pop("images") == []
+    # One memo: the base state and each nonempty word (all but "e").
+    assert [len(memo) for memo in counts.pop("memos").values()] == [w288.size]
+    counts.update(images=[], walk=[])
+    oversize = parse_castle_file(f"V= {v} {w288.state_text(orb.order[5])} ; S= {words}", w288)
+    with pytest.raises(MalformedCastleError) as info:
+        audit_castle(oversize, gamma, w288)
+    assert info.value.witness == tiling_witness(oversize, w288)
+    assert counts == {"images": [w288.size // 2] * 2, "walk": []}
+
+
+def test_castle_read_against_other_ranks_is_checked_and_not_walked(w9, monkeypatch):
+    """A castle read against a d = m = 1 window and audited on a d = 2
+    window has shapes of the wrong rank: the audit checks them and raises
+    RankMismatchError before any translate is built."""
+    counts = count_translates(monkeypatch)
+    window = Window([forge(WreathGroup(2, 1).parse_element("{};(1)"), 3, HALF, 2, 1)])
+    castle = parse_castle_file("V= (0)|((0)) ; S= e t1 s1 T1", w9)
+    with pytest.raises(RankMismatchError):
+        audit_castle(castle, window.group.parse_element("{};(1)"), window)
+    assert counts == {"images": [], "walk": []}
 
 
 def test_audit_round_trip(w9, w9_transversal, group11):
