@@ -26,7 +26,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
 from math import prod
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .base import zero
 from .dynamics import (
@@ -541,10 +541,24 @@ class Castle(NamedTuple):
         return cls(towers=towers, epsilon=None if eps is None else parse_tolerance(eps))
 
 
-def _castle_lines(text: str, window: Window, check_words: bool) -> List[Tuple[StateSet, List[str]]]:
-    """Each line's base states and words, checked in file order: its form,
-    its states and, with check_words, each word letter by letter."""
+def parse_castle_file(text: str, window: Window) -> Castle:
+    """Parse the one-tower-per-line castle format: ``V=<states>; S=<words>``.
+
+    States use the canonical window state text, words the dotted generator
+    names (``e`` for the empty word); tokens are whitespace-separated.
+    Every line is checked first, in file order.  Then each distinct word is
+    evaluated once, shortest first: a word ``g.rest`` whose tail ``rest`` is
+    also a word of the castle is generator g times the tail's element, one
+    product, so the words of a Schreier tree cost one step each.
+
+    The towers carry the window's group.  The same loop writes a plan,
+    ``(tails, heads)``: planned word i is generator ``heads[i]`` times
+    planned word ``tails[i]`` (-1: ``e``), where a word is planned when it
+    is one letter or its tail is planned.  A tower whose words are all
+    planned or ``e`` carries the plan too, for :func:`_walk`.
+    """
     group = window.group
+    lookup = group._name_index
     word_re = group._word_re
     lines: List[Tuple[StateSet, List[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -562,70 +576,35 @@ def _castle_lines(text: str, window: Window, check_words: bool) -> List[Tuple[St
         if not state_tokens or not word_tokens:
             raise TextParseError("tower needs at least one state and one word", lineno)
         base = frozenset(window.parse_state(tok, lineno) for tok in state_tokens)
-        for tok in word_tokens if check_words else ():
+        for tok in word_tokens:
             if not word_re.fullmatch(tok):
                 group.parse_word(tok, lineno)  # raises, naming the first unknown letter
         lines.append((base, word_tokens))
     if not lines:
         raise TextParseError("castle file holds no towers")
-    return lines
-
-
-def parse_castle_file(text: str, window: Window) -> Castle:
-    """Parse the one-tower-per-line castle format: ``V=<states>; S=<words>``.
-
-    States use the canonical window state text, words the dotted generator
-    names (``e`` for the empty word); tokens are whitespace-separated.
-    Each distinct word is checked and evaluated once, shortest first: a word
-    ``g.rest`` whose tail ``rest`` is also a word of the castle is valid when
-    g names a generator, and is g times the tail's element, one product, so
-    the words of a Schreier tree cost one step each.  Any other word goes
-    letter by letter.  On any fault the lines are scanned again in file
-    order, so the error names the first bad token and its line.
-
-    The towers carry the window's group and the plan that :func:`_walk`
-    reads, ``(tails, heads)``: planned word i is generator ``heads[i]`` times
-    planned word ``tails[i]``, planned before it (-1: the empty word).
-    """
-    try:
-        lines = _castle_lines(text, window, check_words=False)
-        group = window.group
-        gens, lookup, identity = group.generators(), group._name_index, group.identity()
-        elements: Dict[str, WreathElement] = {}
-        ids = {"": -1, "e": -1}  # plan index of each planned word
-        tails: List[int] = []
-        heads: List[int] = []
-        for tok in sorted({tok for _, words in lines for tok in words} - {"e"}, key=len):
-            head, dot, tail = tok.partition(".")
-            g = lookup.get(head)
-            rest = elements.get(tail) if dot else identity
-            if g is None or rest is None:  # not a generator times a castle word
-                elements[tok] = group.word_element(group.parse_word(tok))  # raises on a bad word
-                pending = []
-                while tail not in ids:
-                    pending.append(tail)
-                    tail = tail.partition(".")[2]
-                for word in reversed(pending):
-                    ids[word] = len(tails)
-                    tails.append(ids[tail])
-                    heads.append(lookup[word.partition(".")[0]])
-                    tail = word
-            else:
-                elements[tok] = gens[g] * rest
-            ids[tok] = len(tails)
-            tails.append(ids[tail])
-            heads.append(g)
-    except TextParseError:
-        _castle_lines(text, window, check_words=True)  # raises the first fault in file order
-        raise
-    elements["e"] = identity
+    gens = group.generators()
+    elements = {"e": group.identity()}
+    ids = {"": -1, "e": -1}  # plan index of each planned word; "": no tail
+    tails: List[int] = []
+    heads: List[int] = []
+    for tok in sorted({tok for _, words in lines for tok in words} - {"e"}, key=len):
+        head, _, tail = tok.partition(".")
+        rest = elements.get(tail or "e")
+        if rest is None:
+            elements[tok] = group.word_element(group.parse_word(tok))
+        else:
+            elements[tok] = gens[lookup[head]] * rest
+            if tail in ids:
+                ids[tok] = len(tails)
+                tails.append(ids[tail])
+                heads.append(lookup[head])
     plan = (tails, heads)
-    return Castle(
-        towers=tuple(
-            Tower(base, tuple(map(elements.get, ws)), group, (plan, tuple(map(ids.get, ws))))
-            for base, ws in lines
-        )
-    )
+    towers = []
+    for base, words in lines:
+        planned = tuple(map(ids.get, words))
+        shapes = tuple(elements[tok] for tok in words)
+        towers.append(Tower(base, shapes, group, None if None in planned else (plan, planned)))
+    return Castle(towers=tuple(towers))
 
 
 def _walk(
@@ -713,16 +692,19 @@ def audit_castle(
                 window.group.validate_element(shape)
         heads.append([])
         base = sorted(tower.base)
-        # Shapes go in chunks of at most window.size images, so a castle
-        # with far too many translates fails without building them all.
-        step = max(1, window.size // len(base))
-        for lo in range(0, len(shapes), step):
-            if walk and ranked and tower.words:
-                if not tables:
-                    tables = [window.flat_table(g) for g in range(len(window.group.generators()))]
-                rows = _walk(tower, base, window, tables, memos)
-            else:
-                rows = [window.images(v, shapes[lo : lo + step]) for v in base]
+        if walk and ranked and tower.words:
+            if not tables:
+                tables = [window.flat_table(g) for g in range(len(window.group.generators()))]
+            chunks: Iterable = [(0, _walk(tower, base, window, tables, memos))]
+        else:
+            # Shapes go in chunks of at most window.size images, so a castle
+            # with far too many translates fails without building them all.
+            step = max(1, window.size // len(base))
+            chunks = (
+                (lo, [window.images(v, shapes[lo : lo + step]) for v in base])
+                for lo in range(0, len(shapes), step)
+            )
+        for lo, rows in chunks:
             heads[ti] += rows[0]
             for k, imgs in enumerate(zip(*rows), start + lo):
                 for img in imgs:

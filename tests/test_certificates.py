@@ -815,33 +815,55 @@ def schreier_castle_file(window, rng, keep, extra):
 @given(st.randoms(use_true_random=False), st.data())
 def test_castle_words_match_letter_by_letter(w288, rng, data):
     """Shapes parsed from a castle file equal the words evaluated letter by
-    letter, and the audit that walks the words on the generator tables
-    gives the record, malformed or not, of the same castle read back from
-    its record, which the audit takes through Window.images.  The files:
-    Schreier-tree words with some deleted and random words added, the golden
-    fiber castle (16 base states per tower), and random_chunked_castle's."""
+    letter: Schreier-tree words in shuffled order with some of them deleted
+    (so some tails are missing), plus random words.  The audit, which walks
+    the towers whose tails are all castle words, gives the record, malformed
+    or not, of the same castle read back from its record, which it takes
+    through Window.images."""
     group = w288.group
-    source = data.draw(st.sampled_from(["schreier", "fibers", "chunked"]), label="source")
-    if source == "schreier":
-        extra = data.draw(
-            st.lists(st.lists(st.integers(0, 3), max_size=10).map(group.word_name), max_size=30),
-            label="random words",
-        )
-        text = schreier_castle_file(w288, rng, data.draw(st.floats(0, 1), label="keep"), extra)
-    elif source == "fibers":
-        text = (GOLDEN / "castle_w288_fibers.txt").read_text()
-    else:
-        seed = rng.random()
-        text = random_chunked_castle_file(random.Random(seed), w288)
-        assert parse_castle_file(text, w288) == random_chunked_castle(random.Random(seed), w288)
+    extra = data.draw(
+        st.lists(st.lists(st.integers(0, 3), max_size=10).map(group.word_name), max_size=30),
+        label="random words",
+    )
+    text = schreier_castle_file(w288, rng, data.draw(st.floats(0, 1), label="keep"), extra)
     castle = parse_castle_file(text, w288)
     lines = [line.split("S=")[1].split() for line in text.splitlines()]
     assert [list(t.shapes) for t in castle.towers] == [
         [group.word_element(group.parse_word(w)) for w in words] for words in lines
     ]
     gamma = data.draw(st.sampled_from(group.ball(2)[1:]), label="gamma").element
-    images = Castle.from_dict(castle.to_dict(w288), w288)
-    assert audit_record(castle, gamma, w288) == audit_record(images, gamma, w288)
+    assert audit_record(castle, gamma, w288) == audit_record(from_record(castle, w288), gamma, w288)
+
+
+def from_record(castle, window):
+    """The castle read back from its record: towers given as elements."""
+    return Castle.from_dict(castle.to_dict(window), window)
+
+
+@pytest.mark.parametrize("gamma", range(1, 17))
+def test_walked_fiber_castle_audits_as_its_record(w288, gamma, monkeypatch):
+    """The golden fiber castle (16 base states per tower, every tail a
+    castle word) is walked, and audits as its record at each gamma of the
+    radius-2 ball."""
+    counts = count_translates(monkeypatch)
+    castle = parse_castle_file((GOLDEN / "castle_w288_fibers.txt").read_text(), w288)
+    element = w288.group.ball(2)[gamma].element
+    walked = audit_record(castle, element, w288)
+    assert counts["walk"] and not counts["images"]
+    assert walked == audit_record(from_record(castle, w288), element, w288)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_walked_chunked_castle_audits_as_its_record(w288, rng, data):
+    """random_chunked_castle, written as a castle file, parses to the same
+    castle, and the walked audit gives the record of its elements."""
+    seed = rng.random()
+    castle = parse_castle_file(random_chunked_castle_file(random.Random(seed), w288), w288)
+    built = random_chunked_castle(random.Random(seed), w288)
+    assert castle == built
+    gamma = data.draw(st.sampled_from(w288.group.ball(2)[1:]), label="gamma").element
+    assert audit_record(castle, gamma, w288) == audit_record(built, gamma, w288)
 
 
 def count_translates(monkeypatch):
@@ -887,6 +909,27 @@ def test_a_castle_with_more_translates_than_states_is_not_walked(w288, group11, 
         audit_castle(oversize, gamma, w288)
     assert info.value.witness == tiling_witness(oversize, w288)
     assert counts == {"images": [w288.size // 2] * 2, "walk": []}
+
+
+def test_a_tower_with_a_missing_tail_is_not_walked(w288, monkeypatch):
+    """The Schreier words of W288 in two towers over one base state, with
+    the word at position k deleted, which is the tail of a later word: the
+    tower of the shorter words is walked; the other, holding that later
+    word, takes Window.images.  The record names the missing state, as the
+    record of the castle read back from its record does."""
+    counts = count_translates(monkeypatch)
+    orb = w288.orbit(w288.identity_thread())
+    names = [w288.group.word_name(orb.words[s]) for s in orb.order]
+    tails = {name.partition(".")[2] for name in names}
+    k = next(i for i in range(len(names) // 2, len(names)) if names[i] in tails)
+    v = w288.state_text(w288.identity_thread())
+    text = f"V= {v} ; S= {' '.join(names[:k])}\nV= {v} ; S= {' '.join(names[k + 1 :])}\n"
+    castle = parse_castle_file(text, w288)
+    gamma = w288.group.parse_element("{(0):(1)};(0)")
+    record = audit_record(castle, gamma, w288)
+    assert counts["walk"] == [k] and counts["images"] == [len(names) - k - 1]
+    assert record["witness"] == {"missing_state": w288.state_text(orb.order[k])}
+    assert record == audit_record(from_record(castle, w288), gamma, w288)
 
 
 def test_castle_read_against_other_ranks_is_checked_and_not_walked(w9, monkeypatch):
