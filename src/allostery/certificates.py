@@ -44,7 +44,7 @@ from .errors import (
     TextParseError,
 )
 from .forge import SubgroupDatum, assign_primes, default_epsilon
-from .wreath import Lamp, Word, WreathElement, format_element
+from .wreath import Lamp, Word, WreathElement, format_element, read_canonical
 
 SCHEMA_VERSION = 1
 
@@ -529,16 +529,21 @@ class Castle(NamedTuple):
 
     @classmethod
     def from_dict(cls, rec: dict, window: Window) -> "Castle":
-        towers = tuple(
-            Tower(
-                base=frozenset(window.parse_state(t) for t in tw["V"]),
-                shapes=tuple(window.group.parse_element(x) for x in tw["S"]),
-                group=window.group,
-            )
-            for tw in rec["towers"]
-        )
+        """Read a castle record.  A tower whose shape texts :func:`read_canonical`
+        all accepts keeps them as its ``shape_texts``: printing would give them
+        again."""
+        group = window.group
+        towers = []
+        for tw in rec["towers"]:
+            base = frozenset(window.parse_state(t) for t in tw["V"])
+            texts = tuple(tw["S"])
+            read = [read_canonical(x, group.d, group.m) for x in texts]
+            shapes = tuple(x or group.parse_element(t) for x, t in zip(read, texts))
+            towers.append(Tower(base=base, shapes=shapes, group=group))
+            if None not in read:
+                towers[-1].shape_texts = texts
         eps = rec.get("epsilon")
-        return cls(towers=towers, epsilon=None if eps is None else parse_tolerance(eps))
+        return cls(towers=tuple(towers), epsilon=None if eps is None else parse_tolerance(eps))
 
 
 def parse_castle_file(text: str, window: Window) -> Castle:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NamedTuple, NoReturn, Tuple
 
@@ -156,8 +157,9 @@ class WreathElement(tuple):
 
 # Shape text reuses few vectors many times (the 7,200-shape bench castle has
 # 121 distinct ones), so each vector's text and each vector body's tuple are
-# memoised.  A text is only ever made from its tuple, never taken from input,
-# so (01) and (-0) still print as (1) and (0).
+# memoised.  A printed text is only ever made from its tuple, so (01) and (-0)
+# still print as (1) and (0); the canonical reader takes a body from input
+# only when its tuple prints back to exactly that body.
 @lru_cache(maxsize=4096)
 def format_vec(v: Vec) -> str:
     return "(" + ",".join(map(str, v)) + ")"
@@ -166,6 +168,42 @@ def format_vec(v: Vec) -> str:
 @lru_cache(maxsize=4096)
 def _vec(body: str) -> Vec:
     return tuple(map(int, body.split(",")))
+
+
+@lru_cache(maxsize=4096)
+def _canonical_vec(body: str) -> Vec:
+    """The vector that prints as ``(body)``; ValueError for any other body."""
+    v = tuple(map(int, body.split(",")))
+    if ",".join(map(str, v)) != body:
+        raise ValueError(body)
+    return v
+
+
+def read_canonical(text, d: int, m: int) -> WreathElement | None:
+    """The element of ranks d and m whose :func:`format_element` text is
+    exactly `text`, else None.  The text is cut at ``};(``, ``),(`` and
+    ``):(``; it is canonical when every vector body prints back to itself,
+    positions strictly increase and values are nonzero."""
+    if not isinstance(text, str) or text[:1] != "{" or text[-1:] != ")":
+        return None
+    lamp_text, _, shift_text = text[1:-1].partition("};(")
+    entries: list[Tuple[Vec, Vec]] = []
+    try:  # a missing separator leaves an empty body, which int() rejects
+        shift = _canonical_vec(shift_text)
+        if lamp_text:
+            if lamp_text[0] != "(" or lamp_text[-1] != ")":
+                return None
+            for entry in lamp_text[1:-1].split("),("):
+                p_text, _, v_text = entry.partition("):(")
+                p, v = _canonical_vec(p_text), _canonical_vec(v_text)
+                if len(p) != m or len(v) != d or not any(v) or entries and p <= entries[-1][0]:
+                    return None
+                entries.append((p, v))
+    except ValueError:
+        return None
+    if len(shift) != m:
+        return None
+    return tuple.__new__(WreathElement, (Lamp._trusted(entries), shift))
 
 
 def format_element(x: WreathElement) -> str:
@@ -185,12 +223,18 @@ def _parse_vec(text: str, pos: int, line: int | None = None) -> Tuple[Vec, int]:
     m = _VEC_RE.match(text, pos)
     if not m:
         raise TextParseError("expected a vector like (0) or (1,-2)", line, pos + 1)
-    return _vec(m.group(1)), m.end()
+    try:
+        return _vec(m.group(1)), m.end()
+    except ValueError:  # a number past the interpreter's int-from-text digit limit
+        limit = sys.get_int_max_str_digits()
+        big = re.compile(rf"-?\d{{{limit + 1},}}").search(text, pos)
+        raise TextParseError(f"number longer than {limit} digits", line, big.start() + 1) from None
 
 
 def _raise_syntax_error(s: str, line: int | None) -> NoReturn:
     """Raise the error at the first position where `s` leaves the element
-    grammar, found by scanning it part by part."""
+    grammar or holds a number too long to read, found by scanning it part
+    by part."""
     if not s.startswith("{"):
         raise TextParseError("element must start with '{'", line, 1)
     pos = 1
@@ -221,13 +265,20 @@ def parse_element(
 ) -> WreathElement:
     """Parse the element form `{pos:vec,...};shift`, optionally checking
     ranks d and m.  Entries may come in any order, repeat a position or hold
-    zero; the lamp sums them into normal form."""
+    zero; the lamp sums them into normal form.  Text that
+    :func:`read_canonical` declines goes through the grammar."""
+    x = read_canonical(text, d, m)
+    if x is not None:
+        return x
     if not isinstance(text, str):
         raise TextParseError(f"element must be text, got {text!r}", line)
     s = text.strip()
     if not _ELEMENT_RE.fullmatch(s):
         _raise_syntax_error(s, line)
-    vecs = list(map(_vec, _VEC_RE.findall(s)))
+    try:
+        vecs = list(map(_vec, _VEC_RE.findall(s)))
+    except ValueError:
+        _raise_syntax_error(s, line)
     shift = vecs.pop()
     lamp = Lamp.of(zip(vecs[0::2], vecs[1::2]))
     if m is not None and len(shift) != m:

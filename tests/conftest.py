@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,16 @@ import pytest
 from allostery import Castle, Tower, Window, WreathGroup, forge
 
 HALF = Fraction(1, 2)
+
+
+@pytest.fixture()
+def default_digit_limit():
+    """The interpreter's default limit of 4,300 digits on integers read from
+    text, whatever limit the run was started with; restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture(scope="session")

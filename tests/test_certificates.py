@@ -670,6 +670,27 @@ def test_defects_read_off_the_tiling_match_the_products(w32, d81, w288, name, rn
             assert defect_record_counts(castle, gamma, window) == defect_counts(castle, gamma)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["W32", "W81", "W288"]), st.randoms(use_true_random=False), st.data())
+def test_half_the_defect_counts_bound_the_fixed_measure(w32, d81, w288, name, rng, data):
+    """The one-sided castle lemma (ROADMAP item 4): if gamma != e fixes s v
+    with v in V_i and s in S_i, then gamma s is not in S_i, as the distinct
+    translates (gamma s) V_i and s V_i would both hold s v.  So the fixed
+    measure is at most the sum of |S_i minus gamma^-1 S_i| mu(V_i), which is
+    half of each recorded defect count."""
+    window = {"W32": w32, "W81": Window([d81]), "W288": w288}[name]
+    ball = window.group.ball(2)[1:]
+    for castle in (random_chunked_castle(rng, window), random_castle(rng, window)):
+        gamma = data.draw(st.sampled_from(ball), label="gamma").element
+        rec = audit_castle(castle, gamma, window)
+        counts = [t["defect_count"] for t in rec["towers"]]
+        assert all(count % 2 == 0 for count in counts)
+        one_sided = sum(
+            count // 2 * Fraction(t["base_measure"]) for count, t in zip(counts, rec["towers"])
+        )
+        assert one_sided >= Fraction(rec["fix_measure"])
+
+
 def test_defects_of_the_fiber_castle_and_of_pair_towers(w288):
     """The same on the golden fiber castle and on pair castles, for every
     nonidentity element of ball(3).  In a pair tower at least half the

@@ -639,7 +639,27 @@ def test_audit_check_rejects_a_shape_in_another_spelling(
     shapes[shapes.index(canonical)] = respelled
     wreath.format_vec.cache_clear()  # the check starts cold, as in a fresh process
     wreath._vec.cache_clear()
+    wreath._canonical_vec.cache_clear()
     _malformed_check(capsys, tmp_path, "audit", rec)
+
+
+@pytest.mark.parametrize("where", ["shape", "gamma"])
+def test_audit_check_of_a_number_past_the_digit_limit(
+    capsys, tmp_path, w9_file, where, default_digit_limit
+):
+    """A 5,000-digit number in a recorded element is a malformed record,
+    reported as such, not the interpreter's integer-to-text limit."""
+    rec = _audit_record(capsys, tmp_path, w9_file)
+    big = "{(0):(1)};(" + "1" * 5000 + ")"
+    if where == "gamma":
+        rec["gamma"] = big
+    else:
+        rec["castle"]["towers"][0]["S"][1] = big
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(rec))
+    code, out, err = run(capsys, "audit", "--check", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: malformed castle audit: number longer than 4300 digits\n"
 
 
 def test_audit_check_with_a_float_in_e(capsys, tmp_path, w9_file):

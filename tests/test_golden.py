@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from allostery import Window, WreathGroup, forge, parse_castle_file
+from allostery import Window, WreathGroup, check_castle_audit, forge, parse_castle_file
+from allostery.errors import CertificateError
 from allostery.cli import main
 
 from oracle import fixed_states, window_states
@@ -156,6 +157,47 @@ def test_comparison_searches_once(paths, monkeypatch):
     assert code == 0
     assert len(json.loads(out)["pieces"]) == 4
     assert calls == [(0, 288)]
+
+
+def test_checking_an_audit_prints_only_gamma(monkeypatch):
+    """The check takes the golden audit's shape texts as recorded, since
+    each is canonical: of the elements it reads, only gamma is printed."""
+    from allostery import certificates, wreath
+
+    fmt, printed = wreath.format_element, []
+
+    def counting(x):
+        printed.append(fmt(x))
+        return printed[-1]
+
+    monkeypatch.setattr(wreath, "format_element", counting)
+    monkeypatch.setattr(certificates, "format_element", counting)
+    rec = json.loads((GOLDEN / "audit_w288.out").read_text())
+    assert check_castle_audit(rec)
+    assert printed == [rec["gamma"]]
+
+
+# (canonical shape of the golden castle, the same element spelled otherwise)
+RESPELLED_SHAPES = [
+    ("{(0):(1)};(0)", "{(0):(01)};(0)"),
+    ("{(0):(1)};(0)", "{(-0):(1)};(0)"),
+    ("{(0):(1)};(0)", " {(0):(1)};(0) "),
+    ("{(0):(2)};(0)", "{(0):(1),(0):(1)};(0)"),
+    ("{(0):(1)};(0)", "{(0):(1),(1):(0)};(0)"),
+    ("{(-4):(1),(-3):(1),(-1):(-1)};(-4)", "{(-3):(1),(-4):(1),(-1):(-1)};(-4)"),
+]
+
+
+@pytest.mark.parametrize("canonical, respelled", RESPELLED_SHAPES)
+def test_a_respelled_shape_fails_the_audit_check(canonical, respelled):
+    """A shape text that is not canonical is read by the grammar and its
+    tower's texts are printed afresh, so the record no longer serializes as
+    the rerun."""
+    rec = json.loads((GOLDEN / "audit_w288.out").read_text())
+    shapes = rec["castle"]["towers"][0]["S"]
+    shapes[shapes.index(canonical)] = respelled
+    with pytest.raises(CertificateError, match="^recorded 'castle' disagrees with recomputation$"):
+        check_castle_audit(rec)
 
 
 # command -> its arguments at a small and a large input; W7200C stands for

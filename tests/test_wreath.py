@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from allostery import Lamp, WreathElement, WreathGroup, format_element, parse_element
 from allostery.errors import BudgetExceededError, RankMismatchError, TextParseError
 from allostery import wreath
-from allostery.wreath import format_vec
+from allostery.wreath import format_vec, read_canonical
 
 from oracle import scan_element
 
@@ -369,7 +369,102 @@ def test_vector_texts_come_from_the_formatter():
         parse_element(f"{{}};({i})")
     assert wreath.format_vec.cache_info().currsize <= 4096
     assert wreath._vec.cache_info().currsize <= 4096
+    for i in range(5000):
+        read_canonical(f"{{}};({i})", 1, 1)
+    assert wreath._canonical_vec.cache_info().currsize <= 4096
     assert format_element(parse_element("{(-0):(01)};(00)")) == "{(0):(1)};(0)"
+
+
+def reads_as_canonical(text, d, m):
+    """read_canonical agrees with parsing and printing: it gives an element
+    exactly when the text parses at ranks d and m and prints back to
+    itself, and then the scanner oracle gives the same element."""
+    x = read_canonical(text, d, m)
+    try:
+        printed = format_element(parse_element(text, d, m)) == text
+    except (TextParseError, RankMismatchError):
+        printed = False
+    assert (x is not None) == printed
+    if x is not None:
+        assert x == scan_element(text, d, m)
+        assert type(x) is WreathElement and type(x.lamp) is Lamp
+    return x is not None
+
+
+@given(RANKS, st.data())
+def test_canonical_reader_accepts_exactly_the_printed_texts(ranks, data):
+    d, m = ranks
+    text = data.draw(
+        st.one_of(
+            wide_elements(d, m).map(format_element),
+            elements(d, m).map(format_element),
+            raw_element_texts(d, m),
+        ),
+        label="text",
+    )
+    if data.draw(st.booleans(), label="edit"):
+        text = data.draw(edited(text), label="edited")
+    reads_as_canonical(text, d, m)
+    other = data.draw(RANKS, label="other ranks")
+    reads_as_canonical(text, *other)
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        ("{};(0)", True),
+        ("{(-3):(2),(0):(-1),(12):(1)};(-7)", True),
+        ("{(01):(1)};(0)", False),
+        ("{(0):(1)};(-0)", False),
+        ("{(+1):(1)};(0)", False),
+        ("{(1_0):(1)};(0)", False),
+        ("{( 1):(1)};(0)", False),
+        ("{(0):(1)};(٣)", False),
+        (" {};(0)", False),
+        ("{};(0)\n", False),
+        ("{(1):(1),(0):(1)};(0)", False),
+        ("{(0):(1),(0):(2)};(0)", False),
+        ("{(0):(0)};(0)", False),
+        ("{(0):(1),};(0)", False),
+        ("{};(0,)", False),
+        ("{(1):(1)):(2)};(0)", False),
+        ("{(1):(1)};(0)};(0)", False),
+        ("{(0):(1)(1):(1)};(0)", False),
+        ("{x0):(1y};(0)", False),
+        ("{[0):(1]};(0)", False),
+        ("{(0,0):(1)};(0)", False),
+        ("{(0):(1,1)};(0)", False),
+        ("{};(0,0)", False),
+        ("{};(" + "7" * 5000 + ")", False),
+        ("{(" + "7" * 5000 + "):(1)};(0)", False),
+        ("", False),
+        (5, False),
+    ],
+)
+def test_canonical_reader_on_examples(text, canonical, default_digit_limit):
+    assert reads_as_canonical(text, 1, 1) == canonical
+
+
+def test_a_number_past_the_digit_limit_is_a_parse_error_at_its_column(default_digit_limit):
+    """A number longer than the interpreter reads from text is a parse
+    error at the number's column, not a ValueError, wherever it stands and
+    whatever follows it."""
+    big = "-" + "7" * 5000
+    for text in [
+        "{(0):(1),(" + big + "):(2)};(0)",
+        "{(0):(1)};(1," + big + ")",
+        "{(0):(1)};(1," + big + ")x",
+        " {(0):(" + big + ")};(0)",
+    ]:
+        with pytest.raises(TextParseError) as info:
+            parse_element(text, 1, 1, line=4)
+        column = text.strip().index(big) + 1
+        assert (info.value.message, info.value.line, info.value.column) == (
+            "number longer than 4300 digits",
+            4,
+            column,
+        )
+    assert read_canonical("{};(" + big + ")", 1, 1) is None
 
 
 WORD_PIECES = ["s1", "S1", "t1", "T1", "s2", "t2", "s10", "S10", "e", "x1", ".", "1", "s", ""]
