@@ -551,10 +551,14 @@ def parse_castle_file(text: str, window: Window) -> Castle:
 
     States use the canonical window state text, words the dotted generator
     names (``e`` for the empty word); tokens are whitespace-separated.
-    Every line is checked first, in file order.  Then each distinct word is
-    evaluated once, shortest first: a word ``g.rest`` whose tail ``rest`` is
-    also a word of the castle is generator g times the tail's element, one
-    product, so the words of a Schreier tree cost one step each.
+    Lines are read in file order up to the first fault of form or state.
+    Then each distinct word of those lines is evaluated once, shortest
+    first: a word ``g.rest`` whose tail ``rest`` is also a word of the
+    castle is generator g times the tail's element, one product, so the
+    words of a Schreier tree cost one step each; any other word goes
+    through :meth:`WreathGroup.parse_word`.  The first word in file order
+    that does not evaluate raises parse_word's error at its line; then the
+    fault that ended the reading, if any.
 
     The towers carry the window's group.  The same loop writes a plan,
     ``(tails, heads)``: planned word i is generator ``heads[i]`` times
@@ -563,49 +567,60 @@ def parse_castle_file(text: str, window: Window) -> Castle:
     planned or ``e`` carries the plan too, for :func:`_walk`.
     """
     group = window.group
+    lines: List[Tuple[int, StateSet, List[str]]] = []
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if ";" not in line:
+                raise TextParseError("expected 'V=<states>; S=<words>'", lineno)
+            left, right = line.split(";", 1)
+            left, right = left.strip(), right.strip()
+            if not left.startswith("V=") or not right.startswith("S="):
+                raise TextParseError("tower line must give V= then S=", lineno)
+            state_tokens = left[2:].split()
+            word_tokens = right[2:].split()
+            if not state_tokens or not word_tokens:
+                raise TextParseError("tower needs at least one state and one word", lineno)
+            base = frozenset(window.parse_state(tok, lineno) for tok in state_tokens)
+            lines.append((lineno, base, word_tokens))
+    except TextParseError as exc:
+        fault = exc
+    else:
+        fault = None if lines else TextParseError("castle file holds no towers")
     lookup = group._name_index
-    word_re = group._word_re
-    lines: List[Tuple[StateSet, List[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ";" not in line:
-            raise TextParseError("expected 'V=<states>; S=<words>'", lineno)
-        left, right = line.split(";", 1)
-        left, right = left.strip(), right.strip()
-        if not left.startswith("V=") or not right.startswith("S="):
-            raise TextParseError("tower line must give V= then S=", lineno)
-        state_tokens = left[2:].split()
-        word_tokens = right[2:].split()
-        if not state_tokens or not word_tokens:
-            raise TextParseError("tower needs at least one state and one word", lineno)
-        base = frozenset(window.parse_state(tok, lineno) for tok in state_tokens)
-        for tok in word_tokens:
-            if not word_re.fullmatch(tok):
-                group.parse_word(tok, lineno)  # raises, naming the first unknown letter
-        lines.append((base, word_tokens))
-    if not lines:
-        raise TextParseError("castle file holds no towers")
     gens = group.generators()
-    elements = {"e": group.identity()}
-    ids = {"": -1, "e": -1}  # plan index of each planned word; "": no tail
+    identity = group.identity()
+    elements: Dict[str, WreathElement] = {}
+    ids = {"": -1}  # plan index of each planned word; "": no tail
     tails: List[int] = []
     heads: List[int] = []
-    for tok in sorted({tok for _, words in lines for tok in words} - {"e"}, key=len):
-        head, _, tail = tok.partition(".")
-        rest = elements.get(tail or "e")
-        if rest is None:
-            elements[tok] = group.word_element(group.parse_word(tok))
-        else:
-            elements[tok] = gens[lookup[head]] * rest
-            if tail in ids:
-                ids[tok] = len(tails)
-                tails.append(ids[tail])
-                heads.append(lookup[head])
+    for tok in sorted({tok for _, _, words in lines for tok in words} - {"e"}, key=len):
+        head, dot, tail = tok.partition(".")
+        g = lookup.get(head)
+        rest = elements.get(tail) if dot else identity
+        if g is None or rest is None:
+            try:
+                elements[tok] = group.word_element(group.parse_word(tok))
+            except TextParseError:
+                pass  # raised below, at the word's line
+            continue
+        elements[tok] = gens[g] * rest
+        if tail in ids:
+            ids[tok] = len(tails)
+            tails.append(ids[tail])
+            heads.append(g)
+    elements["e"], ids["e"] = identity, -1
+    for lineno, _, words in lines:
+        for tok in words:
+            if tok not in elements:
+                group.parse_word(tok, lineno)  # raises, naming the first unknown letter
+    if fault is not None:
+        raise fault
     plan = (tails, heads)
     towers = []
-    for base, words in lines:
+    for _, base, words in lines:
         planned = tuple(map(ids.get, words))
         shapes = tuple(elements[tok] for tok in words)
         towers.append(Tower(base, shapes, group, None if None in planned else (plan, planned)))
@@ -647,9 +662,10 @@ def audit_castle(
 ) -> dict:
     """Check well-formedness, then the fixed-set bound.
 
-    Well-formed means: every tower has base states and distinct shapes, and
-    all translates (one per tower shape) are pairwise disjoint and together
-    cover the state space.  MalformedCastleError carries a witness — the
+    Well-formed means: every tower has base states and shapes, and all
+    translates (one per tower shape) are pairwise disjoint and together
+    cover the state space; a shape repeated in a tower gives two equal
+    translates.  MalformedCastleError carries a witness — the
     doubly covered or missed state.  For the test set {inverse of gamma},
     the measure of the set of gamma-fixed states is at most the sum over
     towers of |KS △ S| times the base measure; the audit recomputes both
@@ -685,15 +701,8 @@ def audit_castle(
         if not tower.base:
             raise MalformedCastleError("tower has no base states", witness={"tower": ti})
         ranked = tower.group == window.group  # built with the window's ranks
-        distinct: set[WreathElement] = set()
-        for shape, text in zip(shapes, tower.shape_texts):
-            if shape in distinct:
-                raise MalformedCastleError(
-                    "repeated shape element in one tower",
-                    witness={"tower": ti, "shape": text},
-                )
-            distinct.add(shape)
-            if not ranked:
+        if not ranked:
+            for shape in shapes:
                 window.group.validate_element(shape)
         heads.append([])
         base = sorted(tower.base)

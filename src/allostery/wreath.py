@@ -17,7 +17,7 @@ import operator
 import re
 import sys
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, NamedTuple, NoReturn, Tuple
+from typing import Iterable, Mapping, NamedTuple, Tuple
 
 from .base import Vec, add, is_zero, neg, zero
 from .errors import BudgetExceededError, RankMismatchError, TextParseError
@@ -215,8 +215,6 @@ def format_element(x: WreathElement) -> str:
 
 _NUMS = r"-?\d+(?:,-?\d+)*"
 _VEC_RE = re.compile(rf"\(({_NUMS})\)")
-_V = rf"\({_NUMS}\)"
-_ELEMENT_RE = re.compile(rf"\{{(?:{_V}:{_V}(?:,{_V}:{_V})*)?\}};{_V}")
 
 
 def _parse_vec(text: str, pos: int, line: int | None = None) -> Tuple[Vec, int]:
@@ -231,19 +229,21 @@ def _parse_vec(text: str, pos: int, line: int | None = None) -> Tuple[Vec, int]:
         raise TextParseError(f"number longer than {limit} digits", line, big.start() + 1) from None
 
 
-def _raise_syntax_error(s: str, line: int | None) -> NoReturn:
-    """Raise the error at the first position where `s` leaves the element
-    grammar or holds a number too long to read, found by scanning it part
-    by part."""
+def _read_element(s: str, line: int | None) -> Tuple[list, Vec]:
+    """The (position, value) pairs and the shift of the element text `s`,
+    read part by part; TextParseError at the first position where `s`
+    leaves the grammar or holds a number too long to read."""
     if not s.startswith("{"):
         raise TextParseError("element must start with '{'", line, 1)
     pos = 1
+    pairs = []
     if s[pos : pos + 1] != "}":
         while True:
-            _, pos = _parse_vec(s, pos, line)
+            p, pos = _parse_vec(s, pos, line)
             if s[pos : pos + 1] != ":":
                 raise TextParseError("expected ':' between position and value", line, pos + 1)
-            _, pos = _parse_vec(s, pos + 1, line)
+            v, pos = _parse_vec(s, pos + 1, line)
+            pairs.append((p, v))
             if s[pos : pos + 1] != ",":
                 break
             pos += 1
@@ -251,10 +251,10 @@ def _raise_syntax_error(s: str, line: int | None) -> NoReturn:
         raise TextParseError("expected '}' closing the lamp part", line, pos + 1)
     if s[pos + 1 : pos + 2] != ";":
         raise TextParseError("expected ';' before the shift part", line, pos + 2)
-    # Every part up to the shift is well formed, so what the grammar
-    # rejects is text after the shift.
-    _, pos = _parse_vec(s, pos + 2, line)
-    raise TextParseError("trailing characters after element", line, pos + 1)
+    shift, pos = _parse_vec(s, pos + 2, line)
+    if pos != len(s):
+        raise TextParseError("trailing characters after element", line, pos + 1)
+    return pairs, shift
 
 
 def parse_element(
@@ -266,21 +266,14 @@ def parse_element(
     """Parse the element form `{pos:vec,...};shift`, optionally checking
     ranks d and m.  Entries may come in any order, repeat a position or hold
     zero; the lamp sums them into normal form.  Text that
-    :func:`read_canonical` declines goes through the grammar."""
+    :func:`read_canonical` declines goes through :func:`_read_element`."""
     x = read_canonical(text, d, m)
     if x is not None:
         return x
     if not isinstance(text, str):
         raise TextParseError(f"element must be text, got {text!r}", line)
-    s = text.strip()
-    if not _ELEMENT_RE.fullmatch(s):
-        _raise_syntax_error(s, line)
-    try:
-        vecs = list(map(_vec, _VEC_RE.findall(s)))
-    except ValueError:
-        _raise_syntax_error(s, line)
-    shift = vecs.pop()
-    lamp = Lamp.of(zip(vecs[0::2], vecs[1::2]))
+    pairs, shift = _read_element(text.strip(), line)
+    lamp = Lamp.of(pairs)
     if m is not None and len(shift) != m:
         raise TextParseError(f"shift rank {len(shift)} != m={m}", line, 1)
     if d is not None:
@@ -402,13 +395,6 @@ class WreathGroup(tuple):
     @cached_property
     def _name_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.generator_names())}
-
-    @cached_property
-    def _word_re(self) -> "re.Pattern[str]":
-        """The words :meth:`parse_word` accepts, longest names first."""
-        names = sorted(self.generator_names(), key=len, reverse=True)
-        name = "(?:" + "|".join(map(re.escape, names)) + ")"
-        return re.compile(rf"e|{name}(?:\.{name})*")
 
     def parse_word(self, text: str, line: int | None = None) -> Word:
         s = text.strip()

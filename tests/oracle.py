@@ -6,7 +6,8 @@ on :class:`CosetState` objects, fixed states listed level by level, a
 breadth-first search over a set of window tuples, transporter words read
 off that search's tree, a castle tiling over window tuples, castle
 defects from the products of gamma^-1 with every shape, an element parser
-that scans its text part by part, and a stabilizer witness that reads each
+that scans its text part by part, the element and castle-word grammars
+each as one regular expression, and a stabilizer witness that reads each
 element's image of the identity thread as one flat index.  The per-state
 action reads only an element's reduced shift and class sums, so it is
 independent of the digit arithmetic of ``images`` and ``index_map``.
@@ -145,8 +146,9 @@ def flat_stabilizer_witness(window, ball_radius=1):
 
 
 def tiling_witness(castle, window):
-    """The witness of the first tiling defect of a castle whose towers repeat
-    no shape, or None if its translates tile.  Each translate is one window
+    """The witness of the first tiling defect of a castle, or None if its
+    translates tile; a shape repeated in a tower covers its translates
+    twice.  Each translate is one window
     tuple from :func:`window_act`, taken shape by shape and then base state
     by base state in sorted order; an uncovered castle names its least
     missed tuple."""
@@ -171,7 +173,30 @@ def defect_counts(castle, gamma):
     return [len({inv * s for s in t.shapes} ^ set(t.shapes)) for t in castle.towers]
 
 
-_VEC_RE = re.compile(r"\((-?\d+(?:,-?\d+)*)\)")
+_NUMS = r"-?\d+(?:,-?\d+)*"
+_VEC_RE = re.compile(rf"\(({_NUMS})\)")
+_V = rf"\({_NUMS}\)"
+ELEMENT_RE = re.compile(rf"\{{(?:{_V}:{_V}(?:,{_V}:{_V})*)?\}};{_V}")
+
+
+def grammar_element(text):
+    """The element that the one-pattern element grammar reads from the
+    stripped text, or None where the pattern does not match: the vectors in
+    order, the last the shift and the others (position, value) pairs summed
+    by ``Lamp.of``.  Ranks are not checked."""
+    if not isinstance(text, str) or not ELEMENT_RE.fullmatch(text.strip()):
+        return None
+    vecs = [tuple(map(int, body.split(","))) for body in _VEC_RE.findall(text)]
+    shift = vecs.pop()
+    return WreathElement(Lamp.of(zip(vecs[0::2], vecs[1::2])), shift)
+
+
+def word_pattern(group):
+    """The words ``parse_word`` accepts as one pattern: ``e``, or generator
+    names joined by dots, longest names first."""
+    names = sorted(group.generator_names(), key=len, reverse=True)
+    name = "(?:" + "|".join(map(re.escape, names)) + ")"
+    return re.compile(rf"e|{name}(?:\.{name})*")
 
 
 def _scan_vec(text, pos, line):

@@ -2,10 +2,11 @@ import copy
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from allostery import (
     Castle,
@@ -52,6 +53,7 @@ from oracle import (
     is_transitive,
     tiling_witness,
     window_act,
+    word_pattern,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -503,24 +505,41 @@ def test_covering_witness(w9, w9_transversal, group11):
 
 
 def test_duplicate_shape_witness(w9, group11):
+    """A repeated shape gives two equal translates: the overlap witness names
+    the shape's text twice."""
     e = w9.group.identity()
     castle = Castle(towers=(Tower(base=frozenset({(0,)}), shapes=(e, e)),))
     with pytest.raises(MalformedCastleError) as info:
         audit_castle(castle, group11.parse_element("{};(1)"), w9)
-    assert info.value.witness == {"tower": 0, "shape": "{};(0)"}
+    assert str(info.value) == "castle translates overlap"
+    assert info.value.witness == {
+        "state": w9.state_text((0,)),
+        "first": {"tower": 0, "shape": "{};(0)"},
+        "second": {"tower": 0, "shape": "{};(0)"},
+    }
 
 
-def test_duplicate_shape_witness_is_first_repeat_by_position(w9, group11):
-    shifts = [group11.parse_element(f"{{}};({k})") for k in range(1799)]
+def test_duplicate_shape_witness_is_first_repeat_by_position(w9, w9_transversal, group11):
+    """The transversal of W9 with a shape repeated after it (in a second
+    chunk of images), and two shapes repeated in reverse order: the witness
+    is the first collision in shape-major order, which names the shape that
+    repeats first by position, at its translate."""
+    (tower,) = w9_transversal.towers
+    shapes, (v,) = tower.shapes, tower.base
     gamma = group11.parse_element("{};(1)")
-    for shapes, dup in (
-        (shifts + [shifts[1234]], shifts[1234]),
-        (shifts[:2] + [shifts[1], shifts[0]], shifts[1]),
+    for repeated, dup in (
+        (shapes + shapes[4:5], shapes[4]),
+        (shapes[:2] + (shapes[1], shapes[0]), shapes[1]),
     ):
-        castle = Castle(towers=(Tower(base=frozenset({(0,)}), shapes=tuple(shapes)),))
+        castle = Castle(towers=(Tower(base=tower.base, shapes=repeated),))
         with pytest.raises(MalformedCastleError) as info:
             audit_castle(castle, gamma, w9)
-        assert info.value.witness == {"tower": 0, "shape": dup.text()}
+        assert str(info.value) == "castle translates overlap"
+        assert info.value.witness == {
+            "state": w9.state_text(window_act(w9, dup, v)),
+            "first": {"tower": 0, "shape": dup.text()},
+            "second": {"tower": 0, "shape": dup.text()},
+        }
 
 
 def test_audit_rejects_a_tower_with_no_base_states(w9, w9_transversal, group11):
@@ -536,15 +555,16 @@ def test_audit_rejects_a_tower_with_no_base_states(w9, w9_transversal, group11):
 
 @pytest.mark.parametrize("repeat_first", [True, False])
 def test_audit_names_the_first_bad_shape(w288, group11, repeat_first):
-    """A tower with both a repeated shape and a shape of the wrong rank
-    fails on whichever comes first in shape order."""
+    """A tower with both a repeated shape and a shape of the wrong rank fails
+    on the rank, wherever the repeat stands: ranks are checked before any
+    translate is built, and a repeat shows only as overlapping translates."""
     e, t1 = group11.identity(), group11.shift_generator(0)
     wrong = WreathElement(Lamp(), (1, 0))
     shapes = (e, t1, t1, wrong) if repeat_first else (e, t1, wrong, t1)
     castle = Castle(towers=(Tower(base=frozenset({(0, 0)}), shapes=shapes),))
-    error = MalformedCastleError if repeat_first else RankMismatchError
-    with pytest.raises(error):
+    with pytest.raises(RankMismatchError) as info:
         audit_castle(castle, group11.parse_element("{};(1)"), w288)
+    assert str(info.value) == "shift rank 2 != m=1"
 
 
 @pytest.mark.parametrize(
@@ -609,13 +629,15 @@ def test_missing_state_is_the_least_uncovered_index(w288, group11):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_tiling_witness_matches_tuple_oracle(w288, group11, data):
+    """The audit's malformed-castle witness is the tuple oracle's, on towers
+    that may repeat a shape."""
     words = st.lists(st.integers(0, 3), max_size=6).map(group11.word_element)
     towers = data.draw(
         st.lists(
             st.builds(
                 Tower,
                 base=st.frozensets(st.integers(0, w288.size - 1).map(w288.state_at), min_size=1, max_size=4),
-                shapes=st.lists(words, min_size=1, max_size=5, unique=True).map(tuple),
+                shapes=st.lists(words, min_size=1, max_size=5).map(tuple),
             ),
             min_size=1,
             max_size=3,
@@ -778,6 +800,64 @@ def test_castle_file_word_errors_are_those_of_parse_word(w9, word):
         parse_castle_file(f"V= (0)|((0)) ; S= e t1\nV= (0)|((0)) ; S= s1 {word} T1", w9)
     assert str(info.value) == str(expected.value)
     assert (info.value.message, info.value.line) == (expected.value.message, 2)
+
+
+WORD_PIECES = ["s1", "S1", "t1", "T1", "s2", "t2", "s10", "S10", "e", "x1", "1", "s", ""]
+WORDS = st.one_of(
+    st.lists(st.sampled_from(WORD_PIECES), min_size=1, max_size=4).map(".".join),
+    st.lists(st.sampled_from(WORD_PIECES + ["."]), min_size=1, max_size=6).map("".join),
+).filter(bool)
+LATER_FAULTS = {
+    None: "",
+    "form": "V= {v} S= e\n",
+    "state": "V= oops ; S= e\n",
+}
+
+
+@lru_cache(maxsize=None)
+def ranked_window(d, m):
+    """A one-level window of ranks d and m."""
+    gamma = WreathElement(Lamp(), (1,) + (0,) * (m - 1))
+    return Window([forge(gamma, 2, HALF, d, m)])
+
+
+@pytest.mark.parametrize("ranks", [(1, 1), (2, 1), (10, 2)])
+@given(WORDS, st.booleans(), st.sampled_from(list(LATER_FAULTS)))
+@example("s1.e", True, None)
+@example("t1.s1.", True, "form")
+def test_castle_file_accepts_the_words_of_the_word_pattern(ranks, word, tail_in_file, fault):
+    """A castle file accepts a word exactly when the word-pattern oracle
+    does, whether or not the word's tail is also a word of the file, and
+    gives it the element of its letters; otherwise it raises parse_word's
+    error at the word's line, before a fault of form or state on a later
+    line."""
+    window = ranked_window(*ranks)
+    group = window.group
+    v = window.state_text(window.identity_thread())
+    tail = word.partition(".")[2]
+    text = f"V= {v} ; S= e s1\nV= {v} ; S= t1 {word} T1\n"
+    if tail_in_file and tail:
+        text += f"V= {v} ; S= {tail}\n"
+    text += LATER_FAULTS[fault].format(v=v)
+    if not word_pattern(group).fullmatch(word):
+        with pytest.raises(TextParseError) as expected:
+            group.parse_word(word, 2)
+        with pytest.raises(TextParseError) as info:
+            parse_castle_file(text, window)
+        assert str(info.value) == str(expected.value)
+        assert (info.value.message, info.value.line) == (expected.value.message, 2)
+    elif fault is not None:
+        with pytest.raises(TextParseError) as expected:
+            parse_castle_file(LATER_FAULTS[fault].format(v=v), window)
+        with pytest.raises(TextParseError) as info:
+            parse_castle_file(text, window)
+        assert (info.value.message, info.value.line) == (
+            expected.value.message,
+            len(text.splitlines()),
+        )
+    else:
+        castle = parse_castle_file(text, window)
+        assert castle.towers[1].shapes[1] == group.word_element(group.parse_word(word))
 
 
 def test_seeded_w7200_castle_audits_as_its_word_elements(d32, d9, d25):

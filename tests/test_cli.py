@@ -662,6 +662,34 @@ def test_audit_check_of_a_number_past_the_digit_limit(
     assert err == "error: malformed castle audit: number longer than 4300 digits\n"
 
 
+@pytest.mark.parametrize("where", ["window", "check"])
+def test_a_json_number_past_the_digit_limit_names_the_file(
+    capsys, tmp_path, d9, w9_file, where, default_digit_limit
+):
+    """A 5,000-digit integer in a window file given to audit, or in a record
+    given to audit --check, is a parse error that names the file, not the
+    interpreter's bare integer-to-text message."""
+    path = tmp_path / "big.json"
+    if where == "window":
+        rec = window = [d9.to_dict()]
+        castle_path = tmp_path / "castle.txt"
+        castle_path.write_text(FULL_TOWER)
+        argv = (str(castle_path), "--window", str(path), "--gamma", "{(0):(1)};(0)")
+    else:
+        rec = _audit_record(capsys, tmp_path, w9_file)
+        window = rec["window"]
+        argv = ("--check", str(path))
+    window[0]["k"] = "BIG"
+    text = json.dumps(rec).replace('"BIG"', "9" * 5000)
+    path.write_text(text)
+    with pytest.raises(ValueError) as interpreter:
+        json.loads(text)
+    code, out, err = run(capsys, "audit", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {interpreter.value}\n"
+    assert "Exceeds the limit (4300 digits)" in err
+
+
 def test_audit_check_with_a_float_in_e(capsys, tmp_path, w9_file):
     rec = _audit_record(capsys, tmp_path, w9_file)
     rec["window"][0]["E"] = [[0.0]]

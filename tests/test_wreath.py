@@ -8,7 +8,7 @@ from allostery.errors import BudgetExceededError, RankMismatchError, TextParseEr
 from allostery import wreath
 from allostery.wreath import format_vec, read_canonical
 
-from oracle import scan_element
+from oracle import grammar_element, scan_element
 
 
 def vecs(rank, lo=-4, hi=4):
@@ -288,19 +288,45 @@ def outcome(parse, text, d, m):
         return ("RankMismatchError", str(exc))
 
 
+def assert_parser_matches_the_oracles(text, d, m):
+    """parse_element and the scanner oracle give the same element, or the
+    same error at the same line and column, with and without ranks.  The
+    parser accepts the text without ranks exactly when the grammar oracle
+    does, and gives its element; with ranks, exactly when that element also
+    has ranks d and m; both raise the RankMismatchError of ``Lamp.of``
+    where the grammar's entries at one position differ in rank."""
+    ranked, free = outcome(parse_element, text, d, m), outcome(parse_element, text, None, None)
+    assert ranked == outcome(scan_element, text, d, m)
+    assert free == outcome(scan_element, text, None, None)
+    try:
+        x = grammar_element(text)
+    except RankMismatchError as exc:
+        assert free == ranked == ("RankMismatchError", str(exc))
+        return
+    if x is None:
+        assert free[0] == ranked[0] == "TextParseError"
+        return
+    assert free == x
+    try:
+        WreathGroup(d, m).validate_element(x)
+    except RankMismatchError:
+        assert ranked[0] == "TextParseError"
+    else:
+        assert ranked == x
+
+
 @given(RANKS, st.data())
 def test_parser_matches_the_scanner(ranks, data):
-    """The one-pattern parser and the part-by-part scanner give the same
-    element, or the same error at the same line and column, on canonical
-    and non-canonical texts and on single-character edits of both."""
+    """The parser, the part-by-part scanner and the one-pattern grammar
+    agree on canonical and non-canonical texts and on single-character
+    edits of both."""
     d, m = ranks
     text = data.draw(
         st.one_of(elements(d, m).map(format_element), raw_element_texts(d, m)), label="text"
     )
     if data.draw(st.booleans(), label="edit"):
         text = data.draw(edited(text), label="edited")
-    assert outcome(parse_element, text, d, m) == outcome(scan_element, text, d, m)
-    assert outcome(parse_element, text, None, None) == outcome(scan_element, text, None, None)
+    assert_parser_matches_the_oracles(text, d, m)
 
 
 @pytest.mark.parametrize(
@@ -322,6 +348,7 @@ def test_parser_matches_the_scanner(ranks, data):
 )
 def test_parser_matches_the_scanner_on_examples(text):
     assert outcome(parse_element, text, 1, 1) == outcome(scan_element, text, 1, 1)
+    assert_parser_matches_the_oracles(text, 1, 1)
 
 
 @given(st.dictionaries(vecs(2), vecs(1, -3, 3).filter(any), max_size=5), st.data())
@@ -465,18 +492,3 @@ def test_a_number_past_the_digit_limit_is_a_parse_error_at_its_column(default_di
             column,
         )
     assert read_canonical("{};(" + big + ")", 1, 1) is None
-
-
-WORD_PIECES = ["s1", "S1", "t1", "T1", "s2", "t2", "s10", "S10", "e", "x1", ".", "1", "s", ""]
-
-
-@pytest.mark.parametrize("ranks", [(1, 1), (2, 1), (10, 2)])
-@given(st.lists(st.sampled_from(WORD_PIECES), max_size=6).map("".join))
-def test_word_pattern_accepts_what_parse_word_accepts(ranks, text):
-    group = WreathGroup(*ranks)
-    try:
-        group.parse_word(text)
-        accepted = True
-    except TextParseError:
-        accepted = False
-    assert bool(group._word_re.fullmatch(text)) == accepted
