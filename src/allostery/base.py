@@ -126,3 +126,8 @@ def minimal_exponent(
         if q**rank > index_bound and not any(all(c % q == 0 for c in v) for v in avoid):
             return k
     raise AssertionError("unreachable")
+
+
+def frac_str(q: Fraction) -> str:
+    """A rational as ``numerator/denominator``, the form every record uses."""
+    return f"{q.numerator}/{q.denominator}"

@@ -28,7 +28,7 @@ from itertools import accumulate
 from math import prod
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .base import zero
+from .base import frac_str, zero
 from .dynamics import (
     DEFAULT_STATE_BUDGET,
     FiniteLevel,
@@ -50,10 +50,6 @@ SCHEMA_VERSION = 1
 
 State = Tuple[int, ...]
 StateSet = FrozenSet[State]
-
-
-def frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 def parse_frac(text: str) -> Fraction:

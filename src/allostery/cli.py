@@ -12,33 +12,42 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import random
 import sys
-from fractions import Fraction
-from pathlib import Path
-from typing import Optional, Sequence
 
-from .certificates import (
-    audit_castle,
-    check_castle_audit,
-    check_comparison_certificate,
-    check_criterion_certificate,
-    check_non_af_report,
-    comparison_certificate,
-    frac_str,
-    malformed_castle_record,
-    non_af_report,
-    parse_castle_file,
-    parse_tolerance,
-    record_ok,
-    verify_criterion,
-    window_from_records,
-)
-from .config import RunConfig, apply_env, load_config, parse_epsilon_mode
-from .dynamics import Window
 from .errors import AllosteryError, MalformedCastleError, TextParseError
-from .forge import SubgroupDatum, default_epsilon, forge
-from .wreath import WreathGroup
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # for annotations only: each command imports what it runs
+    import random
+    from typing import Sequence
+
+    from .config import RunConfig
+    from .dynamics import Window
+
+
+def _from_certificates(name: str):
+    """``certificates.<name>``, imported on the first call, so that a command
+    that makes or checks no certificate never loads that module.  Each such
+    name is a ``cli`` attribute from import on, and can be wrapped there."""
+
+    def call(*args, **kwargs):
+        from . import certificates
+
+        return getattr(certificates, name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+verify_criterion = _from_certificates("verify_criterion")
+non_af_report = _from_certificates("non_af_report")
+comparison_certificate = _from_certificates("comparison_certificate")
+parse_castle_file = _from_certificates("parse_castle_file")
+audit_castle = _from_certificates("audit_castle")
+check_criterion_certificate = _from_certificates("check_criterion_certificate")
+check_non_af_report = _from_certificates("check_non_af_report")
+check_comparison_certificate = _from_certificates("check_comparison_certificate")
+check_castle_audit = _from_certificates("check_castle_audit")
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -55,6 +64,8 @@ def _emit_json(obj: dict, cfg: RunConfig, name: str) -> None:
 
 def _emit_text(text: str, cfg: RunConfig, name: str) -> None:
     if cfg.out:
+        from pathlib import Path
+
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         target = out_dir / name
@@ -73,19 +84,23 @@ def _load_json(path: str) -> dict:
 
 
 def _load_window(path: str) -> Window:
+    from .certificates import window_from_records
+
     rec = _load_json(path)
-    if isinstance(rec, list):
-        records = rec
-    elif isinstance(rec, dict) and "window" in rec:
-        records = rec["window"]
-    else:
+    records = rec.get("window") if isinstance(rec, dict) else rec
+    if not isinstance(records, list):
         raise TextParseError(f"{path}: no window data found")
+    for i, datum in enumerate(records):
+        if not isinstance(datum, dict):
+            raise TextParseError(f"{path}: window record {i} is not a JSON object")
     return window_from_records(records)
 
 
 def _criterion(cfg: RunConfig) -> dict:
     """The criterion certificate of the configured ball window: one element
     per nonidentity element of the ball of the configured radius."""
+    from .wreath import WreathGroup
+
     ball = WreathGroup(cfg.d, cfg.m).ball(cfg.radius)
     gammas = [entry.element for entry in ball if not entry.element.is_identity()]
     return verify_criterion(
@@ -119,6 +134,10 @@ def _parse_states(window: Window, spec: str, rng: random.Random) -> frozenset:
 
 
 def cmd_forge(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .base import frac_str
+    from .forge import default_epsilon, forge
+    from .wreath import WreathGroup
+
     group = WreathGroup(cfg.d, cfg.m)
     gamma = group.parse_element(args.gamma)
     epsilon = cfg.epsilon_arg() or default_epsilon(0)
@@ -136,6 +155,8 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         ok = check_criterion_certificate(_load_json(args.check))
         _say(f"criterion certificate: {'valid' if ok else 'invalid'}")
         return EXIT_OK if ok else EXIT_FAILED
+    from .certificates import record_ok
+
     cert = _criterion(cfg)
     _emit_json(cert, cfg, "criterion")
     for rec in cert["records"]:
@@ -158,7 +179,13 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.window:
         window = _load_window(args.window)
     elif args.datum:
-        window = Window([SubgroupDatum.from_dict(_load_json(args.datum))])
+        from .dynamics import Window
+        from .forge import SubgroupDatum
+
+        rec = _load_json(args.datum)
+        if not isinstance(rec, dict):
+            raise TextParseError(f"{args.datum}: the datum record is not a JSON object")
+        window = Window([SubgroupDatum.from_dict(rec)])
     else:
         raise TextParseError("simulate needs --window or --datum")
     group = window.group
@@ -186,6 +213,8 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
         return EXIT_OK if ok else EXIT_FAILED
     if not args.window or not args.a_spec or not args.b_spec:
         raise TextParseError("compare needs --window, --a and --b (or --check)")
+    import random
+
     window = _load_window(args.window)
     rng = random.Random(cfg.seed)
     a_set = _parse_states(window, args.a_spec, rng)
@@ -203,6 +232,8 @@ def cmd_audit(args: argparse.Namespace, cfg: RunConfig) -> int:
         return EXIT_OK if ok else EXIT_FAILED
     if not args.castle or not args.window or not args.gamma:
         raise TextParseError("audit needs a castle file, --window and --gamma (or --check)")
+    from .certificates import malformed_castle_record, parse_tolerance
+
     window = _load_window(args.window)
     with open(args.castle, "r", encoding="utf-8") as fh:
         castle = parse_castle_file(fh.read(), window)
@@ -227,6 +258,10 @@ def cmd_audit(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _report_markdown(report_dict: dict) -> str:
+    from fractions import Fraction
+
+    from .base import frac_str
+
     lines = [
         "| gamma | prime | index | fixed fraction | lower bound |",
         "| --- | --- | --- | --- | --- |",
@@ -323,6 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    from .config import RunConfig, apply_env, load_config, parse_epsilon_mode
+
     cfg = load_config(args.config) if args.config else RunConfig()
     for key in ("d", "m", "radius", "budget_states", "seed", "out", "format"):
         value = getattr(args, key, None)
@@ -337,7 +374,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return apply_env(cfg)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     was_enabled = gc.isenabled()

@@ -5,6 +5,9 @@ so moving one to another class or module breaks every traced bench run.
 These checks only read ``bench/``.
 """
 
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,3 +47,43 @@ def test_names_the_bench_calls(w288):
     orb = w288.orbit(w288.identity_thread())
     assert orb.start == (0, 0) and orb.size == len(orb.order) == len(orb.words)
     assert all(type(s) is tuple for s in orb.order)
+
+
+def test_tracer_installs_right_after_the_cli_import():
+    """The CLI imports its certificate functions on first call, but binds
+    each traced name at import; so the tracer installs and restores in a
+    process that has imported nothing of the package but ``allostery.cli``,
+    and a command run under it records its certificate span."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, str(BENCH), os.environ.get("PYTHONPATH", "")])
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import allostery.cli as cli\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('allostery'))\n"
+        "before = dict(vars(cli))\n"
+        "import traced\n"
+        "from tracer import Tracer\n"
+        "tracer = Tracer()\n"
+        "traced.install(tracer)\n"
+        "patches = list(tracer._patches)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', '--epsilon', '1/2'])\n"
+        "tracer.restore()\n"
+        "print(json.dumps({\n"
+        "    'loaded': loaded,\n"
+        "    'code': code,\n"
+        "    'spans': sorted({s.name for s in tracer.spans}),\n"
+        "    'restored': all(vars(o)[a] is f for o, a, f in patches),\n"
+        "    'cli': vars(cli) == before,\n"
+        "}))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert out["loaded"] == ["allostery", "allostery.cli", "allostery.errors"]
+    assert out["code"] == 0
+    assert {"certificates.criterion", "certificates.transitivity", "cli.emit"} <= set(out["spans"])
+    assert out["restored"] and out["cli"]

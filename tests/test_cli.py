@@ -828,3 +828,33 @@ def test_audit_tolerance_with_a_zero_denominator(capsys, tmp_path, w9_file):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command, flag, records, message",
+    [
+        ("compare", "--window", [1, 2], "window record 0 is not a JSON object"),
+        ("audit", "--window", ["d9", 2], "window record 1 is not a JSON object"),
+        ("simulate", "--window", {"window": ["d9", "d9", [1]]}, "window record 2 is not a JSON object"),
+        ("simulate", "--datum", [1], "the datum record is not a JSON object"),
+    ],
+)
+def test_a_record_that_is_not_an_object_names_the_file(
+    capsys, tmp_path, d9, command, flag, records, message
+):
+    """A window or datum file whose record is not a JSON object is a parse
+    error naming the file and the record, not the interpreter's message on
+    indexing a number or a list."""
+    path = tmp_path / "data.json"
+    text = json.dumps(records).replace('"d9"', json.dumps(d9.to_dict()))
+    path.write_text(text)
+    castle_path = tmp_path / "castle.txt"
+    castle_path.write_text(FULL_TOWER)
+    argv = {
+        "compare": ("--a", "idx:0", "--b", "idx:3,6"),
+        "audit": (str(castle_path), "--gamma", "{(0):(1)};(0)"),
+        "simulate": ("t1",),
+    }[command]
+    code, out, err = run(capsys, command, *argv, flag, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {message}\n"
