@@ -68,7 +68,10 @@ def parse_tolerance(text: str) -> Fraction:
 
 
 def window_from_records(records: Sequence[dict]) -> Window:
-    return Window([SubgroupDatum.from_dict(r) for r in records])
+    """The window of a list of datum records; a TextParseError names a record by position."""
+    if not isinstance(records, list):
+        raise TextParseError("no window data found")
+    return Window([SubgroupDatum.from_dict(r, f"window record {i}") for i, r in enumerate(records)])
 
 
 def _require_kind(rec, kind: str, what: str) -> None:
@@ -237,10 +240,7 @@ def verify_criterion(
     ``epsilon`` may be None (the summable schedule), a fixed rational applied
     to every element, or a callable on the position index.
     """
-    if epsilon is None:
-        assignment = assign_primes(gammas)
-    else:
-        assignment = assign_primes(gammas, epsilons=epsilon)
+    assignment = assign_primes(gammas, default_epsilon if epsilon is None else epsilon)
     data = assignment.forge_all(d=d, m=m)
     return build_criterion(data, witness_radius=witness_radius)
 
@@ -250,7 +250,7 @@ def _rebuild_criterion(rec) -> dict:
     radius, and require the record to serialize exactly as the rebuild."""
     _require_kind(rec, "criterion", "criterion certificate")
     try:
-        data = [SubgroupDatum.from_dict(r) for r in rec["window"]]
+        data = window_from_records(rec["window"]).data
         radius = rec["stabilizer"]["ball_radius"]
     except (KeyError, TypeError, TextParseError) as exc:
         raise CertificateError(f"malformed criterion certificate: {exc}") from None
@@ -847,57 +847,43 @@ def non_af_report(certificate: dict) -> dict:
     on_schedule = all(
         Fraction(dat["epsilon"]) == default_epsilon(i) for i, dat in enumerate(window)
     )
-    limit = bound * (1 - Fraction(1, 2 ** (n + 1))) if on_schedule else None
-    if limit is not None:
-        limit_step = {
-            "step": "limit-bound",
-            "statement": (
-                "the tolerances follow the schedule 2^-(i+2), so every later level i keeps a "
-                "fraction of at least 1 - 2^-(i+2), and the limit measure of the set fixed by "
-                "every lamp generator is at least the stage fraction times 1 - 2^-(n+1) for "
-                "the n window elements"
-            ),
-            "lhs": frac_str(limit),
-            "rel": ">",
-            "rhs": "0/1",
-        }
-        obstruction = {
-            "step": "castle-obstruction",
-            "statement": (
-                "a well-formed castle of the limit action whose shapes all have defect below "
-                "the limit lower bound for the inverse of the first lamp generator would "
-                "contradict the fixed-set inequality"
-            ),
-            "threshold": frac_str(limit),
-        }
-        conclusion = (
-            "no castle tolerance below the limit lower bound is achievable: "
-            "the limit action is not almost finite"
-        )
-    else:
-        limit_step = {
-            "step": "limit-bound",
-            "statement": (
-                "the tolerances do not follow the schedule 2^-(i+2), so later levels may push "
-                "the limit measure to 0: no bound on the limit is certified"
-            ),
-            "lhs": None,
-            "rel": None,
-            "rhs": None,
-        }
-        obstruction = {
-            "step": "castle-obstruction",
-            "statement": (
-                "a well-formed castle of this finite stage whose shapes all have defect below "
-                "the stage fraction for the inverse of the first lamp generator would "
-                "contradict the fixed-set inequality"
-            ),
-            "threshold": frac_str(bound),
-        }
-        conclusion = (
-            "this report certifies the finite stage only: no castle of the stage has every "
-            "defect below the bound, and nothing is claimed about the limit action"
-        )
+    limit = frac_str(bound * (1 - Fraction(1, 2 ** (n + 1)))) if on_schedule else None
+
+    def pick(on, off):
+        return on if on_schedule else off
+
+    limit_step = {
+        "step": "limit-bound",
+        "statement": pick(
+            "the tolerances follow the schedule 2^-(i+2), so every later level i keeps a "
+            "fraction of at least 1 - 2^-(i+2), and the limit measure of the set fixed by "
+            "every lamp generator is at least the stage fraction times 1 - 2^-(n+1) for "
+            "the n window elements",
+            "the tolerances do not follow the schedule 2^-(i+2), so later levels may push "
+            "the limit measure to 0: no bound on the limit is certified",
+        ),
+        "lhs": limit,
+        "rel": pick(">", None),
+        "rhs": pick("0/1", None),
+    }
+    obstruction = {
+        "step": "castle-obstruction",
+        "statement": pick(
+            "a well-formed castle of the limit action whose shapes all have defect below "
+            "the limit lower bound for the inverse of the first lamp generator would "
+            "contradict the fixed-set inequality",
+            "a well-formed castle of this finite stage whose shapes all have defect below "
+            "the stage fraction for the inverse of the first lamp generator would "
+            "contradict the fixed-set inequality",
+        ),
+        "threshold": pick(limit, frac_str(bound)),
+    }
+    conclusion = pick(
+        "no castle tolerance below the limit lower bound is achievable: "
+        "the limit action is not almost finite",
+        "this report certifies the finite stage only: no castle of the stage has every "
+        "defect below the bound, and nothing is claimed about the limit action",
+    )
     chain = [
         {
             "step": "stage-fraction",
@@ -927,7 +913,7 @@ def non_af_report(certificate: dict) -> dict:
         "window": deepcopy(window),
         "bound": frac_str(bound),
         "product_lower_bound": frac_str(product),
-        "limit_lower_bound": None if limit is None else frac_str(limit),
+        "limit_lower_bound": limit,
         "chain": chain,
         "conclusion": conclusion,
         "criterion": certificate,

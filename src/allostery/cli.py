@@ -58,6 +58,12 @@ def _say(text: str) -> None:
     print(text, file=sys.stderr)
 
 
+def _verdict(what: str, ok: bool, words: tuple = ("valid", "invalid")) -> int:
+    """Say a check's verdict on stderr and return its exit code."""
+    _say(f"{what}: {words[0] if ok else words[1]}")
+    return EXIT_OK if ok else EXIT_FAILED
+
+
 def _emit_json(obj: dict, cfg: RunConfig, name: str) -> None:
     _emit_text(json.dumps(obj, indent=2) + "\n", cfg, f"{name}.json")
 
@@ -83,17 +89,23 @@ def _load_json(path: str) -> dict:
         raise TextParseError(f"{path}: {exc}") from None
 
 
+def _read(path: str, read):
+    """``read`` applied to the JSON value of the file at ``path``; a
+    TextParseError that it raises names the file."""
+    rec = _load_json(path)
+    try:
+        return read(rec)
+    except TextParseError as exc:
+        raise TextParseError(f"{path}: {exc.message}", exc.line, exc.column) from None
+
+
 def _load_window(path: str) -> Window:
     from .certificates import window_from_records
 
-    rec = _load_json(path)
-    records = rec.get("window") if isinstance(rec, dict) else rec
-    if not isinstance(records, list):
-        raise TextParseError(f"{path}: no window data found")
-    for i, datum in enumerate(records):
-        if not isinstance(datum, dict):
-            raise TextParseError(f"{path}: window record {i} is not a JSON object")
-    return window_from_records(records)
+    def read(rec):
+        return window_from_records(rec.get("window") if isinstance(rec, dict) else rec)
+
+    return _read(path, read)
 
 
 def _criterion(cfg: RunConfig) -> dict:
@@ -153,8 +165,7 @@ def cmd_forge(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.check:
         ok = check_criterion_certificate(_load_json(args.check))
-        _say(f"criterion certificate: {'valid' if ok else 'invalid'}")
-        return EXIT_OK if ok else EXIT_FAILED
+        return _verdict("criterion certificate", ok)
     from .certificates import record_ok
 
     cert = _criterion(cfg)
@@ -182,10 +193,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
         from .dynamics import Window
         from .forge import SubgroupDatum
 
-        rec = _load_json(args.datum)
-        if not isinstance(rec, dict):
-            raise TextParseError(f"{args.datum}: the datum record is not a JSON object")
-        window = Window([SubgroupDatum.from_dict(rec)])
+        window = Window([_read(args.datum, SubgroupDatum.from_dict)])
     else:
         raise TextParseError("simulate needs --window or --datum")
     group = window.group
@@ -209,8 +217,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.check:
         ok = check_comparison_certificate(_load_json(args.check))
-        _say(f"comparison certificate: {'valid' if ok else 'invalid'}")
-        return EXIT_OK if ok else EXIT_FAILED
+        return _verdict("comparison certificate", ok)
     if not args.window or not args.a_spec or not args.b_spec:
         raise TextParseError("compare needs --window, --a and --b (or --check)")
     import random
@@ -228,8 +235,7 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_audit(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.check:
         ok = check_castle_audit(_load_json(args.check), cfg.budget_states)
-        _say(f"castle audit: {'ok' if ok else 'failed'}")
-        return EXIT_OK if ok else EXIT_FAILED
+        return _verdict("castle audit", ok, ("ok", "failed"))
     if not args.castle or not args.window or not args.gamma:
         raise TextParseError("audit needs a castle file, --window and --gamma (or --check)")
     from .certificates import malformed_castle_record, parse_tolerance
@@ -284,8 +290,7 @@ def _report_markdown(report_dict: dict) -> str:
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.check:
         ok = check_non_af_report(_load_json(args.check))
-        _say(f"report: {'valid' if ok else 'invalid'}")
-        return EXIT_OK if ok else EXIT_FAILED
+        return _verdict("report", ok)
     cert = _criterion(cfg)
     if cert["verdict"] != "valid":
         _emit_json(cert, cfg, "criterion")
@@ -358,20 +363,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    from .config import RunConfig, apply_env, load_config, parse_epsilon_mode
+    from .config import RunConfig, apply_env, load_config, parse_epsilon_mode, validated
 
     cfg = load_config(args.config) if args.config else RunConfig()
-    for key in ("d", "m", "radius", "budget_states", "seed", "out", "format"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "epsilon", None) is not None:
-        cfg.epsilon = parse_epsilon_mode(args.epsilon)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise TextParseError(str(exc)) from None
-    return apply_env(cfg)
+    flags = {key: getattr(args, key) for key in RunConfig._fields}
+    if flags["epsilon"] is not None:
+        flags["epsilon"] = parse_epsilon_mode(flags["epsilon"])
+    cfg = cfg._replace(**{key: value for key, value in flags.items() if value is not None})
+    return apply_env(validated(cfg))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

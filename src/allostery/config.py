@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .errors import TextParseError
 
@@ -14,28 +14,17 @@ ENV_BUDGET = "ALLOSTERY_BUDGET_STATES"
 EpsilonMode = Union[str, Fraction]  # "schedule" or a fixed rational
 
 
-class RunConfig:
-    """The settings of one run; every field can be set by keyword."""
+class RunConfig(NamedTuple):
+    """The settings of one run.  A changed config comes from ``_replace``."""
 
-    def __init__(
-        self,
-        d: int = 1,
-        m: int = 1,
-        radius: int = 1,
-        epsilon: EpsilonMode = "schedule",
-        budget_states: int = 10**6,
-        seed: int = 0,
-        out: Optional[str] = None,
-        format: str = "json",
-    ):
-        self.d = d
-        self.m = m
-        self.radius = radius
-        self.epsilon = epsilon
-        self.budget_states = budget_states
-        self.seed = seed
-        self.out = out
-        self.format = format
+    d: int = 1
+    m: int = 1
+    radius: int = 1
+    epsilon: EpsilonMode = "schedule"
+    budget_states: int = 10**6
+    seed: int = 0
+    out: Optional[str] = None
+    format: str = "json"
 
     def validate(self) -> None:
         if self.d < 1 or self.m < 1:
@@ -57,6 +46,16 @@ class RunConfig:
         return None if self.epsilon == "schedule" else Fraction(self.epsilon)
 
 
+def validated(cfg: RunConfig, where: str = "") -> RunConfig:
+    """``cfg`` once :meth:`RunConfig.validate` passes; its ValueError becomes
+    a TextParseError whose message starts with ``where``."""
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise TextParseError(f"{where}{exc}") from None
+    return cfg
+
+
 def parse_epsilon_mode(text: str) -> EpsilonMode:
     value = text.strip()
     if value == "schedule":
@@ -67,12 +66,16 @@ def parse_epsilon_mode(text: str) -> EpsilonMode:
         raise TextParseError(f"epsilon must be 'schedule' or a rational, got {value!r}") from None
 
 
-_INT_KEYS = {"d", "m", "radius", "budget_states", "seed"}
-_STR_KEYS = {"out", "format"}
+# How each config key's value is read: int raises ValueError, and
+# parse_epsilon_mode raises TextParseError.
+_READERS = dict(
+    d=int, m=int, radius=int, epsilon=parse_epsilon_mode,
+    budget_states=int, seed=int, out=str, format=str,
+)
 
 
 def parse_config(text: str, path: str = "<config>") -> RunConfig:
-    cfg = RunConfig()
+    fields = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -80,25 +83,15 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
         if "=" not in line:
             raise TextParseError(f"{path}: expected key = value", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _INT_KEYS:
-            try:
-                setattr(cfg, key, int(value))
-            except ValueError:
-                raise TextParseError(f"{path}: {key} needs an integer, got {value!r}", lineno) from None
-        elif key == "epsilon":
-            try:
-                cfg.epsilon = parse_epsilon_mode(value)
-            except TextParseError as exc:
-                raise TextParseError(f"{path}: {exc.message}", lineno) from None
-        elif key in _STR_KEYS:
-            setattr(cfg, key, value)
-        else:
+        if key not in _READERS:
             raise TextParseError(f"{path}: unknown config key {key!r}", lineno)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise TextParseError(f"{path}: {exc}") from None
-    return cfg
+        try:
+            fields[key] = _READERS[key](value)
+        except ValueError:
+            raise TextParseError(f"{path}: {key} needs an integer, got {value!r}", lineno) from None
+        except TextParseError as exc:
+            raise TextParseError(f"{path}: {exc.message}", lineno) from None
+    return validated(RunConfig(**fields), f"{path}: ")
 
 
 def load_config(path: str) -> RunConfig:
@@ -108,14 +101,10 @@ def load_config(path: str) -> RunConfig:
 
 def apply_env(cfg: RunConfig, environ: Mapping[str, str] = os.environ) -> RunConfig:
     """The budget environment variable wins over file and flags."""
-    if ENV_BUDGET in environ:
-        try:
-            budget = int(environ[ENV_BUDGET])
-        except ValueError:
-            raise TextParseError(f"{ENV_BUDGET} must be an integer") from None
-        cfg = RunConfig(**{**vars(cfg), "budget_states": budget})
-        try:
-            cfg.validate()
-        except ValueError as exc:
-            raise TextParseError(f"{ENV_BUDGET}: {exc}") from None
-    return cfg
+    if ENV_BUDGET not in environ:
+        return cfg
+    try:
+        budget = int(environ[ENV_BUDGET])
+    except ValueError:
+        raise TextParseError(f"{ENV_BUDGET} must be an integer") from None
+    return validated(cfg._replace(budget_states=budget), f"{ENV_BUDGET}: ")

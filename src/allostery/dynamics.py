@@ -270,26 +270,12 @@ class FiniteLevel:
         return (M**self.m - len(moved)) * self._lamp_size
 
     def brute_fixed_indices(self, x: WreathElement, budget: int = DEFAULT_STATE_BUDGET) -> List[int]:
-        """Indices of all states fixed by x, by applying x block by block.
-
-        A block whose base moves holds no fixed state; in any other block
-        the fixed states are the lamp offsets its permutation fixes.  Nothing
-        in the package calls this listing: :meth:`fixed_count` applies the
-        same rule without it, and the tests keep this as its oracle."""
+        """Indices of all states fixed by x, read off its index map.  Nothing
+        in the package calls this listing: the tests keep it as the oracle of
+        :meth:`fixed_count`."""
         if self.size > budget:
             raise BudgetExceededError(self.size, budget)
-        L = self._lamp_size
-        targets, moved = self._blocks(x)
-        fixed: List[int] = []
-        for b, t in enumerate(targets):
-            if t != b:
-                continue
-            perm = moved.get(b)
-            if perm is None:
-                fixed.extend(range(b * L, (b + 1) * L))
-            else:
-                fixed.extend(b * L + o for o, image in enumerate(perm) if image == o)
-        return fixed
+        return [i for i, image in enumerate(self.index_map(x)) if image == i]
 
     def state_text(self, idx: int) -> str:
         return format_state(self.state_at(idx))

@@ -201,9 +201,18 @@ class SubgroupDatum(NamedTuple):
         }
 
     @classmethod
-    def from_dict(cls, rec: dict) -> "SubgroupDatum":
+    def from_dict(cls, rec: dict, what: str = "the datum record") -> "SubgroupDatum":
         """Read a datum back from :meth:`to_dict` form and validate it; the
-        tolerance bound is left to the certificates that measure it."""
+        tolerance bound is left to the certificates that measure it.  A
+        record that is not an object, lacks a field or has an E that is not
+        a list of lists is a TextParseError naming the record as ``what``."""
+        if not isinstance(rec, dict):
+            raise TextParseError(f"{what} is not a JSON object")
+        for key in cls._fields:
+            if key not in rec:
+                raise TextParseError(f"{what} has no {key!r}")
+        if not isinstance(rec["E"], list) or not all(isinstance(q, list) for q in rec["E"]):
+            raise TextParseError(f"{what}: E must be a list of residues")
         E = tuple(tuple(q) for q in rec["E"])
         ints = [rec[key] for key in ("p", "k", "l", "d", "m")] + [c for q in E for c in q]
         if any(type(x) is not int for x in ints):

@@ -156,18 +156,13 @@ class WreathElement(tuple):
 
 
 # Shape text reuses few vectors many times (the 7,200-shape bench castle has
-# 121 distinct ones), so each vector's text and each vector body's tuple are
-# memoised.  A printed text is only ever made from its tuple, so (01) and (-0)
-# still print as (1) and (0); the canonical reader takes a body from input
-# only when its tuple prints back to exactly that body.
+# 121 distinct ones), so each vector's text and each canonical body's tuple
+# are memoised.  A printed text is only ever made from its tuple, so (01) and
+# (-0) still print as (1) and (0); the canonical reader takes a body from
+# input only when its tuple prints back to exactly that body.
 @lru_cache(maxsize=4096)
 def format_vec(v: Vec) -> str:
     return "(" + ",".join(map(str, v)) + ")"
-
-
-@lru_cache(maxsize=4096)
-def _vec(body: str) -> Vec:
-    return tuple(map(int, body.split(",")))
 
 
 @lru_cache(maxsize=4096)
@@ -222,7 +217,7 @@ def _parse_vec(text: str, pos: int, line: int | None = None) -> Tuple[Vec, int]:
     if not m:
         raise TextParseError("expected a vector like (0) or (1,-2)", line, pos + 1)
     try:
-        return _vec(m.group(1)), m.end()
+        return tuple(map(int, m.group(1).split(","))), m.end()
     except ValueError:  # a number past the interpreter's int-from-text digit limit
         limit = sys.get_int_max_str_digits()
         big = re.compile(rf"-?\d{{{limit + 1},}}").search(text, pos)

@@ -638,7 +638,6 @@ def test_audit_check_rejects_a_shape_in_another_spelling(
     assert parse_element(respelled) == parse_element(canonical)
     shapes[shapes.index(canonical)] = respelled
     wreath.format_vec.cache_clear()  # the check starts cold, as in a fresh process
-    wreath._vec.cache_clear()
     wreath._canonical_vec.cache_clear()
     _malformed_check(capsys, tmp_path, "audit", rec)
 
@@ -837,14 +836,29 @@ def test_audit_tolerance_with_a_zero_denominator(capsys, tmp_path, w9_file):
         ("audit", "--window", ["d9", 2], "window record 1 is not a JSON object"),
         ("simulate", "--window", {"window": ["d9", "d9", [1]]}, "window record 2 is not a JSON object"),
         ("simulate", "--datum", [1], "the datum record is not a JSON object"),
+        ("compare", "--window", [{}], "window record 0 has no 'gamma'"),
+        (
+            "simulate",
+            "--window",
+            [{"gamma": "{};(1)", "p": 3, "k": 1, "l": 1, "E": 5, "epsilon": "1/2", "d": 1, "m": 1}],
+            "window record 0: E must be a list of residues",
+        ),
+        (
+            "verify",
+            "--check",
+            {"kind": "criterion", "v": 1, "window": [1], "stabilizer": {"ball_radius": 1}},
+            "malformed criterion certificate: window record 0 is not a JSON object",
+        ),
     ],
 )
 def test_a_record_that_is_not_an_object_names_the_file(
     capsys, tmp_path, d9, command, flag, records, message
 ):
-    """A window or datum file whose record is not a JSON object is a parse
-    error naming the file and the record, not the interpreter's message on
-    indexing a number or a list."""
+    """A window or datum file whose record is not a JSON object, lacks a
+    field or holds an E that is not a list of lists is a parse error naming
+    the file and the record, not the interpreter's message on indexing a
+    number or a list.  A checker names the certificate kind instead of the
+    file."""
     path = tmp_path / "data.json"
     text = json.dumps(records).replace('"d9"', json.dumps(d9.to_dict()))
     path.write_text(text)
@@ -854,7 +868,9 @@ def test_a_record_that_is_not_an_object_names_the_file(
         "compare": ("--a", "idx:0", "--b", "idx:3,6"),
         "audit": (str(castle_path), "--gamma", "{(0):(1)};(0)"),
         "simulate": ("t1",),
+        "verify": (),
     }[command]
     code, out, err = run(capsys, command, *argv, flag, str(path))
     assert (code, out) == (2, "")
-    assert err == f"error: {path}: {message}\n"
+    named = "" if flag == "--check" else f"{path}: "
+    assert err == f"error: {named}{message}\n"

@@ -33,6 +33,7 @@ GAMMA = "{(0):(1)};(0)"
 CASES = {
     "verify": (("verify",), 0),
     "report_radius2": (("report", "--radius", "2", "--epsilon", "1/2"), 0),
+    "report_schedule": (("report",), 0),
     "verify_d2m2": (("verify", "--d", "2", "--m", "2", "--epsilon", "1/2"), 0),
     "compare_w81": (
         ("compare", "--window", "W81", "--a", "random:2", "--b", "random:5", "--seed", "3"),

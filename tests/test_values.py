@@ -13,6 +13,7 @@ from allostery import (
     Castle,
     CosetState,
     Lamp,
+    RunConfig,
     SubgroupDatum,
     Tower,
     WreathElement,
@@ -79,6 +80,7 @@ def test_fields_cannot_be_assigned(group11, d32):
         (CosetState((0,), ()), "base"),
         (castle, "epsilon"),
         (Tower(base=frozenset(), shapes=()), "shapes"),
+        (RunConfig(), "radius"),
     ]
     for obj, field in targets:
         with pytest.raises(AttributeError):
