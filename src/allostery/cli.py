@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 
 from .errors import AllosteryError, MalformedCastleError, TextParseError
@@ -392,5 +393,28 @@ def main(argv: Sequence[str] | None = None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """The process entry point: run :func:`main`, flush stdout and stderr,
+    and end the process by ``os._exit`` with main's exit code (argparse's
+    for ``--help`` and usage errors), skipping the interpreter's teardown.
+    Teardown has nothing left to do: the package registers no atexit
+    handler, starts no thread and leaves no file open.  Any other exception
+    out of main, a ``SystemExit`` whose code is not an int and a flush that
+    raises take the interpreter's own exit, so their stderr and exit status
+    are unchanged."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        if not isinstance(exc.code, int):
+            raise
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

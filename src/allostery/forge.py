@@ -204,8 +204,9 @@ class SubgroupDatum(NamedTuple):
     def from_dict(cls, rec: dict, what: str = "the datum record") -> "SubgroupDatum":
         """Read a datum back from :meth:`to_dict` form and validate it; the
         tolerance bound is left to the certificates that measure it.  A
-        record that is not an object, lacks a field or has an E that is not
-        a list of lists is a TextParseError naming the record as ``what``."""
+        record that is not an object, lacks a field, has an E that is not a
+        list of lists or a gamma or epsilon that does not parse is a
+        TextParseError naming the record as ``what``."""
         if not isinstance(rec, dict):
             raise TextParseError(f"{what} is not a JSON object")
         for key in cls._fields:
@@ -222,9 +223,13 @@ class SubgroupDatum(NamedTuple):
         try:
             epsilon = Fraction(rec["epsilon"])
         except (ValueError, ZeroDivisionError):
-            raise TextParseError(f"bad rational epsilon {rec['epsilon']!r}") from None
+            raise TextParseError(f"{what}: bad rational epsilon {rec['epsilon']!r}") from None
+        try:
+            gamma = parse_element(rec["gamma"], d=rec["d"], m=rec["m"])
+        except TextParseError as exc:
+            raise TextParseError(f"{what}: gamma: {exc.message}", exc.line, exc.column) from None
         datum = cls(
-            gamma=parse_element(rec["gamma"], d=rec["d"], m=rec["m"]),
+            gamma=gamma,
             p=rec["p"],
             k=rec["k"],
             l=rec["l"],

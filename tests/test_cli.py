@@ -2,6 +2,7 @@ import copy
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -796,15 +797,86 @@ def test_check_with_a_huge_prime(tmp_path, d32, d9):
     rec["window"][0]["p"] = 2**61 - 1
     path = tmp_path / "record.json"
     path.write_text(json.dumps(rec))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-m", "allostery.cli", "verify", "--check", str(path)],
-        capture_output=True, text=True, env=env, timeout=10,
-    )
+    done = _cli_process("verify", "--check", str(path), timeout=10)
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error:")
+
+
+def _cli_process(*argv, stdout=subprocess.PIPE, unbuffered=False, timeout=60):
+    """``python -m allostery.cli`` run in a child process on ``src`` with
+    80 columns, its stdout buffered unless ``unbuffered``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env["COLUMNS"] = "80"
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "allostery.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=timeout,
+    )
+
+
+FORGE = ("forge", "{(0):(1)};(0)", "--p", "3")
+BROKEN_PIPE = re.escape("[Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered, code, out, err",
+    [
+        (("--help",), False, 0, "usage: allostery .*", ""),
+        (("verify", "--format", "csv"), False, 2, "", "usage: .*"),
+        (
+            ("report", "--radius", "2", "--epsilon", "1/2"),
+            False,
+            0,
+            re.escape((Path(__file__).parent / "golden" / "report_radius2.out").read_text()),
+            "bound 334348560/2334313609; .*\n",
+        ),
+        (("audit", "--check", "MALFORMED"), False, 1, "", "castle audit: failed\n"),
+        (
+            ("report", "--radius", "1", "--out", "OUT"),
+            False,
+            0,
+            "OUT/report\\.json\nOUT/report\\.md\n",
+            "bound 16/21; .*\n",
+        ),
+        (FORGE, True, 2, None, "error: " + BROKEN_PIPE),
+        (FORGE, False, 120, None, "forged: .*BrokenPipeError: " + BROKEN_PIPE),
+    ],
+    ids=["help", "usage-error", "report", "failed-check", "report-out", "closed-pipe", "closed-pipe-buffered"],
+)
+def test_the_process_exit(capsys, tmp_path, w9_file, argv, unbuffered, code, out, err):
+    """The entry point run as a process gives main's exit code and its whole
+    output, argparse's exits included, and a file written under --out is
+    complete.  A stdout pipe whose read end is closed fails as the
+    interpreter's own exit does: with PYTHONUNBUFFERED the write raises in
+    the command (exit 2), and with a buffered stdout the final flush fails
+    at interpreter exit (exit 120)."""
+    out_dir = tmp_path / "out"
+    names = {"OUT": str(out_dir), "MALFORMED": str(tmp_path / "audit.json")}
+    if "MALFORMED" in argv:
+        castle_path = tmp_path / "overlap.txt"
+        castle_path.write_text("V= (0)|((0)) ; S= e\nV= (0)|((0)) ; S= e\n")
+        audit = run(capsys, "audit", str(castle_path), "--window", w9_file, "--gamma", "{};(1)")
+        (tmp_path / "audit.json").write_text(audit[1])
+    argv = [names.get(arg, arg) for arg in argv]
+    if out is None:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = _cli_process(*argv, stdout=write_end, unbuffered=unbuffered)
+        finally:
+            os.close(write_end)
+    else:
+        done = _cli_process(*argv, unbuffered=unbuffered)
+        assert re.fullmatch(out.replace("OUT", re.escape(str(out_dir))), done.stdout, re.DOTALL)
+    assert done.returncode == code
+    assert re.fullmatch(err, done.stderr, re.DOTALL)
+    if "--out" in argv:
+        to_stdout = _cli_process(*argv[: argv.index("--out")])
+        assert (out_dir / "report.json").read_text() == to_stdout.stdout
 
 
 @pytest.mark.parametrize(
@@ -849,16 +921,28 @@ def test_audit_tolerance_with_a_zero_denominator(capsys, tmp_path, w9_file):
             {"kind": "criterion", "v": 1, "window": [1], "stabilizer": {"ball_radius": 1}},
             "malformed criterion certificate: window record 0 is not a JSON object",
         ),
+        (
+            "compare",
+            "--window",
+            ["d9", {"gamma": "{bad", "p": 3, "k": 1, "l": 1, "E": [[0]], "epsilon": "1/2", "d": 1, "m": 1}],
+            "window record 1: gamma: expected a vector like (0) or (1,-2)",
+        ),
+        (
+            "compare",
+            "--window",
+            ["d9", {"gamma": "{};(1)", "p": 3, "k": 1, "l": 1, "E": [[0]], "epsilon": "1/0", "d": 1, "m": 1}],
+            "window record 1: bad rational epsilon '1/0'",
+        ),
     ],
 )
 def test_a_record_that_is_not_an_object_names_the_file(
     capsys, tmp_path, d9, command, flag, records, message
 ):
     """A window or datum file whose record is not a JSON object, lacks a
-    field or holds an E that is not a list of lists is a parse error naming
-    the file and the record, not the interpreter's message on indexing a
-    number or a list.  A checker names the certificate kind instead of the
-    file."""
+    field, holds an E that is not a list of lists or a gamma or epsilon that
+    does not parse is a parse error naming the file and the record, not the
+    interpreter's message on indexing a number or a list.  A checker names
+    the certificate kind instead of the file."""
     path = tmp_path / "data.json"
     text = json.dumps(records).replace('"d9"', json.dumps(d9.to_dict()))
     path.write_text(text)

@@ -8,7 +8,8 @@ exported name must be used by the package or by the benchmark under
 as an attribute or a string, from the package or the benchmark.
 ``__init__`` only re-exports, so its imports count for none of these.
 Every parameter of a package function other than ``self`` and ``cls`` is
-read in its body.
+read in its body.  No module imports what would leave work for the
+interpreter's teardown, which ``cli.run`` skips.
 """
 
 import ast
@@ -126,3 +127,35 @@ def _unread_parameters(tree):
 def test_every_parameter_is_read():
     unread = set().union(*map(_unread_parameters, MODULES.values()))
     assert sorted(f"{fn}.{arg}" for fn, arg in unread) == []
+
+
+# Each leaves work for the interpreter's teardown: atexit handlers, threads
+# to join, child processes to reap, temporary files to remove, log handlers
+# to flush.
+TEARDOWN_MODULES = {
+    "atexit", "threading", "multiprocessing", "concurrent", "subprocess", "tempfile", "logging"
+}
+
+
+def _absolute_imports(tree):
+    """The top-level names of the modules a module imports absolutely."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_no_module_leaves_work_for_teardown():
+    found = sorted(
+        f"{name} imports {module}"
+        for name, tree in MODULES.items()
+        for module in _absolute_imports(tree) & TEARDOWN_MODULES
+    )
+    assert found == [], (
+        f"{found}: cli.run ends the process with os._exit once the output is "
+        "flushed, so atexit handlers, threads, child processes, temporary files "
+        "and log handlers would be left unfinished"
+    )
