@@ -12,7 +12,8 @@ canonical text, words as generator index lists, a ``kind`` tag and
 ``"v": 1``), and no list or dict sits at two places in one record.  Every
 kind has a verifier that works from the record alone: it recomputes the
 claims and rejects a record that does not serialize exactly as the
-recomputation.
+recomputation.  No field holds a whole-window product, which has thousands
+of digits at radius 4: the per-level records state each window claim once.
 """
 
 from __future__ import annotations
@@ -127,9 +128,8 @@ def _level_structure_defect(level: FiniteLevel) -> Optional[str]:
     return None
 
 
-def _transitivity(orbit_size: Optional[int], detail: str) -> dict:
-    status = "fail" if orbit_size is None else "pass"
-    return dict(status=status, method="level-structure", orbit_size=orbit_size, detail=detail)
+def _transitivity(ok: bool, detail: str) -> dict:
+    return dict(status="pass" if ok else "fail", method="level-structure", detail=detail)
 
 
 def certify_transitive(window: Window) -> dict:
@@ -150,16 +150,16 @@ def certify_transitive(window: Window) -> dict:
     for pos, level in enumerate(window.levels):
         defect = _level_structure_defect(level)
         if defect is not None:
-            return _transitivity(None, f"level {pos}: {defect}")
+            return _transitivity(False, f"level {pos}: {defect}")
         p, i = level.p, first.setdefault(level.p, pos)
         if i != pos:
             return _transitivity(
-                None,
+                False,
                 f"levels {i} and {pos} share the prime {p}: b -> b mod {p} maps both "
                 f"equivariantly onto (Z/{p})^m, so their base difference mod {p} is invariant",
             )
     return _transitivity(
-        window.size,
+        True,
         "on every level each element acts as (b, v) -> (b + delta, v + sigma(b + delta)); "
         "on state 0, t_j gives base e_j with zero lamp digits and t^E[j] s_i t^-E[j] gives "
         "lamp digit (j, i) alone, so the lamp elements translate block 0 through all of "
@@ -197,17 +197,14 @@ def _gamma_record(dat: SubgroupDatum, level: FiniteLevel) -> dict:
 def build_criterion(data: Sequence[SubgroupDatum], witness_radius: int = 1) -> dict:
     """Assemble the criterion certificate for pre-forged window data.  Every
     step is exact at any window size, so no state budget applies.  The
-    ``verdict`` is ``valid`` or ``invalid``."""
+    ``verdict`` is ``valid`` or ``invalid``.  The records state the window's
+    claim once: its fraction is the product of their ``fixed_fraction``s."""
     window = Window(data)
     records = [_gamma_record(dat, level) for dat, level in zip(window.data, window.levels)]
-    product_bound = prod((1 - dat.epsilon for dat in window.data), start=Fraction(1))
-    window_fraction = window.s_fixed_fraction()
-    window_fraction_ok = window_fraction >= product_bound
     transitivity = certify_transitive(window)
     witness = stabilizer_witness(window, ball_radius=witness_radius)
     failed = (
         not all(map(record_ok, records))
-        or not window_fraction_ok
         or transitivity["status"] == "fail"
         or not witness["ok"]
     )
@@ -219,9 +216,6 @@ def build_criterion(data: Sequence[SubgroupDatum], witness_radius: int = 1) -> d
         "window": [dat.to_dict() for dat in window.data],
         "records": records,
         "primes_distinct": window.primes_distinct(),
-        "product_lower_bound": frac_str(product_bound),
-        "window_s_fixed_fraction": frac_str(window_fraction),
-        "window_fraction_ok": window_fraction_ok,
         "transitivity": transitivity,
         "stabilizer": witness,
         "verdict": "invalid" if failed else "valid",
@@ -823,96 +817,92 @@ def check_castle_audit(rec: dict, budget: int = DEFAULT_STATE_BUDGET) -> bool:
 
 def non_af_report(certificate: dict) -> dict:
     """Assemble the castle-obstruction report from a valid criterion
-    certificate: exact stage bound, a lower bound on the limit, and the
-    tolerance threshold below which no castle for the first lamp generator
-    can exist.
+    certificate: a lower ``bound`` on the stage fraction, on the tolerance
+    schedule a lower bound on the limit, and the tolerance threshold below
+    which no castle for the first lamp generator can exist.
 
-    Each level the window gains multiplies the stage fraction by at most 1,
-    so the stage fraction only bounds the limit from above.  A bound from
-    below needs the later tolerances: on the schedule eps_i = 2^-(i+2) every
-    later level i keeps l_i < eps_i p_i^(k_i m) and so a fraction of at
-    least 1 - eps_i, and the product of (1 - eps_i) over i >= n is at least
-    1 - (sum of those eps_i) = 1 - 2^-(n+1).  With any other tolerances a
-    continuation can push the limit to 0, and the report certifies the
-    finite stage only.
+    Each record certifies its level fraction f_i >= 1 - eps_i > 0, and the
+    stage fraction is the product of the f_i.  Off the schedule the bound is
+    the epsilon product prod(1 - eps_i); a continuation can push the limit
+    to 0, so the report certifies the finite stage only.  On the schedule
+    eps_i = 2^-(i+2) the bound is 1 - sum(eps_i) = 1/2 + 2^-(n+1) for the n
+    window elements, by the Weierstrass product inequality prod(1 - eps_i)
+    >= 1 - sum(eps_i); every later level keeps a fraction of at least
+    1 - eps_i too, so the same inequality bounds the limit below by 1/2.
 
     The report embeds ``certificate`` itself under ``"criterion"`` and a copy
     of its window under ``"window"``."""
     if certificate["verdict"] != "valid":
         raise CertificateError("criterion certificate is not valid")
-    bound = Fraction(certificate["window_s_fixed_fraction"])
-    product = Fraction(certificate["product_lower_bound"])
     window = certificate["window"]
-    n = len(window)
-    on_schedule = all(
-        Fraction(dat["epsilon"]) == default_epsilon(i) for i, dat in enumerate(window)
-    )
-    limit = frac_str(bound * (1 - Fraction(1, 2 ** (n + 1)))) if on_schedule else None
+    epsilons = [Fraction(dat["epsilon"]) for dat in window]
+    on_schedule = epsilons == [default_epsilon(i) for i in range(len(epsilons))]
+    if on_schedule:
+        bound, limit = frac_str(1 - sum(epsilons, Fraction(0))), "1/2"
+    else:
+        bound, limit = frac_str(prod((1 - eps for eps in epsilons), start=Fraction(1))), None
 
     def pick(on, off):
         return on if on_schedule else off
 
-    limit_step = {
-        "step": "limit-bound",
-        "statement": pick(
-            "the tolerances follow the schedule 2^-(i+2), so every later level i keeps a "
-            "fraction of at least 1 - 2^-(i+2), and the limit measure of the set fixed by "
-            "every lamp generator is at least the stage fraction times 1 - 2^-(n+1) for "
-            "the n window elements",
-            "the tolerances do not follow the schedule 2^-(i+2), so later levels may push "
-            "the limit measure to 0: no bound on the limit is certified",
-        ),
-        "lhs": limit,
-        "rel": pick(">", None),
-        "rhs": pick("0/1", None),
-    }
-    obstruction = {
-        "step": "castle-obstruction",
-        "statement": pick(
-            "a well-formed castle of the limit action whose shapes all have defect below "
-            "the limit lower bound for the inverse of the first lamp generator would "
-            "contradict the fixed-set inequality",
-            "a well-formed castle of this finite stage whose shapes all have defect below "
-            "the stage fraction for the inverse of the first lamp generator would "
-            "contradict the fixed-set inequality",
-        ),
-        "threshold": pick(limit, frac_str(bound)),
-    }
+    chain = [
+        {
+            "step": "stage-bound",
+            "statement": "each record certifies a level fraction of at least 1 - eps_i, and a "
+            "window state is fixed by every lamp generator exactly when each of its level "
+            "states is, so the stage fraction is at least the product of the (1 - eps_i)"
+            + pick(
+                ", which by the Weierstrass product inequality is at least the bound "
+                "1 - sum(eps_i) = 1/2 + 2^-(n+1) for the n window elements",
+                ", the bound",
+            ),
+            "value": bound,
+        },
+        {
+            "step": "positivity",
+            "statement": "the bound is positive",
+            "lhs": bound,
+            "rel": ">",
+            "rhs": "0/1",
+        },
+        {
+            "step": "limit-bound",
+            "statement": pick(
+                "the tolerances follow the schedule 2^-(i+2), so every level i, of the "
+                "window or later, keeps a fraction of at least 1 - 2^-(i+2), and by the "
+                "Weierstrass product inequality the limit measure of the set fixed by every "
+                "lamp generator is at least 1 - (sum over i >= 0 of 2^-(i+2)) = 1/2",
+                "the tolerances do not follow the schedule 2^-(i+2), so later levels may push "
+                "the limit measure to 0: no bound on the limit is certified",
+            ),
+            "lhs": limit,
+            "rel": pick(">", None),
+            "rhs": pick("0/1", None),
+        },
+        {
+            "step": "castle-obstruction",
+            "statement": pick(
+                "a well-formed castle of the limit action whose shapes all have defect below "
+                "the limit lower bound for the inverse of the first lamp generator would "
+                "contradict the fixed-set inequality",
+                "a well-formed castle of this finite stage whose shapes all have defect below "
+                "the bound for the inverse of the first lamp generator would contradict the "
+                "fixed-set inequality",
+            ),
+            "threshold": pick(limit, bound),
+        },
+    ]
     conclusion = pick(
         "no castle tolerance below the limit lower bound is achievable: "
         "the limit action is not almost finite",
         "this report certifies the finite stage only: no castle of the stage has every "
         "defect below the bound, and nothing is claimed about the limit action",
     )
-    chain = [
-        {
-            "step": "stage-fraction",
-            "statement": "exact fraction of window states fixed by every lamp generator",
-            "value": frac_str(bound),
-        },
-        {
-            "step": "stage-bound",
-            "statement": "the stage fraction dominates the epsilon product",
-            "lhs": frac_str(bound),
-            "rel": ">=",
-            "rhs": frac_str(product),
-        },
-        {
-            "step": "positivity",
-            "statement": "the epsilon product is positive",
-            "lhs": frac_str(product),
-            "rel": ">",
-            "rhs": "0/1",
-        },
-        limit_step,
-        obstruction,
-    ]
     return {
         "kind": "non-af-report",
         "v": SCHEMA_VERSION,
         "window": deepcopy(window),
-        "bound": frac_str(bound),
-        "product_lower_bound": frac_str(product),
+        "bound": bound,
         "limit_lower_bound": limit,
         "chain": chain,
         "conclusion": conclusion,

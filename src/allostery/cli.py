@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .errors import AllosteryError, MalformedCastleError, TextParseError
+from .errors import AllosteryError, DatumInvariantError, MalformedCastleError, TextParseError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # for annotations only: each command imports what it runs
@@ -92,12 +92,14 @@ def _load_json(path: str) -> dict:
 
 def _read(path: str, read):
     """``read`` applied to the JSON value of the file at ``path``; a
-    TextParseError that it raises names the file."""
+    TextParseError or DatumInvariantError that it raises names the file."""
     rec = _load_json(path)
     try:
         return read(rec)
     except TextParseError as exc:
         raise TextParseError(f"{path}: {exc.message}", exc.line, exc.column) from None
+    except DatumInvariantError as exc:
+        raise DatumInvariantError(f"{path}: {exc}") from None
 
 
 def _load_window(path: str) -> Window:
@@ -179,8 +181,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         )
     transitivity = cert["transitivity"]
     _say(
-        f"window fraction {cert['window_s_fixed_fraction']} >= "
-        f"{cert['product_lower_bound']}; "
+        f"primes {'distinct' if cert['primes_distinct'] else 'REPEATED'}; "
         f"transitivity {transitivity['status']} ({transitivity['method']}); "
         f"verdict {cert['verdict']}"
     )
@@ -398,10 +399,10 @@ def run() -> None:
     and end the process by ``os._exit`` with main's exit code (argparse's
     for ``--help`` and usage errors), skipping the interpreter's teardown.
     Teardown has nothing left to do: the package registers no atexit
-    handler, starts no thread and leaves no file open.  Any other exception
-    out of main, a ``SystemExit`` whose code is not an int and a flush that
-    raises take the interpreter's own exit, so their stderr and exit status
-    are unchanged."""
+    handler, starts no thread and leaves no file open.  A stdout flush that
+    fails, as into a closed pipe, prints ``error: <exc>`` and exits 2.  Any
+    other exception out of main, a ``SystemExit`` whose code is not an int
+    and a stderr flush that raises take the interpreter's own exit."""
     try:
         code = main()
     except SystemExit as exc:
@@ -410,6 +411,10 @@ def run() -> None:
         code = exc.code
     try:
         sys.stdout.flush()
+    except OSError as exc:
+        _say(f"error: {exc}")
+        code = EXIT_MALFORMED
+    try:
         sys.stderr.flush()
     except Exception:
         sys.exit(code)

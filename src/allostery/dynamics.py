@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from array import array
 from functools import cached_property
-from fractions import Fraction
 from math import prod
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -404,10 +403,14 @@ class Window:
         self.data = tuple(data)
         self.levels = tuple(FiniteLevel(dat) for dat in data)
         self.group = WreathGroup(self.d, self.m)
-        self.size = prod(level.size for level in self.levels)
 
     def __len__(self) -> int:
         return len(self.levels)
+
+    @cached_property
+    def size(self) -> int:
+        """The number of window states, on first use: the criterion never needs it."""
+        return prod(level.size for level in self.levels)
 
     def primes_distinct(self) -> bool:
         ps = [dat.p for dat in self.data]
@@ -471,13 +474,6 @@ class Window:
         orb.order = [self.state_at(i) for i in orb.order]
         orb.start = orb.order[0]
         return orb
-
-    def s_fixed_fraction(self) -> Fraction:
-        """Closed form: product over levels of (1 - l/p^{km})."""
-        out = Fraction(1)
-        for dat in self.data:
-            out *= dat.fixed_fraction()
-        return out
 
     def fixed_count(self, xs: Sequence[WreathElement]) -> int:
         """The number of product states fixed by every element of xs.  The

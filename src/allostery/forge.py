@@ -206,7 +206,8 @@ class SubgroupDatum(NamedTuple):
         tolerance bound is left to the certificates that measure it.  A
         record that is not an object, lacks a field, has an E that is not a
         list of lists or a gamma or epsilon that does not parse is a
-        TextParseError naming the record as ``what``."""
+        TextParseError, and one that breaks an invariant a
+        DatumInvariantError; each names the record as ``what``."""
         if not isinstance(rec, dict):
             raise TextParseError(f"{what} is not a JSON object")
         for key in cls._fields:
@@ -217,9 +218,11 @@ class SubgroupDatum(NamedTuple):
         E = tuple(tuple(q) for q in rec["E"])
         ints = [rec[key] for key in ("p", "k", "l", "d", "m")] + [c for q in E for c in q]
         if any(type(x) is not int for x in ints):
-            raise DatumInvariantError("p, k, l, d, m and the entries of E must be integers")
+            raise DatumInvariantError(
+                f"{what}: p, k, l, d, m and the entries of E must be integers"
+            )
         if not isinstance(rec["epsilon"], str):
-            raise DatumInvariantError("epsilon must be a rational written as a string")
+            raise DatumInvariantError(f"{what}: epsilon must be a rational written as a string")
         try:
             epsilon = Fraction(rec["epsilon"])
         except (ValueError, ZeroDivisionError):
@@ -238,7 +241,10 @@ class SubgroupDatum(NamedTuple):
             d=rec["d"],
             m=rec["m"],
         )
-        datum.validate(tolerance=False)
+        try:
+            datum.validate(tolerance=False)
+        except DatumInvariantError as exc:
+            raise DatumInvariantError(f"{what}: {exc}") from None
         return datum
 
 

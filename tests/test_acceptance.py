@@ -8,6 +8,7 @@ asserts, so a red run still shows every verdict.
 import json
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -79,15 +80,17 @@ def test_acceptance_3_criterion_certificate(announce, group11):
     start = time.perf_counter()
     gammas = [entry.element for entry in group11.ball(1)[1:]]
     cert = verify_criterion(gammas, 1, 1, epsilon=HALF)
+    window = window_from_records(cert["window"])
     per_level = Fraction(1)
-    for dat in window_from_records(cert["window"]).data:
+    for dat in window.data:
         per_level *= dat.fixed_fraction()
     elapsed = time.perf_counter() - start
-    window_fraction = Fraction(cert["window_s_fixed_fraction"])
+    window_fraction = prod(Fraction(rec["fixed_fraction"]) for rec in cert["records"])
+    counted = Fraction(window.fixed_count(window.group.lamp_generators()), window.size)
     ok = (
         cert["verdict"] == "valid"
         and all(record_ok(rec) for rec in cert["records"])
-        and window_fraction == per_level == Fraction(2, 5)
+        and window_fraction == per_level == counted == Fraction(2, 5)
         and window_fraction >= HALF ** len(gammas)
         and cert["stabilizer"]["ok"]
         and elapsed < 30.0
@@ -185,10 +188,12 @@ def test_acceptance_9_non_af_report(announce, d32, d9, d25):
     cert = build_criterion([d32, d9, d25])
     report = non_af_report(cert)
     serialized = json.dumps(report)
+    window_fraction = prod(Fraction(rec["fixed_fraction"]) for rec in cert["records"])
     ok = (
-        Fraction(report["bound"]) == Fraction(2, 5)
-        and Fraction(report["bound"]) >= Fraction(1, 8)
-        and len(report["chain"]) == 5
+        window_fraction == Fraction(2, 5)
+        and Fraction(report["bound"]) == Fraction(1, 8)
+        and window_fraction >= Fraction(report["bound"])
+        and len(report["chain"]) == 4
         and check_non_af_report(json.loads(serialized)) is True
     )
     announce(9, "three-level report re-verifies from its serialized form", ok)

@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -79,11 +80,11 @@ def test_frac_round_trip():
 
 
 def test_transitive_by_bfs(w288):
-    """The level-structure orbit size is the one a window BFS finds."""
+    """A window the level structure passes is one orbit by a window BFS."""
     result = certify_transitive(w288)
     assert result["status"] == "pass"
     assert result["method"] == "level-structure"
-    assert result["orbit_size"] == w288.orbit(w288.identity_thread()).size == 288
+    assert w288.orbit(w288.identity_thread()).size == w288.size == 288
 
 
 def test_transitive_by_level_escalation(w288):
@@ -93,7 +94,7 @@ def test_transitive_by_level_escalation(w288):
     result = certify_transitive(w288)
     assert result["status"] == "pass"
     assert result["method"] == "level-structure"
-    assert result["orbit_size"] == 288
+    assert "orbit_size" not in result
 
 
 @pytest.mark.parametrize(
@@ -114,8 +115,9 @@ def test_level_structure_passes_exactly_on_transitive_windows(request, names):
     result = certify_transitive(window)
     assert (result["status"] == "pass") == is_transitive(window)
     assert result["status"] == ("pass" if window.primes_distinct() else "fail")
-    orbit_size = window.size if result["status"] == "pass" else None
-    assert (result["method"], result["orbit_size"]) == ("level-structure", orbit_size)
+    assert result["method"] == "level-structure"
+    if result["status"] == "pass":
+        assert window.orbit(window.identity_thread()).size == window.size
 
 
 def _apply_twice(images):
@@ -143,11 +145,7 @@ def test_level_structure_fails_on_a_wrong_action(w288, monkeypatch, wrong):
     level_type = type(w288.levels[0])
     monkeypatch.setattr(level_type, "images", wrong(level_type.images))
     result = certify_transitive(w288)
-    assert (result["status"], result["method"], result["orbit_size"]) == (
-        "fail",
-        "level-structure",
-        None,
-    )
+    assert (result["status"], result["method"]) == ("fail", "level-structure")
     assert result["detail"].startswith("level 0: ")
 
 
@@ -155,11 +153,7 @@ def test_transitivity_negative_cases(d32):
     doubled = Window([d32, d32])
     assert not is_transitive(doubled)
     result = certify_transitive(doubled)
-    assert (result["status"], result["method"], result["orbit_size"]) == (
-        "fail",
-        "level-structure",
-        None,
-    )
+    assert (result["status"], result["method"]) == ("fail", "level-structure")
     assert result["detail"].startswith("levels 0 and 1 share the prime 2: ")
     cert = build_criterion([d32, d32])
     assert cert["transitivity"] == result
@@ -169,9 +163,9 @@ def test_transitivity_negative_cases(d32):
 def test_criterion_certificate_valid(cert288):
     assert cert288["verdict"] == "valid"
     assert cert288["primes_distinct"]
-    assert Fraction(cert288["product_lower_bound"]) == Fraction(1, 4)
-    assert Fraction(cert288["window_s_fixed_fraction"]) == Fraction(1, 2)
-    assert cert288["window_fraction_ok"]
+    fractions = [Fraction(rec["fixed_fraction"]) for rec in cert288["records"]]
+    epsilons = [Fraction(rec["epsilon"]) for rec in cert288["records"]]
+    assert prod(fractions) == Fraction(1, 2) >= prod(1 - eps for eps in epsilons) == Fraction(1, 4)
     assert cert288["transitivity"]["status"] == "pass"
     assert cert288["stabilizer"]["ok"]
     for rec in cert288["records"]:
@@ -200,7 +194,7 @@ def test_criterion_invalid_epsilon(d32):
     cert = build_criterion([starved])
     assert cert["verdict"] == "invalid"
     assert not cert["records"][0]["fraction_ok"]
-    assert not cert["window_fraction_ok"]
+    assert Fraction(cert["records"][0]["fixed_fraction"]) < 1 - starved.epsilon
 
 
 def test_criterion_invalid_duplicate_primes(d32, group11):
@@ -1061,8 +1055,9 @@ def test_audit_round_trip(w9, w9_transversal, group11):
 def test_non_af_report_single_level(d32):
     cert = build_criterion([d32])
     report = non_af_report(cert)
-    assert Fraction(report["bound"]) == Fraction(3, 4)
-    assert len(report["chain"]) == 5
+    assert Fraction(cert["records"][0]["fixed_fraction"]) == Fraction(3, 4)
+    assert Fraction(report["bound"]) == 1 - d32.epsilon == Fraction(1, 2)
+    assert len(report["chain"]) == 4
     assert check_non_af_report(report) is True
 
 
@@ -1070,15 +1065,15 @@ def test_non_af_report_three_levels(d32, d9, d25):
     cert = build_criterion([d32, d9, d25])
     assert cert["verdict"] == "valid"
     report = non_af_report(cert)
-    assert Fraction(report["bound"]) == Fraction(2, 5)
-    assert Fraction(cert["product_lower_bound"]) == Fraction(1, 8)
-    assert Fraction(report["bound"]) >= Fraction(cert["product_lower_bound"])
+    stage = prod(Fraction(rec["fixed_fraction"]) for rec in cert["records"])
+    assert stage == Fraction(2, 5)
+    assert Fraction(report["bound"]) == Fraction(1, 8)
+    assert stage >= Fraction(report["bound"])
     rec = json.loads(json.dumps(report))
     assert rec["kind"] == "non-af-report"
     assert check_non_af_report(rec) is True
     steps = [step["step"] for step in rec["chain"]]
     assert steps == [
-        "stage-fraction",
         "stage-bound",
         "positivity",
         "limit-bound",
@@ -1095,9 +1090,11 @@ def test_fixed_epsilon_report_certifies_the_stage_only(d32, d9, d25, group11):
         assert rec["limit_lower_bound"] is None
         assert "not almost finite" not in rec["conclusion"]
         assert "finite stage only" in rec["conclusion"]
-        limit_step, obstruction = rec["chain"][3:]
+        limit_step, obstruction = rec["chain"][2:]
         assert (limit_step["lhs"], limit_step["rel"], limit_step["rhs"]) == (None, None, None)
         assert obstruction["threshold"] == rec["bound"]
+        epsilons = [Fraction(r["epsilon"]) for r in cert["records"]]
+        assert Fraction(rec["bound"]) == prod(1 - eps for eps in epsilons)
         assert check_non_af_report(rec) is True
 
 
@@ -1106,9 +1103,15 @@ def test_scheduled_report_bounds_the_limit(group11):
     t = group11.parse_element("{};(1)")
     cert = verify_criterion([s, t], 1, 1)
     rec = non_af_report(cert)
-    assert Fraction(rec["bound"]) == Fraction(cert["window_s_fixed_fraction"])
-    assert Fraction(rec["limit_lower_bound"]) == Fraction(rec["bound"]) * Fraction(7, 8)
-    limit_step, obstruction = rec["chain"][3:]
+    window = window_from_records(cert["window"])
+    stage = prod(Fraction(r["fixed_fraction"]) for r in cert["records"])
+    assert stage == Fraction(window.fixed_count(window.group.lamp_generators()), window.size)
+    epsilons = [Fraction(r["epsilon"]) for r in cert["records"]]
+    assert epsilons == [Fraction(1, 4), Fraction(1, 8)]
+    assert stage >= prod(1 - eps for eps in epsilons) >= Fraction(rec["bound"])
+    assert Fraction(rec["bound"]) == 1 - sum(epsilons) == Fraction(1, 2) + Fraction(1, 2**3)
+    assert rec["limit_lower_bound"] == "1/2"
+    limit_step, obstruction = rec["chain"][2:]
     assert limit_step["lhs"] == obstruction["threshold"] == rec["limit_lower_bound"]
     assert rec["conclusion"].endswith("the limit action is not almost finite")
     assert check_non_af_report(rec) is True
@@ -1135,7 +1138,7 @@ def test_non_af_report_check_rejects_tampering(d32, d9):
     false_step = copy.deepcopy(rec)
     for step in false_step["chain"]:
         if step["step"] == "stage-bound":
-            step["lhs"] = "1/100"
+            step["value"] = "1/100"
     with pytest.raises(CertificateError):
         check_non_af_report(false_step)
     with pytest.raises(CertificateError):

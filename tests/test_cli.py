@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -77,7 +78,7 @@ def test_verify_ball_window(capsys):
     assert rec["verdict"] == "valid"
     assert [r["prime"] for r in rec["records"]] == [2, 3, 5, 7]
     assert [r["index"] for r in rec["records"]] == [32, 81, 25, 49]
-    assert rec["window_s_fixed_fraction"] == "2/5"
+    assert prod(Fraction(r["fixed_fraction"]) for r in rec["records"]) == Fraction(2, 5)
     assert rec["transitivity"]["method"] == "level-structure"
     assert "verdict valid" in err
 
@@ -439,11 +440,28 @@ def test_report_json_and_check(capsys, tmp_path):
     assert code == 0
     rec = json.loads(out)
     assert rec["kind"] == "non-af-report"
-    assert rec["bound"] == "2/5"
-    assert "bound 2/5" in err
+    assert rec["bound"] == "1/16"
+    assert "bound 1/16" in err
     path = tmp_path / "report.json"
     path.write_text(out)
     assert run(capsys, "report", "--check", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_default_schedule_at_radius_4_is_plain_json(tmp_path, command):
+    """No field holds a whole-window product, so at radius 4 the output of
+    an interpreter with the default digit limit holds no integer of more
+    than 1,000 digits, a stock json.loads reads it, and --check accepts it."""
+    done = _cli_process(command, "--radius", "4")
+    assert done.returncode == 0, done.stderr
+    assert max(map(len, re.findall(r"\d+", done.stdout))) <= 1000
+    rec = json.loads(done.stdout)
+    assert "orbit_size" not in rec.get("criterion", rec)["transitivity"]
+    path = tmp_path / f"{command}.json"
+    path.write_text(done.stdout)
+    checked = _cli_process(command, "--check", str(path))
+    assert (checked.returncode, checked.stdout) == (0, "")
+    assert checked.stderr.endswith(": valid\n")
 
 
 @pytest.mark.parametrize("flags", [("--radius", "2"), ("--d", "2", "--m", "2"), ("--radius", "3")])
@@ -461,9 +479,9 @@ def test_scheduled_report_claims_the_limit(capsys, tmp_path):
     code, out, err = run(capsys, "report", "--radius", "2")
     assert code == 0
     rec = json.loads(out)
-    limit = Fraction(rec["limit_lower_bound"])
-    assert limit == Fraction(rec["bound"]) * (1 - Fraction(1, 2**17))
-    assert rec["chain"][4]["threshold"] == rec["limit_lower_bound"]
+    assert Fraction(rec["bound"]) == Fraction(1, 2) + Fraction(1, 2**17)
+    assert rec["limit_lower_bound"] == "1/2"
+    assert rec["chain"][3]["threshold"] == rec["limit_lower_bound"]
     assert "the limit action is not almost finite" in err
     path = tmp_path / "report.json"
     path.write_text(out)
@@ -476,7 +494,7 @@ def test_report_markdown(capsys):
     lines = out.splitlines()
     assert lines[0] == "| gamma | prime | index | fixed fraction | lower bound |"
     assert any("| 2 | 32 |" in line for line in lines)
-    assert "Window bound: **2/5**; limit lower bound: **none**" in out
+    assert "Window bound: **1/16**; limit lower bound: **none**" in out
 
 
 def test_report_out_directory(capsys, tmp_path):
@@ -487,7 +505,7 @@ def test_report_out_directory(capsys, tmp_path):
     assert (out_dir / "report.md").exists()
     assert str(out_dir / "report.json") in out
     rec = json.loads((out_dir / "report.json").read_text())
-    assert rec["bound"] == "2/5"
+    assert rec["bound"] == "1/16"
 
 
 def test_config_file(capsys, tmp_path, w288_file):
@@ -562,6 +580,21 @@ def test_window_file_missing_key(capsys, tmp_path, d81):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"E": [[0], [0]]}, "E must hold exactly l distinct residues"),
+        ({"p": 3.0}, "p, k, l, d, m and the entries of E must be integers"),
+    ],
+    ids=["repeated-residue", "float-p"],
+)
+def test_a_broken_datum_names_the_file_and_the_record(capsys, tmp_path, d81, changes, message):
+    window = _window_with(tmp_path, d81, **changes)
+    code, out, err = run(capsys, "compare", "--window", window, "--a", "idx:0", "--b", "idx:1,2")
+    assert (code, out) == (2, "")
+    assert err == f"error: {window}: window record 0: {message}\n"
 
 
 def test_check_of_a_directory(capsys, tmp_path):
@@ -805,11 +838,13 @@ def test_check_with_a_huge_prime(tmp_path, d32, d9):
 
 def _cli_process(*argv, stdout=subprocess.PIPE, unbuffered=False, timeout=60):
     """``python -m allostery.cli`` run in a child process on ``src`` with
-    80 columns, its stdout buffered unless ``unbuffered``."""
+    80 columns and the interpreter's default digit limit, its stdout
+    buffered unless ``unbuffered``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     env["COLUMNS"] = "80"
     env.pop("PYTHONUNBUFFERED", None)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
@@ -832,7 +867,7 @@ BROKEN_PIPE = re.escape("[Errno 32] Broken pipe\n")
             False,
             0,
             re.escape((Path(__file__).parent / "golden" / "report_radius2.out").read_text()),
-            "bound 334348560/2334313609; .*\n",
+            "bound 1/65536; .*\n",
         ),
         (("audit", "--check", "MALFORMED"), False, 1, "", "castle audit: failed\n"),
         (
@@ -840,20 +875,19 @@ BROKEN_PIPE = re.escape("[Errno 32] Broken pipe\n")
             False,
             0,
             "OUT/report\\.json\nOUT/report\\.md\n",
-            "bound 16/21; .*\n",
+            "bound 17/32; .*\n",
         ),
         (FORGE, True, 2, None, "error: " + BROKEN_PIPE),
-        (FORGE, False, 120, None, "forged: .*BrokenPipeError: " + BROKEN_PIPE),
+        (FORGE, False, 2, None, "forged: .*\nerror: " + BROKEN_PIPE),
     ],
     ids=["help", "usage-error", "report", "failed-check", "report-out", "closed-pipe", "closed-pipe-buffered"],
 )
 def test_the_process_exit(capsys, tmp_path, w9_file, argv, unbuffered, code, out, err):
     """The entry point run as a process gives main's exit code and its whole
     output, argparse's exits included, and a file written under --out is
-    complete.  A stdout pipe whose read end is closed fails as the
-    interpreter's own exit does: with PYTHONUNBUFFERED the write raises in
-    the command (exit 2), and with a buffered stdout the final flush fails
-    at interpreter exit (exit 120)."""
+    complete.  A stdout pipe whose read end is closed is an error, exit 2:
+    with PYTHONUNBUFFERED the write raises in the command, and with a
+    buffered stdout the flush after the command raises."""
     out_dir = tmp_path / "out"
     names = {"OUT": str(out_dir), "MALFORMED": str(tmp_path / "audit.json")}
     if "MALFORMED" in argv:

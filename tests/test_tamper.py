@@ -124,10 +124,17 @@ def test_one_edit_never_passes(honest, data):
         ("audit", ("towers", 0, "defect"), "1/9"),
         ("audit", ("defects_within_epsilon",), True),
         ("report", ("limit_lower_bound",), "1/2"),
-        ("report", ("chain", 3, "lhs"), "3/4"),
+        ("report", ("chain", 2, "lhs"), "3/4"),
         ("scheduled-report", ("limit_lower_bound",), None),
         ("scheduled-report", ("limit_lower_bound",), "21/32"),
-        ("scheduled-report", ("chain", 4, "threshold"), "3/4"),
+        ("scheduled-report", ("chain", 3, "threshold"), "3/4"),
+        # The whole-window values that the records already state, held as
+        # their honest old values, are extra fields.
+        ("criterion", ("window_s_fixed_fraction",), "1/2"),
+        ("criterion", ("transitivity", "orbit_size"), 288),
+        ("criterion", ("product_lower_bound",), "1/4"),
+        ("criterion", ("window_fraction_ok",), True),
+        ("report", ("product_lower_bound",), "1/4"),
     ],
 )
 def test_named_edits_raise(honest, kind, path, value):
