@@ -23,8 +23,7 @@ _EXPORTS = {
     ),
     "config": ("RunConfig", "apply_env", "load_config", "parse_config"),
     "dynamics": (
-        "CosetState", "FiniteLevel", "OrbitResult", "Window", "format_state", "parse_state",
-        "stabilizer_witness",
+        "FiniteLevel", "OrbitResult", "Window", "stabilizer_witness",
     ),
     "errors": (
         "AllosteryError", "BudgetExceededError", "CertificateError", "DatumInvariantError",

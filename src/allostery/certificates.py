@@ -22,6 +22,7 @@ import json
 import operator
 from array import array
 from bisect import bisect_right
+from contextlib import contextmanager
 from copy import deepcopy
 from functools import cached_property
 from fractions import Fraction
@@ -40,6 +41,7 @@ from .dynamics import (
 from .errors import (
     BudgetExceededError,
     CertificateError,
+    DatumInvariantError,
     MalformedCastleError,
     MeasureConditionError,
     TextParseError,
@@ -80,6 +82,15 @@ def _require_kind(rec, kind: str, what: str) -> None:
         raise CertificateError(f"not a {what}")
 
 
+@contextmanager
+def _malformed(what: str):
+    """Raise a malformed-record error from inside as CertificateError("malformed <what>: ...")."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, TextParseError, DatumInvariantError) as exc:
+        raise CertificateError(f"malformed {what}: {exc}") from None
+
+
 def _require_same(rec: dict, fresh: dict) -> None:
     """Raise CertificateError unless ``rec`` serializes exactly as ``fresh``.
 
@@ -102,28 +113,26 @@ def _level_structure_defect(level: FiniteLevel) -> Optional[str]:
     """None when the unit steps that make a level transitive hold on state 0,
     else the first step that does not.
 
-    A state index spells a base block b in m digits of radix M = p^k and a
-    lamp offset v in l*d digits of radix p, most significant first.  Every
-    element acts as (b, v) -> (b + delta, v + sigma(b + delta)) for its shift
-    residue delta and a map sigma from blocks to lamp offsets.  So if t_j
-    sends state 0 to block e_j, and t^E[j] s_i t^-E[j] (shift 0) adds the unit
-    lamp digit (j, i) to state 0, then those lamp elements act on block 0 as
-    the translations of (Z/p)^(ld), block 0 lies in one orbit, and products
-    of shifts carry it bijectively onto every block.  That is m + l*d digit
-    applications, whatever the level size."""
-    M, p, m, d = level.modulus, level.p, level.m, level.d
-    lamp_digits = level.l * d
-    origin = zero(m)
+    The digits of a state (:meth:`FiniteLevel.digits`) spell a base block b
+    in m digits of radix M = p^k, then a lamp offset v in l*d digits of
+    radix p.  Every element acts as (b, v) -> (b + delta, v + sigma(b +
+    delta)) for its shift residue delta and a map sigma from blocks to lamp
+    offsets.  So if t_j sends state 0 to block e_j, and t^E[j] s_i t^-E[j]
+    (shift 0) adds the unit lamp digit (j, i) to state 0, then those lamp
+    elements act on block 0 as the translations of (Z/p)^(ld), block 0 lies
+    in one orbit, and products of shifts carry it bijectively onto every
+    block.  That is m + l*d digit applications, the k-th of which must set
+    digit k of state 0 alone, whatever the level size."""
+    m, d, n = level.m, level.d, level.l * level.d
     units = [tuple(int(k == i) for k in range(d)) for i in range(d)]
-    lamps = [WreathElement(Lamp.of({c: unit}), origin) for c in level.E for unit in units]
+    lamps = [WreathElement(Lamp.of({c: u}), zero(m)) for c in level.E for u in units]
     shifts = [level.group.shift_generator(j) for j in range(m)]
-    images = level.images(0, shifts + lamps)
-    for j in range(m):
-        if images[j] != M ** (m - 1 - j) * p**lamp_digits:
-            return f"t{j + 1} does not carry state 0 to base block e_{j + 1}"
-    for k in range(lamp_digits):
-        if images[m + k] != p ** (lamp_digits - 1 - k):
-            j, i = divmod(k, d)
+    for k, image in enumerate(level.images(0, shifts + lamps)):
+        base, lamp = level.digits(image)
+        if base + lamp != [int(i == k) for i in range(m + n)]:
+            if k < m:
+                return f"t{k + 1} does not carry state 0 to base block e_{k + 1}"
+            j, i = divmod(k - m, d)
             return f"the lamp s{i + 1} at class E[{j}] does not add lamp digit ({j}, {i}) alone"
     return None
 
@@ -243,11 +252,9 @@ def _rebuild_criterion(rec) -> dict:
     """Rebuild a serialized criterion certificate from its window and ball
     radius, and require the record to serialize exactly as the rebuild."""
     _require_kind(rec, "criterion", "criterion certificate")
-    try:
+    with _malformed("criterion certificate"):
         data = window_from_records(rec["window"]).data
         radius = rec["stabilizer"]["ball_radius"]
-    except (KeyError, TypeError, TextParseError) as exc:
-        raise CertificateError(f"malformed criterion certificate: {exc}") from None
     if type(radius) is not int or radius < 0:
         raise CertificateError(f"ball radius must be a nonnegative integer, got {radius!r}")
     fresh = build_criterion(data, witness_radius=radius)
@@ -442,14 +449,12 @@ def check_comparison_certificate(rec: dict) -> bool:
     empty piece or a word letter that names no generator raises
     :class:`CertificateError`."""
     _require_kind(rec, "comparison", "comparison certificate")
-    try:
+    with _malformed("comparison certificate"):
         window = window_from_records(rec["window"])
         a = frozenset(window.parse_state(t) for t in rec["A"])
         b = frozenset(window.parse_state(t) for t in rec["B"])
         pieces = tuple(frozenset(window.parse_state(t) for t in ts) for ts in rec["pieces"])
         words = tuple(tuple(w) for w in rec["words"])
-    except (KeyError, TypeError, ValueError, TextParseError) as exc:
-        raise CertificateError(f"malformed comparison certificate: {exc}") from None
     letters = range(len(window.group.generators()))
     if any(type(g) is not int or g not in letters for w in words for g in w):
         raise CertificateError(f"word letters must be integers in 0..{len(letters) - 1}")
@@ -797,12 +802,10 @@ def check_castle_audit(rec: dict, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     as the rerun, which for a castle that is not well formed is its
     :func:`malformed_castle_record`; such a record checks as not ok."""
     _require_kind(rec, "castle-audit", "castle audit")
-    try:
+    with _malformed("castle audit"):
         window = window_from_records(rec["window"])
         castle = Castle.from_dict(rec["castle"], window)
         gamma = window.group.parse_element(rec["gamma"])
-    except (KeyError, TypeError, TextParseError) as exc:
-        raise CertificateError(f"malformed castle audit: {exc}") from None
     try:
         fresh = audit_castle(castle, gamma, window, budget)
     except MalformedCastleError as exc:

@@ -15,7 +15,8 @@ import json
 import os
 import sys
 
-from .errors import AllosteryError, DatumInvariantError, MalformedCastleError, TextParseError
+from .errors import AllosteryError, CertificateError, DatumInvariantError
+from .errors import MalformedCastleError, TextParseError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # for annotations only: each command imports what it runs
@@ -90,16 +91,21 @@ def _load_json(path: str) -> dict:
         raise TextParseError(f"{path}: {exc}") from None
 
 
-def _read(path: str, read):
-    """``read`` applied to the JSON value of the file at ``path``; a
-    TextParseError or DatumInvariantError that it raises names the file."""
-    rec = _load_json(path)
+def _read(path: str, read, text: bool = False):
+    """``read`` applied to the JSON value of the file at ``path``, or to its
+    text when ``text`` is set; a TextParseError, DatumInvariantError or
+    CertificateError that it raises names the file."""
+    if text:
+        with open(path, "r", encoding="utf-8") as fh:
+            rec = fh.read()
+    else:
+        rec = _load_json(path)
     try:
         return read(rec)
     except TextParseError as exc:
         raise TextParseError(f"{path}: {exc.message}", exc.line, exc.column) from None
-    except DatumInvariantError as exc:
-        raise DatumInvariantError(f"{path}: {exc}") from None
+    except (CertificateError, DatumInvariantError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _load_window(path: str) -> Window:
@@ -167,7 +173,7 @@ def cmd_forge(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.check:
-        ok = check_criterion_certificate(_load_json(args.check))
+        ok = _read(args.check, check_criterion_certificate)
         return _verdict("criterion certificate", ok)
     from .certificates import record_ok
 
@@ -218,7 +224,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.check:
-        ok = check_comparison_certificate(_load_json(args.check))
+        ok = _read(args.check, check_comparison_certificate)
         return _verdict("comparison certificate", ok)
     if not args.window or not args.a_spec or not args.b_spec:
         raise TextParseError("compare needs --window, --a and --b (or --check)")
@@ -236,15 +242,14 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_audit(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.check:
-        ok = check_castle_audit(_load_json(args.check), cfg.budget_states)
+        ok = _read(args.check, lambda rec: check_castle_audit(rec, cfg.budget_states))
         return _verdict("castle audit", ok, ("ok", "failed"))
     if not args.castle or not args.window or not args.gamma:
         raise TextParseError("audit needs a castle file, --window and --gamma (or --check)")
     from .certificates import malformed_castle_record, parse_tolerance
 
     window = _load_window(args.window)
-    with open(args.castle, "r", encoding="utf-8") as fh:
-        castle = parse_castle_file(fh.read(), window)
+    castle = _read(args.castle, lambda text: parse_castle_file(text, window), text=True)
     if args.tolerance:
         castle = castle._replace(epsilon=parse_tolerance(args.tolerance))
     gamma = window.group.parse_element(args.gamma)
@@ -291,7 +296,7 @@ def _report_markdown(report_dict: dict) -> str:
 
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.check:
-        ok = check_non_af_report(_load_json(args.check))
+        ok = _read(args.check, check_non_af_report)
         return _verdict("report", ok)
     cert = _criterion(cfg)
     if cert["verdict"] != "valid":

@@ -26,8 +26,8 @@ reads x once through :meth:`SubgroupDatum.reduce` (its shift residue and its
 nonzero class sums), turns that into an index map block by block, with one
 lamp-offset permutation per distinct pattern of added sums, and counts fixed
 states off the same blocks.  The images of one state under many elements
-come from the same arithmetic on that state's own digits.
-:class:`CosetState` is only the state text format.
+come from the same arithmetic on that state's own digits, and a state's
+text spells the same digits.
 
 A window is a finite list of levels acted on diagonally; its states are
 tuples of per-level state indices, and its flat index spells such a tuple in
@@ -41,7 +41,7 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 from math import prod
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .base import Vec
 from .errors import (
@@ -54,40 +54,6 @@ from .forge import SubgroupDatum
 from .wreath import Word, WreathElement, WreathGroup, format_vec, _parse_vec
 
 DEFAULT_STATE_BUDGET = 10**6
-
-
-class CosetState(NamedTuple):
-    """One coset: base residue plus the E-indexed lamp sums mod p."""
-
-    base: Vec
-    sums: Tuple[Vec, ...]
-
-
-def format_state(s: CosetState) -> str:
-    return format_vec(s.base) + "|(" + ",".join(format_vec(v) for v in s.sums) + ")"
-
-
-def parse_state(text: str, line: int | None = None) -> CosetState:
-    s = text.strip()
-    base, pos = _parse_vec(s, 0, line)
-    if s[pos : pos + 2] != "|(":
-        raise TextParseError("expected '|(' after the base residue", line, pos + 1)
-    pos += 1
-    sums: list[Vec] = []
-    pos += 1
-    if s[pos : pos + 1] != ")":
-        while True:
-            v, pos = _parse_vec(s, pos, line)
-            sums.append(v)
-            if s[pos : pos + 1] == ",":
-                pos += 1
-                continue
-            break
-    if s[pos : pos + 1] != ")":
-        raise TextParseError("expected ')' closing the sums", line, pos + 1)
-    if pos + 1 != len(s):
-        raise TextParseError("trailing characters after state", line, pos + 2)
-    return CosetState(base, tuple(sums))
 
 
 class FiniteLevel:
@@ -103,42 +69,28 @@ class FiniteLevel:
         self.modulus = datum.modulus
         self.size = datum.index()
         self.group = WreathGroup(datum.d, datum.m)
-        self._lamp_digits = self.l * self.d
-        self._lamp_size = self.p**self._lamp_digits
+        self._lamp_size = self.p ** (self.l * self.d)
+        self._radices = (self.p,) * (self.l * self.d) + (self.modulus,) * self.m  # least first
         self._tables: Dict[int, List[int]] = {}
 
-    def _digits(self, idx: int) -> Tuple[List[int], List[int]]:
+    def digits(self, idx: int) -> Tuple[List[int], List[int]]:
         """The m base digits and the l*d lamp digits of a state index, each
         most significant first."""
-        lamp = []
-        for _ in range(self._lamp_digits):
-            idx, r = divmod(idx, self.p)
-            lamp.append(r)
-        base = []
-        for _ in range(self.m):
-            idx, r = divmod(idx, self.modulus)
-            base.append(r)
-        base.reverse()
-        lamp.reverse()
-        return base, lamp
+        out = []
+        for radix in self._radices:
+            idx, r = divmod(idx, radix)
+            out.append(r)
+        out.reverse()
+        return out[: self.m], out[self.m :]
 
     def _index_of(self, base: Iterable[int], lamp: Iterable[int]) -> int:
-        """The state index spelled by base and lamp digits (see :meth:`_digits`)."""
+        """The state index spelled by base and lamp digits (see :meth:`digits`)."""
         idx = 0
         for b in base:
             idx = idx * self.modulus + b
         for c in lamp:
             idx = idx * self.p + c
         return idx
-
-    def state_index(self, s: CosetState) -> int:
-        return self._index_of(s.base, (c for v in s.sums for c in v))
-
-    def state_at(self, idx: int) -> CosetState:
-        base, lamp = self._digits(idx)
-        d = self.d
-        sums = tuple(tuple(lamp[j * d : (j + 1) * d]) for j in range(self.l))
-        return CosetState(tuple(base), sums)
 
     def images(self, i: int, xs: Iterable[WreathElement]) -> List[int]:
         """The image of state index i under each element of xs, in order.
@@ -151,7 +103,7 @@ class FiniteLevel:
         that land in one of those l classes.  The elements must have the
         level's ranks (see :meth:`WreathGroup.validate_element`)."""
         M, p, d, L = self.modulus, self.p, self.d, self._lamp_size
-        base, lamp = self._digits(i)
+        base, lamp = self.digits(i)
         offset = i % L
         by_shift: Dict[Vec, Tuple[int, Dict[Vec, int]]] = {}
         residue: Dict[Vec, Vec] = {}  # each lamp position reduced mod M once
@@ -277,19 +229,41 @@ class FiniteLevel:
         return [i for i, image in enumerate(self.index_map(x)) if image == i]
 
     def state_text(self, idx: int) -> str:
-        return format_state(self.state_at(idx))
+        """The text ``(base)|((sum),...)`` of a state index: its base digits,
+        then its lamp digits in groups of d, one group per class of E."""
+        base, lamp = self.digits(idx)
+        sums = ",".join(map(format_vec, zip(*[iter(lamp)] * self.d)))  # d digits per sum
+        return f"{format_vec(tuple(base))}|({sums})"
 
     def parse_state_index(self, text: str, line: int | None = None) -> int:
-        s = parse_state(text, line)
-        if len(s.base) != self.m or len(s.sums) != self.l:
+        """The index of a state text (see :meth:`state_text`).  TextParseError
+        at the first column that leaves the grammar, then for a shape other
+        than the level's, then for a digit out of its range."""
+        s = text.strip()
+        base, pos = _parse_vec(s, 0, line)
+        if s[pos : pos + 2] != "|(":
+            raise TextParseError("expected '|(' after the base residue", line, pos + 1)
+        pos += 2
+        sums: List[Vec] = []
+        if s[pos : pos + 1] != ")":
+            v, pos = _parse_vec(s, pos, line)
+            sums.append(v)
+            while s[pos : pos + 1] == ",":
+                v, pos = _parse_vec(s, pos + 1, line)
+                sums.append(v)
+        if s[pos : pos + 1] != ")":
+            raise TextParseError("expected ')' closing the sums", line, pos + 1)
+        if pos + 1 != len(s):
+            raise TextParseError("trailing characters after state", line, pos + 2)
+        if len(base) != self.m or len(sums) != self.l:
             raise TextParseError("state shape does not match the level", line)
-        for b in s.base:
+        for b in base:
             if not 0 <= b < self.modulus:
                 raise TextParseError(f"base coordinate {b} out of range", line)
-        for v in s.sums:
+        for v in sums:
             if len(v) != self.d or any(not 0 <= c < self.p for c in v):
                 raise TextParseError("sum entry out of range", line)
-        return self.state_index(s)
+        return self._index_of(base, (c for v in sums for c in v))
 
 
 class OrbitResult:
@@ -506,9 +480,7 @@ class Window:
             raise TextParseError(
                 f"window state needs {len(self.levels)} factors, got {len(parts)}", line
             )
-        return tuple(
-            level.parse_state_index(part, line) for level, part in zip(self.levels, parts)
-        )
+        return tuple(level.parse_state_index(part, line) for level, part in zip(self.levels, parts))
 
 
 def stabilizer_witness(window: Window, ball_radius: int = 1) -> dict:

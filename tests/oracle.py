@@ -2,7 +2,7 @@
 and the inverse-system checks of the acceptance gate.
 
 Each reference is the earlier, more direct algorithm: the per-state action
-on :class:`CosetState` objects, fixed states listed level by level, a
+on :class:`Coset` tuples, fixed states listed level by level, a
 breadth-first search over a set of window tuples, transporter words read
 off that search's tree, a castle tiling over window tuples, castle
 defects from the products of gamma^-1 with every shape, an element parser
@@ -10,7 +10,10 @@ that scans its text part by part, the element and castle-word grammars
 each as one regular expression, and a stabilizer witness that reads each
 element's image of the identity thread as one flat index.  The per-state
 action reads only an element's reduced shift and class sums, so it is
-independent of the digit arithmetic of ``images`` and ``index_map``.
+independent of the digit arithmetic of ``images`` and ``index_map``.  The
+reference spells its own state indices and state text, from the formula in
+the ``dynamics`` docstring, so it never runs through the level's digit code
+(``tests/test_layout.py`` checks this).
 
 The inverse-system checks verify that projections between nested windows
 commute with the generators, are onto, push the uniform measure forward,
@@ -21,11 +24,53 @@ coordinates, so the laws hold by construction; no certificate records them.
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from allostery import CosetState, Lamp, Window, WreathElement
+from allostery import Lamp, Window, WreathElement
 from allostery.dynamics import DEFAULT_STATE_BUDGET
 from allostery.errors import BudgetExceededError, TextParseError, WindowError
+
+
+class Coset(NamedTuple):
+    """One coset of a level: the base residue and the E-indexed lamp sums mod p."""
+
+    base: Tuple[int, ...]
+    sums: Tuple[Tuple[int, ...], ...]
+
+
+def index_of(level, s):
+    """The state index of a coset, by the formula of the ``dynamics``
+    docstring: base_block * p^(ld) + lamp_offset, where the base block reads
+    the residue in radix M = p^k and the lamp offset reads the sums in radix
+    p, each most significant first."""
+    block = sum(b * level.modulus ** (level.m - 1 - j) for j, b in enumerate(s.base))
+    lamp = [c for v in s.sums for c in v]
+    offset = sum(c * level.p ** (len(lamp) - 1 - k) for k, c in enumerate(lamp))
+    return block * level.p ** len(lamp) + offset
+
+
+def coset_at(level, idx):
+    """The coset whose state index is idx: the inverse of :func:`index_of`."""
+    M, p, m, d = level.modulus, level.p, level.m, level.d
+    ld = level.l * d
+    block, offset = divmod(idx, p**ld)
+    base = tuple(block // M ** (m - 1 - j) % M for j in range(m))
+    lamp = [offset // p ** (ld - 1 - k) % p for k in range(ld)]
+    return Coset(base, tuple(tuple(lamp[j * d : (j + 1) * d]) for j in range(level.l)))
+
+
+def coset_text(s):
+    """A coset written as ``(base)|((sum),...)``."""
+
+    def vec(v):
+        return "(" + ",".join(map(str, v)) + ")"
+
+    return vec(s.base) + "|(" + ",".join(map(vec, s.sums)) + ")"
+
+
+def window_text(window, state):
+    """A window state written as its level cosets joined by ``*``."""
+    return "*".join(coset_text(coset_at(level, i)) for level, i in zip(window.levels, state))
 
 
 def apply_state(level, reduced, s):
@@ -39,7 +84,7 @@ def apply_state(level, reduced, s):
     for c, old in zip(level.E, s.sums):
         g = class_sums.get(tuple((b + e) % modulus for b, e in zip(base, c)))
         new_sums.append(old if g is None else tuple((o + gi) % p for o, gi in zip(old, g)))
-    return CosetState(base, tuple(new_sums))
+    return Coset(base, tuple(new_sums))
 
 
 def act(level, x, s):
@@ -47,7 +92,7 @@ def act(level, x, s):
 
 
 def identity_state(level):
-    return CosetState((0,) * level.m, ((0,) * level.d,) * level.l)
+    return Coset((0,) * level.m, ((0,) * level.d,) * level.l)
 
 
 def state_of(level, x):
@@ -60,7 +105,7 @@ def iter_states(level):
     d = level.d
     for base in product(range(level.modulus), repeat=level.m):
         for flat in product(range(level.p), repeat=level.l * d):
-            yield CosetState(base, tuple(flat[j * d : (j + 1) * d] for j in range(level.l)))
+            yield Coset(base, tuple(flat[j * d : (j + 1) * d] for j in range(level.l)))
 
 
 def window_states(window):
@@ -120,7 +165,7 @@ def tree_words(window, pieces, targets):
 def window_act(window, x, state):
     """x applied to one window state, level by level through :func:`act`."""
     return tuple(
-        level.state_index(act(level, x, level.state_at(i)))
+        index_of(level, act(level, x, coset_at(level, i)))
         for level, i in zip(window.levels, state)
     )
 
@@ -159,10 +204,10 @@ def tiling_witness(castle, window):
                 img = window_act(window, x, v)
                 mark = {"tower": ti, "shape": x.text()}
                 if img in seen:
-                    return {"state": window.state_text(img), "first": seen[img], "second": mark}
+                    return {"state": window_text(window, img), "first": seen[img], "second": mark}
                 seen[img] = mark
     missing = [s for s in window_states(window) if s not in seen]
-    return {"missing_state": window.state_text(missing[0])} if missing else None
+    return {"missing_state": window_text(window, missing[0])} if missing else None
 
 
 def defect_counts(castle, gamma):

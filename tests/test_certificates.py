@@ -132,8 +132,8 @@ def _drop_last_lamp_group(images):
     def wrong(self, i, xs):
         out = []
         for t in images(self, i, xs):
-            base, lamp = self._digits(t)
-            lamp[-self.d :] = self._digits(i)[1][-self.d :]
+            base, lamp = self.digits(t)
+            lamp[-self.d :] = self.digits(i)[1][-self.d :]
             out.append(self._index_of(base, lamp))
         return out
 

@@ -692,7 +692,7 @@ def test_audit_check_of_a_number_past_the_digit_limit(
     path.write_text(json.dumps(rec))
     code, out, err = run(capsys, "audit", "--check", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: malformed castle audit: number longer than 4300 digits\n"
+    assert err == f"error: {path}: malformed castle audit: number longer than 4300 digits\n"
 
 
 @pytest.mark.parametrize("where", ["window", "check"])
@@ -721,6 +721,58 @@ def test_a_json_number_past_the_digit_limit_names_the_file(
     assert (code, out) == (2, "")
     assert err == f"error: {path}: {interpreter.value}\n"
     assert "Exceeds the limit (4300 digits)" in err
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [
+        ("verify", "criterion certificate"),
+        ("report", "criterion certificate"),
+        ("compare", "comparison certificate"),
+        ("audit", "castle audit"),
+    ],
+)
+def test_a_broken_datum_in_a_checked_record(capsys, tmp_path, w9_file, command, kind):
+    """A window record that breaks a datum invariant makes every checker
+    say that its record is malformed, naming the file, the record and the
+    invariant, and exit 2."""
+    argv = {
+        "verify": ("verify",),
+        "report": ("report", "--epsilon", "1/2"),
+        "compare": ("compare", "--window", w9_file, "--a", "idx:0,1", "--b", "idx:3,4,6"),
+    }
+    if command == "audit":
+        rec = _audit_record(capsys, tmp_path, w9_file)
+    else:
+        rec = json.loads(run(capsys, *argv[command])[1])
+    window = rec["criterion"]["window"] if command == "report" else rec["window"]
+    window[0]["E"] = window[0]["E"] * 2
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(rec))
+    code, out, err = run(capsys, command, "--check", str(path))
+    assert (code, out) == (2, "")
+    invariant = "E must hold exactly l distinct residues"
+    assert err == f"error: {path}: malformed {kind}: window record 0: {invariant}\n"
+
+
+def test_a_checked_record_without_a_key_names_the_file(capsys, tmp_path):
+    rec = json.loads(run(capsys, "verify")[1])
+    del rec["stabilizer"]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(rec))
+    code, out, err = run(capsys, "verify", "--check", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: malformed criterion certificate: 'stabilizer'\n"
+
+
+def test_a_castle_file_error_names_the_file(capsys, tmp_path, w9_file):
+    castle_path = tmp_path / "castle.txt"
+    castle_path.write_text("V= (0)|((0)) ; S= e x9\n")
+    code, out, err = run(
+        capsys, "audit", str(castle_path), "--window", w9_file, "--gamma", "{(0):(1)};(0)"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {castle_path}: unknown generator 'x9' at line 1\n"
 
 
 def test_audit_check_with_a_float_in_e(capsys, tmp_path, w9_file):
@@ -976,7 +1028,7 @@ def test_a_record_that_is_not_an_object_names_the_file(
     field, holds an E that is not a list of lists or a gamma or epsilon that
     does not parse is a parse error naming the file and the record, not the
     interpreter's message on indexing a number or a list.  A checker names
-    the certificate kind instead of the file."""
+    the certificate kind after the file."""
     path = tmp_path / "data.json"
     text = json.dumps(records).replace('"d9"', json.dumps(d9.to_dict()))
     path.write_text(text)
@@ -990,5 +1042,4 @@ def test_a_record_that_is_not_an_object_names_the_file(
     }[command]
     code, out, err = run(capsys, command, *argv, flag, str(path))
     assert (code, out) == (2, "")
-    named = "" if flag == "--check" else f"{path}: "
-    assert err == f"error: {named}{message}\n"
+    assert err == f"error: {path}: {message}\n"

@@ -4,15 +4,13 @@ from math import prod
 import pytest
 
 from allostery import (
-    CosetState,
     FiniteLevel,
     Lamp,
     Window,
     WreathElement,
     WreathGroup,
     assign_primes,
-    format_state,
-    parse_state,
+    forge,
     stabilizer_witness,
 )
 from allostery.dynamics import _bfs
@@ -25,12 +23,16 @@ from allostery.errors import (
 
 from conftest import fresh_rng
 from oracle import (
+    Coset,
     _projection,
     act,
     check_inverse_system,
+    coset_at,
+    coset_text,
     fixed_states,
     flat_stabilizer_witness,
     identity_state,
+    index_of,
     iter_states,
     state_of,
     structure_map,
@@ -56,26 +58,37 @@ def test_state_count_equals_index(level32, level9):
     assert len(list(iter_states(level9))) == 9
 
 
-def test_index_round_trip(level32, level9):
-    for level in (level32, level9):
-        states = list(iter_states(level))
-        for i, s in enumerate(states):
-            assert level.state_index(s) == i
-            assert level.state_at(i) == s
+@pytest.fixture(scope="module")
+def level729():
+    """A level with d = m = 2 and two lamp digit groups: 9 base blocks of 81 lamp offsets."""
+    gamma = WreathGroup(2, 2).parse_element("{(0,0):(1,0)};(0,0)")
+    level = FiniteLevel(forge(gamma, 3, Fraction(1, 2), 2, 2))
+    assert (level.size, level.l, level.modulus) == (729, 2, 3)
+    return level
+
+
+def test_index_round_trip(level32, level9, level729):
+    """The reference's own index spelling numbers the states as iter_states
+    lists them, and the level's digits are the reference's base and sums."""
+    for level in (level32, level9, level729):
+        for i, s in enumerate(iter_states(level)):
+            assert index_of(level, s) == i
+            assert coset_at(level, i) == s
+            assert level.digits(i) == (list(s.base), [c for v in s.sums for c in v])
 
 
 def test_act_examples(level32, group11):
     def coset(x):
         """The coset of x: x acting on the identity coset, state 0."""
-        return level32.state_at(level32.images(0, [x])[0])
+        return coset_at(level32, level32.images(0, [x])[0])
 
     t = group11.parse_element("{};(1)")
     s1 = group11.parse_element("{(0):(1)};(0)")
-    assert level32.state_at(0) == CosetState((0,), ((0,), (0,)))
-    assert coset(t) == CosetState((1,), ((0,), (0,)))
-    assert coset(s1) == CosetState((0,), ((1,), (0,)))
-    assert coset(t * s1) == CosetState((1,), ((1,), (0,)))
-    assert coset(group11.identity()) == level32.state_at(0)
+    assert coset_at(level32, 0) == Coset((0,), ((0,), (0,)))
+    assert coset(t) == Coset((1,), ((0,), (0,)))
+    assert coset(s1) == Coset((0,), ((1,), (0,)))
+    assert coset(t * s1) == Coset((1,), ((1,), (0,)))
+    assert coset(group11.identity()) == coset_at(level32, 0)
 
 
 def test_member_acts_trivially_on_identity_coset(level32, d32):
@@ -149,7 +162,7 @@ def test_window_action_is_diagonal(w288, group11):
         state = w288.state_at(rng.randrange(288))
         acted = w288.prepare(x).apply(state)
         for level, before, after in zip(w288.levels, state, acted):
-            assert act(level, x, level.state_at(before)) == level.state_at(after)
+            assert act(level, x, coset_at(level, before)) == coset_at(level, after)
 
 
 def test_window_transitivity(w32, w9, w288, d32):
@@ -333,29 +346,61 @@ def test_stabilizer_witness_with_fixers_matches_flat_indices(w32, w288):
 
 
 def test_state_text(level32, w288):
-    s = CosetState((0,), ((1,), (0,)))
-    assert format_state(s) == "(0)|((1),(0))"
-    assert parse_state("(0)|((1),(0))") == s
-    idx = level32.state_index(s)
-    assert level32.parse_state_index(level32.state_text(idx)) == idx
+    idx = index_of(level32, Coset((0,), ((1,), (0,))))
+    assert level32.state_text(idx) == "(0)|((1),(0))"
+    assert level32.parse_state_index("(0)|((1),(0))") == idx
+    assert level32.parse_state_index(" (0)|((1),(0)) ") == idx
     state = (3, 5)
     text = w288.state_text(state)
-    assert "*" in text
+    assert text == "(0)|((1),(1))*(1)|((2))"
     assert w288.parse_state(text) == state
 
 
+def test_state_codec_on_every_state(level32, level9, level729, w288):
+    """Each state's text reads back as its index and is the reference's own
+    spelling of its coset; each window state's text reads back as the state."""
+    for level in (level32, level9, level729):
+        for i in range(level.size):
+            text = level.state_text(i)
+            assert level.parse_state_index(text) == i
+            assert text == coset_text(coset_at(level, i))
+    for flat in range(w288.size):
+        state = w288.state_at(flat)
+        assert w288.parse_state(w288.state_text(state)) == state
+
+
+LEVEL_STATE_ERRORS = [
+    ("x", "expected a vector like (0) or (1,-2)", 1),
+    ("(0)|((1)", "expected ')' closing the sums", 9),
+    ("(0)|((1),(0))x", "trailing characters after state", 14),
+    ("(0)", "expected '|(' after the base residue", 4),
+    ("(0)|(1)", "expected a vector like (0) or (1,-2)", 6),
+    ("(0)|((0),)", "expected a vector like (0) or (1,-2)", 10),
+    ("(9)|((0),(0))", "base coordinate 9 out of range", None),
+    ("(0)|((0),(0),(0))", "state shape does not match the level", None),
+    ("(0)|()", "state shape does not match the level", None),
+    ("(0)|((2),(0))", "sum entry out of range", None),
+    ("(0)|((0,0),(0))", "sum entry out of range", None),
+]
+WINDOW_STATE_ERRORS = [
+    ("(0)|((0),(0))", "window state needs 2 factors, got 1"),
+    (5, "state must be text, got 5"),
+    ("(0)|((0),(0))*(3)|((0))", "base coordinate 3 out of range"),
+]
+
+
 def test_state_parse_errors(level32, w288):
-    for bad in ["x", "(0)|((1)", "(0)|((1),(0))x", "(0)", "(0)|(1)"]:
-        with pytest.raises(TextParseError):
-            parse_state(bad)
-    with pytest.raises(TextParseError):
-        level32.parse_state_index("(9)|((0),(0))")
-    with pytest.raises(TextParseError):
-        level32.parse_state_index("(0)|((0),(0),(0))")
-    with pytest.raises(TextParseError):
-        level32.parse_state_index("(0)|((2),(0))")
-    with pytest.raises(TextParseError):
-        w288.parse_state("(0)|((0),(0))")
+    """Each bad level state text fails with its message, line and column
+    (grammar errors carry a column, shape and range errors do not); each
+    bad window state text with its message and line."""
+    for text, message, column in LEVEL_STATE_ERRORS:
+        with pytest.raises(TextParseError) as info:
+            level32.parse_state_index(text, 4)
+        assert (info.value.message, info.value.line, info.value.column) == (message, 4, column)
+    for text, message in WINDOW_STATE_ERRORS:
+        with pytest.raises(TextParseError) as info:
+            w288.parse_state(text, 2)
+        assert (info.value.message, info.value.line, info.value.column) == (message, 2, None)
 
 
 @pytest.mark.parametrize(

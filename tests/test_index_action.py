@@ -1,8 +1,8 @@
 """The index-arithmetic action of a level against per-state application.
 
-The oracles below act on :class:`CosetState` objects one state at a time (see
-``oracle.py``) and build orbit words eagerly, as the level did before it
-worked on indices.  Subsets of the generators are searched by ``_bfs`` over
+The oracles below act on the reference's :class:`Coset` tuples one state at
+a time, with the reference's own index spelling (see ``oracle.py``), and
+build orbit words eagerly, as the level did before it worked on indices.  Subsets of the generators are searched by ``_bfs`` over
 their tables, as the comparison's transporter search uses it.
 """
 
@@ -23,7 +23,7 @@ from allostery import (
 from allostery.dynamics import _bfs
 from allostery.errors import ForgeError
 
-from oracle import act, apply_state, fixed_states, iter_states, window_act
+from oracle import act, apply_state, coset_at, fixed_states, index_of, iter_states, window_act
 
 MAX_ORACLE_STATES = 3200
 
@@ -46,7 +46,7 @@ LEVELS = small_levels()
 
 def oracle_index_map(level, x):
     reduced = level.datum.reduce(x)
-    return [level.state_index(apply_state(level, reduced, s)) for s in iter_states(level)]
+    return [index_of(level, apply_state(level, reduced, s)) for s in iter_states(level)]
 
 
 def oracle_fixed_indices(level, x):
@@ -107,8 +107,8 @@ def test_apply_index_matches_per_state_action(data):
         x = data.draw(spread_elements(level.d, level.m))
         reduced = level.datum.reduce(x)
         for i in range(level.size):
-            image = apply_state(level, reduced, level.state_at(i))
-            assert level.images(i, [x]) == [level.state_index(image)]
+            image = apply_state(level, reduced, coset_at(level, i))
+            assert level.images(i, [x]) == [index_of(level, image)]
 
 
 def fixing_elements(d, m):
@@ -164,7 +164,7 @@ def test_level_images_match_prepared_action(data):
     level = data.draw(st.sampled_from(LEVELS), label="level")
     i = data.draw(st.integers(0, level.size - 1), label="i")
     xs = data.draw(st.lists(image_elements(level.d, level.m), max_size=6), label="xs")
-    expected = [level.state_index(act(level, x, level.state_at(i))) for x in xs]
+    expected = [index_of(level, act(level, x, coset_at(level, i))) for x in xs]
     assert level.images(i, xs) == expected
 
 

@@ -9,7 +9,9 @@ as an attribute or a string, from the package or the benchmark.
 ``__init__`` only re-exports, so its imports count for none of these.
 Every parameter of a package function other than ``self`` and ``cls`` is
 read in its body.  No module imports what would leave work for the
-interpreter's teardown, which ``cli.run`` skips.
+interpreter's teardown, which ``cli.run`` skips.  The per-state reference
+action in ``oracle.py`` reaches none of the level's digit methods, so it
+cannot fall back onto the code it checks.
 """
 
 import ast
@@ -159,3 +161,36 @@ def test_no_module_leaves_work_for_teardown():
         "flushed, so atexit handlers, threads, child processes, temporary files "
         "and log handlers would be left unfinished"
     )
+
+
+# The per-state reference action of ``oracle.py`` and its own index and text
+# spelling, and the digit arithmetic of ``FiniteLevel`` that they check.
+REFERENCE = {
+    "apply_state", "act", "identity_state", "iter_states", "index_of", "coset_at",
+    "coset_text", "window_text", "window_act",
+}
+DIGIT_METHODS = {
+    "images", "index_map", "table", "digits", "_index_of", "state_text", "parse_state_index"
+}
+
+
+def _reached_from(tree, names):
+    """:func:`_reached_names` of the named module-level functions of a
+    module and of every function of that module they call by name."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(names) <= set(functions)
+    todo, seen, reached = list(names), set(), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        reached |= _reached_names(functions[name])
+        calls = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
+        todo += calls & set(functions)
+    return reached
+
+
+def test_the_reference_action_reaches_no_digit_method():
+    oracle = ast.parse((ROOT / "tests" / "oracle.py").read_text())
+    assert sorted(_reached_from(oracle, REFERENCE) & DIGIT_METHODS) == []

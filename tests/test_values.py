@@ -11,7 +11,6 @@ import pytest
 
 from allostery import (
     Castle,
-    CosetState,
     Lamp,
     RunConfig,
     SubgroupDatum,
@@ -77,7 +76,6 @@ def test_fields_cannot_be_assigned(group11, d32):
         (d32, "p"),
         (d32, "epsilon"),
         (BallEntry(x, (0,)), "word"),
-        (CosetState((0,), ()), "base"),
         (castle, "epsilon"),
         (Tower(base=frozenset(), shapes=()), "shapes"),
         (RunConfig(), "radius"),
