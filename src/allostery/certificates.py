@@ -468,9 +468,8 @@ def check_comparison_certificate(rec: dict) -> bool:
         return False
     images: List[StateSet] = []
     for piece, word in zip(pieces, words):
-        mover = window.group.word_element(word)
-        prepared = window.prepare(mover)
-        images.append(frozenset(prepared.apply(s) for s in piece))
+        mover = (window.group.word_element(word),)
+        images.append(frozenset(window.state_at(window.images(s, mover)[0]) for s in piece))
     covered: set[State] = set()
     for img in images:
         if not img <= b:

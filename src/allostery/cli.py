@@ -93,11 +93,15 @@ def _load_json(path: str) -> dict:
 
 def _read(path: str, read, text: bool = False):
     """``read`` applied to the JSON value of the file at ``path``, or to its
-    text when ``text`` is set; a TextParseError, DatumInvariantError or
-    CertificateError that it raises names the file."""
+    text when ``text`` is set.  A file that is not UTF-8 or not JSON, and a
+    TextParseError, DatumInvariantError or CertificateError that ``read``
+    raises, name the file."""
     if text:
-        with open(path, "r", encoding="utf-8") as fh:
-            rec = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                rec = fh.read()
+        except ValueError as exc:  # not UTF-8
+            raise TextParseError(f"{path}: {exc}") from None
     else:
         rec = _load_json(path)
     try:
@@ -205,18 +209,17 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
     else:
         raise TextParseError("simulate needs --window or --datum")
     group = window.group
-    try:
+    if args.element.lstrip().startswith("{"):
         element = group.parse_element(args.element)
-    except TextParseError:
+    else:
         element = group.word_element(group.parse_word(args.element))
     if args.steps < 0:
         raise TextParseError("steps must be nonnegative")
-    prepared = window.prepare(element)
     state = window.identity_thread()
     rows = ["step,state"]
     rows.append(f"0,{window.state_text(state)}")
     for step in range(1, args.steps + 1):
-        state = prepared.apply(state)
+        state = window.state_at(window.images(state, (element,))[0])
         rows.append(f"{step},{window.state_text(state)}")
     _emit_text("\n".join(rows) + "\n", cfg, "trajectory.csv")
     return EXIT_OK
@@ -313,18 +316,22 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value config file")
-    common.add_argument("--d", type=int, help="lamp rank")
-    common.add_argument("--m", type=int, help="shift rank")
-    common.add_argument("--radius", type=int, help="word-metric ball radius")
-    common.add_argument("--epsilon", help="'schedule' or a rational like 1/2")
-    common.add_argument("--budget-states", dest="budget_states", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out", help="directory for output files")
-    common.add_argument("--format", choices=("json", "md"))
+# The settings flags, each as ``add_argument`` takes it.  A subcommand gets
+# only those its command reads; the --config file takes every key.
+_SETTINGS = {
+    "config": dict(help="key = value config file"),
+    "d": dict(type=int, help="lamp rank"),
+    "m": dict(type=int, help="shift rank"),
+    "radius": dict(type=int, help="word-metric ball radius"),
+    "epsilon": dict(help="'schedule' or a rational like 1/2"),
+    "budget-states": dict(type=int, help="bound on the states enumerated"),
+    "seed": dict(type=int, help="seed of random:k state sets"),
+    "out": dict(help="directory for output files"),
+    "format": dict(choices=("json", "md"), help="what the report prints"),
+}
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="allostery",
         description="forge congruence-style subgroups of lamplighter-like groups "
@@ -332,48 +339,57 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("forge", parents=[common], help="forge one subgroup datum")
+    def command(name: str, func, settings: str, summary: str) -> argparse.ArgumentParser:
+        # No flag may be abbreviated, so that simulate's --d is not its --datum.
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in settings.split():
+            p.add_argument(f"--{flag}", **_SETTINGS[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("forge", cmd_forge, "config d m epsilon out", "forge one subgroup datum")
     p.add_argument("gamma", help="element text, e.g. '{(0):(1)};(0)'")
     p.add_argument("--p", type=int, required=True, help="prime")
-    p.set_defaults(func=cmd_forge)
 
-    p = sub.add_parser("verify", parents=[common], help="criterion certificate for a ball window")
+    p = command(
+        "verify", cmd_verify, "config d m radius epsilon out",
+        "criterion certificate for a ball window",
+    )
     p.add_argument("--check", help="re-verify an existing certificate JSON")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("simulate", parents=[common], help="trajectory of one element")
-    p.add_argument("element", help="element text or dotted word like s1.t1")
+    p = command("simulate", cmd_simulate, "config out", "trajectory of one element")
+    p.add_argument("element", help="element text like '{(0):(1)};(0)' or dotted word like s1.t1")
     p.add_argument("--window", help="window JSON (list of data or a certificate)")
     p.add_argument("--datum", help="single datum JSON")
     p.add_argument("--steps", type=int, default=10)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", parents=[common], help="comparison certificate")
+    p = command("compare", cmd_compare, "config budget-states seed out", "comparison certificate")
     p.add_argument("--window", help="window JSON")
     p.add_argument("--a", dest="a_spec", help="A spec: idx:0,1 or random:k")
     p.add_argument("--b", dest="b_spec", help="B spec: idx:2,3,4 or random:k")
     p.add_argument("--check", help="re-verify an existing certificate JSON")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("audit", parents=[common], help="audit a castle file")
+    p = command("audit", cmd_audit, "config budget-states out", "audit a castle file")
     p.add_argument("castle", nargs="?", help="castle file: V=<states>; S=<words>")
     p.add_argument("--window", help="window JSON")
     p.add_argument("--gamma", help="element text to test")
     p.add_argument("--tolerance", help="optional defect tolerance (rational)")
     p.add_argument("--check", help="re-verify an existing audit JSON")
-    p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("report", parents=[common], help="assembled negative report")
+    p = command(
+        "report", cmd_report, "config d m radius epsilon out format", "assembled negative report"
+    )
     p.add_argument("--check", help="re-verify an existing report JSON")
-    p.set_defaults(func=cmd_report)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The config file's settings, overridden by the settings flags that the
+    subcommand defines and then by the budget environment variable."""
     from .config import RunConfig, apply_env, load_config, parse_epsilon_mode, validated
 
     cfg = load_config(args.config) if args.config else RunConfig()
-    flags = {key: getattr(args, key) for key in RunConfig._fields}
+    flags = {key: getattr(args, key, None) for key in RunConfig._fields}
     if flags["epsilon"] is not None:
         flags["epsilon"] = parse_epsilon_mode(flags["epsilon"])
     cfg = cfg._replace(**{key: value for key, value in flags.items() if value is not None})

@@ -343,7 +343,10 @@ def _bfs(steps: Sequence[Tuple[int, Sequence[int]]], start: int, size: int) -> O
 
 class _WindowAction:
     """One element, checked against the window's ranks once, applied to one
-    state at a time through :meth:`Window.images`."""
+    state at a time through :meth:`Window.images`.  The package acts through
+    :meth:`Window.images` itself; this class and :meth:`Window.prepare` stay
+    because the benchmark's tracer (``bench/traced.py``) wraps them and
+    ``tests/test_bench_contract.py`` pins that."""
 
     __slots__ = ("window", "x")
 
@@ -394,6 +397,7 @@ class Window:
         return (0,) * len(self.levels)
 
     def prepare(self, x: WreathElement) -> _WindowAction:
+        """x as a per-state action, kept for the bench (see :class:`_WindowAction`)."""
         return _WindowAction(self, x)
 
     def _require_state(self, state: Tuple[int, ...]) -> None:

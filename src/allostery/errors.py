@@ -30,7 +30,8 @@ class DatumInvariantError(AllosteryError):
 
 
 class WindowError(AllosteryError):
-    """Invalid window operation, e.g. projecting onto a non-nested window."""
+    """A window built from data of mixed ranks, or given a state that is
+    not one of its states."""
 
 
 class MeasureConditionError(AllosteryError):

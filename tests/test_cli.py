@@ -22,7 +22,7 @@ from allostery import (
 from allostery.certificates import malformed_castle_record
 from allostery.errors import MalformedCastleError
 from allostery import wreath
-from allostery.cli import main
+from allostery.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -1043,3 +1043,119 @@ def test_a_record_that_is_not_an_object_names_the_file(
     code, out, err = run(capsys, command, *argv, flag, str(path))
     assert (code, out) == (2, "")
     assert err == f"error: {path}: {message}\n"
+
+
+# Each subcommand's settings flags: exactly those its command reads.
+SETTINGS = {
+    "config": "run.cfg", "d": "2", "m": "2", "radius": "2", "epsilon": "1/2",
+    "budget-states": "5", "seed": "3", "out": "results", "format": "md",
+}
+READS = {
+    "forge": ("gamma", "config d m epsilon out"),
+    "verify": ((), "config d m radius epsilon out"),
+    "simulate": ("t1", "config out"),
+    "compare": ((), "config budget-states seed out"),
+    "audit": ((), "config budget-states out"),
+    "report": ((), "config d m radius epsilon out format"),
+}
+
+
+@pytest.mark.parametrize("flag", SETTINGS)
+@pytest.mark.parametrize("command", READS)
+def test_a_subcommand_takes_only_the_settings_it_reads(capsys, command, flag):
+    """A settings flag that the command reads parses to its value; any other
+    is a usage error, so no flag is accepted and then ignored.  Neither is
+    one taken as an abbreviation: ``simulate --d`` is not ``--datum``."""
+    positional, reads = READS[command]
+    argv = [command, *([positional] if positional else []), f"--{flag}", SETTINGS[flag]]
+    if command == "forge":
+        argv += ["--p", "2"]
+    if flag in reads.split():
+        args = _build_parser().parse_args(argv)
+        assert str(getattr(args, flag.replace("-", "_"))) == SETTINGS[flag]
+    else:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"error: unrecognized arguments: --{flag}" in err
+
+
+@pytest.mark.parametrize("command", READS)
+def test_subcommand_help_lists_only_its_settings(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    flags = set(re.findall(r"--([a-z-]+)", capsys.readouterr().out))
+    assert flags & set(SETTINGS) == set(READS[command][1].split())
+
+
+def test_a_config_file_with_every_key_runs_each_command(capsys, tmp_path, w9_file):
+    """The --config file takes every key for every command, whichever flags
+    the command has."""
+    out_dir = tmp_path / "results"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "d = 1\nm = 1\nradius = 1\nepsilon = 1/2\nbudget_states = 1000000\n"
+        f"seed = 3\nout = {out_dir}\nformat = json\n"
+    )
+    castle_path = tmp_path / "castle.txt"
+    castle_path.write_text(FULL_TOWER)
+    commands = [
+        ("forge", "{(0):(1)};(0)", "--p", "2"),
+        ("verify",),
+        ("simulate", "t1", "--window", w9_file),
+        ("compare", "--window", w9_file, "--a", "random:1", "--b", "random:2"),
+        ("audit", str(castle_path), "--window", w9_file, "--gamma", "{(0):(1)};(0)"),
+        ("report",),
+    ]
+    for argv in commands:
+        code, out, _ = run(capsys, *argv, "--config", str(cfg))
+        assert code == 0, argv
+        assert out.startswith(str(out_dir)), argv
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "audit.json", "comparison.json", "criterion.json", "datum.json",
+        "report.json", "report.md", "trajectory.csv",
+    ]
+
+
+def test_every_bench_command_line_parses(tmp_path):
+    """The benchmark's producing commands, their checks and ``--help`` keep
+    parsing as the bench writes them."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    parser = _build_parser()
+    for workload in workloads.WORKLOADS.values():
+        for op in workload.inputs(tmp_path, 0):
+            assert parser.parse_args(op.produce).command == op.produce[0]
+            assert parser.parse_args(op.check("cert.json")).check == "cert.json"
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args(["--help"])
+    assert info.value.code == 0
+
+
+def test_a_castle_file_that_is_not_utf8_names_the_file(capsys, tmp_path, monkeypatch, w9_file):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_bytes(b"\xff" + FULL_TOWER.encode())
+    code, out, err = run(capsys, "audit", "bad.txt", "--window", w9_file, "--gamma", "{(0):(1)};(0)")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad.txt: 'utf-8' codec")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{(0,0):(1)};(0)", "lamp position rank 2 != m=1"),
+        ("{(0):(1)};(0", "expected a vector like (0) or (1,-2)"),
+        ("t1.x9", "unknown generator 'x9'"),
+    ],
+)
+def test_simulate_says_the_element_or_word_error(capsys, w9_file, text, message):
+    """A text that starts with ``{`` is an element and any other a word, and
+    each reports its own parse error."""
+    assert run(capsys, "simulate", text, "--window", w9_file) == (2, "", f"error: {message}\n")

@@ -9,7 +9,8 @@ as an attribute or a string, from the package or the benchmark.
 ``__init__`` only re-exports, so its imports count for none of these.
 Every parameter of a package function other than ``self`` and ``cls`` is
 read in its body.  No module imports what would leave work for the
-interpreter's teardown, which ``cli.run`` skips.  The per-state reference
+interpreter's teardown, which ``cli.run`` skips.  No module but
+``dynamics`` calls ``.prepare(``.  The per-state reference
 action in ``oracle.py`` reaches none of the level's digit methods, so it
 cannot fall back onto the code it checks.
 """
@@ -105,6 +106,21 @@ def test_every_public_method_is_reached():
     reached = set().union(*map(_reached_names, trees + list(BENCH.values())))
     methods = set().union(*map(_public_methods, MODULES.values()))
     assert sorted(f"{cls}.{name}" for cls, name in methods if name not in reached) == []
+
+
+def test_only_dynamics_prepares_an_action():
+    """The package acts on a window state through ``Window.images``;
+    ``Window.prepare`` stays only for the benchmark's tracer."""
+    callers = sorted(
+        name
+        for name, tree in MODULES.items()
+        if name != "dynamics"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "prepare"
+    )
+    assert callers == []
 
 
 def _unread_parameters(tree):
