@@ -60,12 +60,6 @@ def _say(text: str) -> None:
     print(text, file=sys.stderr)
 
 
-def _verdict(what: str, ok: bool, words: tuple = ("valid", "invalid")) -> int:
-    """Say a check's verdict on stderr and return its exit code."""
-    _say(f"{what}: {words[0] if ok else words[1]}")
-    return EXIT_OK if ok else EXIT_FAILED
-
-
 def _emit_json(obj: dict, cfg: RunConfig, name: str) -> None:
     _emit_text(json.dumps(obj, indent=2) + "\n", cfg, f"{name}.json")
 
@@ -83,11 +77,11 @@ def _emit_text(text: str, cfg: RunConfig, name: str) -> None:
         sys.stdout.write(text)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, text: bool = False):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError as exc:  # bad JSON or UTF-8, or an integer past the digit limit
+            return fh.read() if text else json.load(fh)
+    except ValueError as exc:  # not UTF-8 or not JSON, or an integer past the digit limit
         raise TextParseError(f"{path}: {exc}") from None
 
 
@@ -96,14 +90,7 @@ def _read(path: str, read, text: bool = False):
     text when ``text`` is set.  A file that is not UTF-8 or not JSON, and a
     TextParseError, DatumInvariantError or CertificateError that ``read``
     raises, name the file."""
-    if text:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                rec = fh.read()
-        except ValueError as exc:  # not UTF-8
-            raise TextParseError(f"{path}: {exc}") from None
-    else:
-        rec = _load_json(path)
+    rec = _load_json(path, text)
     try:
         return read(rec)
     except TextParseError as exc:
@@ -116,7 +103,7 @@ def _load_window(path: str) -> Window:
     from .certificates import window_from_records
 
     def read(rec):
-        return window_from_records(rec.get("window") if isinstance(rec, dict) else rec)
+        return window_from_records(rec.get("window", [rec]) if isinstance(rec, dict) else rec)
 
     return _read(path, read)
 
@@ -158,16 +145,16 @@ def _parse_states(window: Window, spec: str, rng: random.Random) -> frozenset:
     raise TextParseError(f"state spec must be idx:... or random:k, got {spec!r}")
 
 
-def cmd_forge(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_forge(args: argparse.Namespace) -> int:
     from .base import frac_str
     from .forge import default_epsilon, forge
     from .wreath import WreathGroup
 
-    group = WreathGroup(cfg.d, cfg.m)
+    group = WreathGroup(args.cfg.d, args.cfg.m)
     gamma = group.parse_element(args.gamma)
-    epsilon = cfg.epsilon_arg() or default_epsilon(0)
-    datum = forge(gamma, args.p, epsilon, cfg.d, cfg.m)
-    _emit_json(datum.to_dict(), cfg, "datum")
+    epsilon = args.cfg.epsilon_arg() or default_epsilon(0)
+    datum = forge(gamma, args.p, epsilon, args.cfg.d, args.cfg.m)
+    _emit_json(datum.to_dict(), args.cfg, "datum")
     _say(
         f"forged: p={datum.p} k={datum.k} l={datum.l} index={datum.index()} "
         f"fixed fraction {frac_str(datum.fixed_fraction())}"
@@ -175,14 +162,11 @@ def cmd_forge(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if args.check:
-        ok = _read(args.check, check_criterion_certificate)
-        return _verdict("criterion certificate", ok)
+def cmd_verify(args: argparse.Namespace) -> int:
     from .certificates import record_ok
 
-    cert = _criterion(cfg)
-    _emit_json(cert, cfg, "criterion")
+    cert = _criterion(args.cfg)
+    _emit_json(cert, args.cfg, "criterion")
     for rec in cert["records"]:
         _say(
             f"gamma {rec['gamma']}: p={rec['prime']} index={rec['index']} "
@@ -198,16 +182,10 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK if cert["verdict"] == "valid" else EXIT_FAILED
 
 
-def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if args.window:
-        window = _load_window(args.window)
-    elif args.datum:
-        from .dynamics import Window
-        from .forge import SubgroupDatum
-
-        window = Window([_read(args.datum, SubgroupDatum.from_dict)])
-    else:
-        raise TextParseError("simulate needs --window or --datum")
+def cmd_simulate(args: argparse.Namespace) -> int:
+    if not args.window:
+        raise TextParseError("simulate needs --window")
+    window = _load_window(args.window)
     group = window.group
     if args.element.lstrip().startswith("{"):
         element = group.parse_element(args.element)
@@ -216,37 +194,30 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.steps < 0:
         raise TextParseError("steps must be nonnegative")
     state = window.identity_thread()
-    rows = ["step,state"]
-    rows.append(f"0,{window.state_text(state)}")
+    rows = ["step,state", f"0,{window.state_text(state)}"]
     for step in range(1, args.steps + 1):
         state = window.state_at(window.images(state, (element,))[0])
         rows.append(f"{step},{window.state_text(state)}")
-    _emit_text("\n".join(rows) + "\n", cfg, "trajectory.csv")
+    _emit_text("\n".join(rows) + "\n", args.cfg, "trajectory.csv")
     return EXIT_OK
 
 
-def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if args.check:
-        ok = _read(args.check, check_comparison_certificate)
-        return _verdict("comparison certificate", ok)
+def cmd_compare(args: argparse.Namespace) -> int:
     if not args.window or not args.a_spec or not args.b_spec:
         raise TextParseError("compare needs --window, --a and --b (or --check)")
     import random
 
     window = _load_window(args.window)
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.cfg.seed)
     a_set = _parse_states(window, args.a_spec, rng)
     b_set = _parse_states(window, args.b_spec, rng)
-    cert = comparison_certificate(a_set, b_set, window, cfg.budget_states)
-    _emit_json(cert, cfg, "comparison")
+    cert = comparison_certificate(a_set, b_set, window, args.cfg.budget_states)
+    _emit_json(cert, args.cfg, "comparison")
     _say(f"comparison: {len(cert['pieces'])} pieces moved disjointly into B")
     return EXIT_OK
 
 
-def cmd_audit(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if args.check:
-        ok = _read(args.check, lambda rec: check_castle_audit(rec, cfg.budget_states))
-        return _verdict("castle audit", ok, ("ok", "failed"))
+def cmd_audit(args: argparse.Namespace) -> int:
     if not args.castle or not args.window or not args.gamma:
         raise TextParseError("audit needs a castle file, --window and --gamma (or --check)")
     from .certificates import malformed_castle_record, parse_tolerance
@@ -259,12 +230,12 @@ def cmd_audit(args: argparse.Namespace, cfg: RunConfig) -> int:
     if gamma.is_identity():
         raise TextParseError("audit needs a nontrivial element")
     try:
-        audit = audit_castle(castle, gamma, window, cfg.budget_states)
+        audit = audit_castle(castle, gamma, window, args.cfg.budget_states)
     except MalformedCastleError as exc:
-        _emit_json(malformed_castle_record(exc, castle, gamma, window), cfg, "audit")
+        _emit_json(malformed_castle_record(exc, castle, gamma, window), args.cfg, "audit")
         _say(f"malformed castle: {exc}")
         return EXIT_FAILED
-    _emit_json(audit, cfg, "audit")
+    _emit_json(audit, args.cfg, "audit")
     verdict = "ok" if audit["inequality_ok"] else "VIOLATED"
     if audit["epsilon"] is not None:
         within = "ok" if audit["defects_within_epsilon"] else "EXCEEDED"
@@ -297,23 +268,40 @@ def _report_markdown(report_dict: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if args.check:
-        ok = _read(args.check, check_non_af_report)
-        return _verdict("report", ok)
-    cert = _criterion(cfg)
+def cmd_report(args: argparse.Namespace) -> int:
+    cert = _criterion(args.cfg)
     if cert["verdict"] != "valid":
-        _emit_json(cert, cfg, "criterion")
+        _emit_json(cert, args.cfg, "criterion")
         _say(f"criterion certificate verdict {cert['verdict']}; no report emitted")
         return EXIT_FAILED
     rec = non_af_report(cert)
-    if cfg.out or cfg.format == "json":
-        _emit_json(rec, cfg, "report")
-    if cfg.out or cfg.format == "md":
-        _emit_text(_report_markdown(rec), cfg, "report.md")
+    if args.cfg.out or args.cfg.format == "json":
+        _emit_json(rec, args.cfg, "report")
+    if args.cfg.out or args.cfg.format == "md":
+        _emit_text(_report_markdown(rec), args.cfg, "report.md")
     limit = rec["limit_lower_bound"] or "none"
     _say(f"bound {rec['bound']}; limit lower bound {limit}; {rec['conclusion']}")
     return EXIT_OK
+
+
+# Each subcommand that checks a record given as --check: the record's name, its verdict
+# words, its checker (a name here, looked up on each call so that it can be wrapped) and
+# the settings that the checker takes after the record.  A check reads no other argument.
+_CHECKS = {
+    "verify": ("criterion certificate", ("valid", "invalid"), "check_criterion_certificate", ()),
+    "compare": ("comparison certificate", ("valid", "invalid"), "check_comparison_certificate", ()),
+    "audit": ("castle audit", ("ok", "failed"), "check_castle_audit", ("budget_states",)),
+    "report": ("report", ("valid", "invalid"), "check_non_af_report", ()),
+}
+
+
+def _check(args: argparse.Namespace) -> int:
+    """Check the record, say the verdict on stderr and return its exit code."""
+    what, words, checker, settings = _CHECKS[args.command]
+    extra = [getattr(args.cfg, key) for key in settings]
+    ok = _read(args.check, lambda rec: globals()[checker](rec, *extra))
+    _say(f"{what}: {words[0] if ok else words[1]}")
+    return EXIT_OK if ok else EXIT_FAILED
 
 
 # The settings flags, each as ``add_argument`` takes it.  A subcommand gets
@@ -340,47 +328,60 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, func, settings: str, summary: str) -> argparse.ArgumentParser:
-        # No flag may be abbreviated, so that simulate's --d is not its --datum.
+        # No flag may be abbreviated: compare's --win is not its --window.
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         for flag in settings.split():
             p.add_argument(f"--{flag}", **_SETTINGS[flag])
-        p.set_defaults(func=func)
+        if name in _CHECKS:
+            p.add_argument("--check", help=f"re-verify an existing {_CHECKS[name][0]} JSON")
+        p.set_defaults(func=func, parser=p)
         return p
 
     p = command("forge", cmd_forge, "config d m epsilon out", "forge one subgroup datum")
     p.add_argument("gamma", help="element text, e.g. '{(0):(1)};(0)'")
     p.add_argument("--p", type=int, required=True, help="prime")
 
-    p = command(
+    command(
         "verify", cmd_verify, "config d m radius epsilon out",
         "criterion certificate for a ball window",
     )
-    p.add_argument("--check", help="re-verify an existing certificate JSON")
 
     p = command("simulate", cmd_simulate, "config out", "trajectory of one element")
     p.add_argument("element", help="element text like '{(0):(1)};(0)' or dotted word like s1.t1")
-    p.add_argument("--window", help="window JSON (list of data or a certificate)")
-    p.add_argument("--datum", help="single datum JSON")
+    p.add_argument("--window", help="window JSON (list of data, one datum or a certificate)")
     p.add_argument("--steps", type=int, default=10)
 
     p = command("compare", cmd_compare, "config budget-states seed out", "comparison certificate")
     p.add_argument("--window", help="window JSON")
     p.add_argument("--a", dest="a_spec", help="A spec: idx:0,1 or random:k")
     p.add_argument("--b", dest="b_spec", help="B spec: idx:2,3,4 or random:k")
-    p.add_argument("--check", help="re-verify an existing certificate JSON")
 
     p = command("audit", cmd_audit, "config budget-states out", "audit a castle file")
     p.add_argument("castle", nargs="?", help="castle file: V=<states>; S=<words>")
     p.add_argument("--window", help="window JSON")
     p.add_argument("--gamma", help="element text to test")
     p.add_argument("--tolerance", help="optional defect tolerance (rational)")
-    p.add_argument("--check", help="re-verify an existing audit JSON")
 
-    p = command(
+    command(
         "report", cmd_report, "config d m radius epsilon out format", "assembled negative report"
     )
-    p.add_argument("--check", help="re-verify an existing report JSON")
     return parser
+
+
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """The arguments of ``argv``; one the subcommand does not take, or one beside
+    ``--check`` that the check does not read, is the subcommand's usage error."""
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    if getattr(args, "check", None) is not None:
+        reads = {"check", "config", *_CHECKS[args.command][3]}
+        given = [(a.option_strings or [a.dest])[0] for a in args.parser._actions
+                 if a.dest not in reads and getattr(args, a.dest, None) is not None]
+        if given:
+            args.parser.error(f"argument --check: not allowed with {', '.join(given)}")
+        args.func = _check
+    return args
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -397,13 +398,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     was_enabled = gc.isenabled()
     gc.disable()  # commands leave no cycles but argparse's few hundred (README, Layout)
     try:
-        cfg = _config_from_args(args)
-        return args.func(args, cfg)
+        args.cfg = _config_from_args(args)
+        return args.func(args)
     except KeyError as exc:
         _say(f"error: missing key {exc}")
         return EXIT_MALFORMED

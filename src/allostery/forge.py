@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .base import Vec, is_prime, is_zero, minimal_exponent, primes, residues, sub
+from .base import Vec, frac_str, is_prime, is_zero, minimal_exponent, primes, residues, sub
 from .errors import DatumInvariantError, ForgeError, RankMismatchError, TextParseError
 from .wreath import WreathElement, format_element, parse_element
 
@@ -195,7 +195,7 @@ class SubgroupDatum(NamedTuple):
             "k": self.k,
             "l": self.l,
             "E": [list(q) for q in self.E],
-            "epsilon": f"{self.epsilon.numerator}/{self.epsilon.denominator}",
+            "epsilon": frac_str(self.epsilon),
             "d": self.d,
             "m": self.m,
         }

@@ -22,7 +22,7 @@ from allostery import (
 from allostery.certificates import malformed_castle_record
 from allostery.errors import MalformedCastleError
 from allostery import wreath
-from allostery.cli import _build_parser, main
+from allostery.cli import _build_parser, _check, _parse_args, main
 
 
 def run(capsys, *argv):
@@ -175,17 +175,27 @@ def test_simulate_csv(capsys, w288_file):
 
 
 def test_simulate_element_text_and_datum(capsys, tmp_path, d9, w288_file):
+    """A window file may hold one datum record, as forge prints it."""
     datum_path = tmp_path / "datum.json"
     datum_path.write_text(json.dumps(d9.to_dict()))
     code, out, _ = run(
-        capsys, "simulate", "{};(1)", "--datum", str(datum_path), "--steps", "3"
+        capsys, "simulate", "{};(1)", "--window", str(datum_path), "--steps", "3"
     )
     assert code == 0
     assert out.strip().splitlines()[-1] == "3,(0)|((0))"
     word_code, word_out, _ = run(
-        capsys, "simulate", "t1", "--datum", str(datum_path), "--steps", "3"
+        capsys, "simulate", "t1", "--window", str(datum_path), "--steps", "3"
     )
     assert word_code == 0 and word_out == out
+
+
+def test_compare_on_a_single_datum_file(capsys, tmp_path, d9, w9_file):
+    datum_path = tmp_path / "datum.json"
+    datum_path.write_text(json.dumps(d9.to_dict()))
+    argv = ("--a", "idx:0", "--b", "idx:3,6")
+    code, out, _ = run(capsys, "compare", "--window", str(datum_path), *argv)
+    assert code == 0
+    assert out == run(capsys, "compare", "--window", w9_file, *argv)[1]
 
 
 def test_simulate_window_from_certificate(capsys, tmp_path):
@@ -966,11 +976,16 @@ def test_the_process_exit(capsys, tmp_path, w9_file, argv, unbuffered, code, out
 
 
 @pytest.mark.parametrize(
-    "flags", [["--format", "csv"], ["--prime-strategy", "smallest-admissible"]]
+    "flags",
+    [
+        ["verify", "--format", "csv"],
+        ["verify", "--prime-strategy", "smallest-admissible"],
+        ["simulate", "t1", "--datum", "d.json"],
+    ],
 )
 def test_removed_flags(capsys, flags):
     with pytest.raises(SystemExit) as info:
-        main(["verify", *flags])
+        main(flags)
     assert info.value.code == 2
     capsys.readouterr()
 
@@ -993,7 +1008,7 @@ def test_audit_tolerance_with_a_zero_denominator(capsys, tmp_path, w9_file):
         ("compare", "--window", [1, 2], "window record 0 is not a JSON object"),
         ("audit", "--window", ["d9", 2], "window record 1 is not a JSON object"),
         ("simulate", "--window", {"window": ["d9", "d9", [1]]}, "window record 2 is not a JSON object"),
-        ("simulate", "--datum", [1], "the datum record is not a JSON object"),
+        ("simulate", "--window", [1], "window record 0 is not a JSON object"),
         ("compare", "--window", [{}], "window record 0 has no 'gamma'"),
         (
             "simulate",
@@ -1024,7 +1039,7 @@ def test_audit_tolerance_with_a_zero_denominator(capsys, tmp_path, w9_file):
 def test_a_record_that_is_not_an_object_names_the_file(
     capsys, tmp_path, d9, command, flag, records, message
 ):
-    """A window or datum file whose record is not a JSON object, lacks a
+    """A window file whose record is not a JSON object, lacks a
     field, holds an E that is not a list of lists or a gamma or epsilon that
     does not parse is a parse error naming the file and the record, not the
     interpreter's message on indexing a number or a list.  A checker names
@@ -1065,7 +1080,8 @@ READS = {
 def test_a_subcommand_takes_only_the_settings_it_reads(capsys, command, flag):
     """A settings flag that the command reads parses to its value; any other
     is a usage error, so no flag is accepted and then ignored.  Neither is
-    one taken as an abbreviation: ``simulate --d`` is not ``--datum``."""
+    one taken as an abbreviation: ``compare --win`` is not ``--window``.  The
+    subcommand's own parser reports the flag, under its own usage line."""
     positional, reads = READS[command]
     argv = [command, *([positional] if positional else []), f"--{flag}", SETTINGS[flag]]
     if command == "forge":
@@ -1078,8 +1094,20 @@ def test_a_subcommand_takes_only_the_settings_it_reads(capsys, command, flag):
             main(argv)
         assert info.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: ")
-        assert f"error: unrecognized arguments: --{flag}" in err
+        assert err.startswith(f"usage: allostery {command} ")
+        assert f"\nallostery {command}: error: unrecognized arguments: --{flag}" in err
+
+
+def test_an_abbreviated_flag_is_the_subcommands_usage_error(capsys, w9_file):
+    with pytest.raises(SystemExit) as info:
+        main(["compare", "--win", w9_file, "--a", "idx:0", "--b", "idx:3,6"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: allostery compare ")
+    assert captured.err.endswith(
+        f"allostery compare: error: unrecognized arguments: --win {w9_file}\n"
+    )
 
 
 @pytest.mark.parametrize("command", READS)
@@ -1089,6 +1117,120 @@ def test_subcommand_help_lists_only_its_settings(capsys, command):
     assert info.value.code == 0
     flags = set(re.findall(r"--([a-z-]+)", capsys.readouterr().out))
     assert flags & set(SETTINGS) == set(READS[command][1].split())
+
+
+# Beside --check, the arguments each check does not read: its command's own
+# and the settings flags it takes but the check does not.
+PRODUCE_ONLY = {
+    "verify": [],
+    "compare": [["--window", "w.json"], ["--a", "idx:0"], ["--b", "idx:3"]],
+    "audit": [["castle.txt"], ["--window", "w.json"], ["--gamma", "t1"], ["--tolerance", "1/2"]],
+    "report": [],
+}
+CHECK_READS = {
+    "verify": "config", "compare": "config", "audit": "config budget-states", "report": "config"
+}
+
+
+def _refused_beside_check():
+    for command, own in PRODUCE_ONLY.items():
+        settings = set(READS[command][1].split()) - set(CHECK_READS[command].split())
+        for argv in [[f"--{flag}", SETTINGS[flag]] for flag in sorted(settings)] + own:
+            yield pytest.param(command, argv, id=f"{command}-{argv[0].lstrip('-')}")
+
+
+@pytest.mark.parametrize("command, argv", _refused_beside_check())
+def test_a_check_refuses_an_argument_it_does_not_read(capsys, command, argv):
+    """The check reads its record, --config and, for audit, --budget-states;
+    any other argument beside --check is a usage error of the subcommand."""
+    name = argv[0] if argv[0].startswith("--") else "castle"
+    check = ["--check", "cert.json"]
+    for order in ([command, *check, *argv], [command, *argv, *check]):
+        with pytest.raises(SystemExit) as info:
+            main(order)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: allostery {command} ")
+        assert captured.err.endswith(
+            f"allostery {command}: error: argument --check: not allowed with {name}\n"
+        )
+
+
+def _checked_records(capsys, tmp_path, w9_file):
+    """A valid record of each checking subcommand, by subcommand."""
+    castle_path = tmp_path / "castle.txt"
+    castle_path.write_text(FULL_TOWER)
+    produce = {
+        "verify": ("--epsilon", "1/2"),
+        "compare": ("--window", w9_file, "--a", "idx:0", "--b", "idx:3,6"),
+        "audit": (str(castle_path), "--window", w9_file, "--gamma", "{(0):(1)};(0)"),
+        "report": ("--epsilon", "1/2"),
+    }
+    paths = {}
+    for command, argv in produce.items():
+        code, out, _ = run(capsys, command, *argv)
+        assert code == 0, command
+        paths[command] = tmp_path / f"{command}.json"
+        paths[command].write_text(out)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (
+            ["compare", "--check", "RECORD", "--window", "nosuch.json", "--a", "idx:999",
+             "--seed", "5", "--budget-states", "1"],
+            "--budget-states, --seed, --window, --a",
+        ),
+        (["verify", "--check", "RECORD", "--radius", "9", "--d", "7"], "--d, --radius"),
+    ],
+    ids=["compare", "verify"],
+)
+def test_a_valid_record_with_unread_arguments_is_a_usage_error(
+    capsys, tmp_path, w9_file, argv, refused
+):
+    """A check once printed its verdict and ignored these arguments."""
+    path = _checked_records(capsys, tmp_path, w9_file)[argv[0]]
+    with pytest.raises(SystemExit) as info:
+        main([str(path) if arg == "RECORD" else arg for arg in argv])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: allostery {argv[0]} ")
+    assert captured.err.endswith(f"error: argument --check: not allowed with {refused}\n")
+
+
+def test_a_check_reads_its_config_and_audit_its_budget(capsys, tmp_path, w9_file):
+    """--config (every key of it) is read by every check and --budget-states
+    by audit's, which re-runs the audit and so still stops past the budget."""
+    paths = _checked_records(capsys, tmp_path, w9_file)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "d = 2\nm = 2\nradius = 9\nepsilon = 1/3\nbudget_states = 100000\n"
+        f"seed = 3\nout = {tmp_path / 'results'}\nformat = md\n"
+    )
+    verdicts = {
+        "verify": "criterion certificate: valid\n",
+        "compare": "comparison certificate: valid\n",
+        "audit": "castle audit: ok\n",
+        "report": "report: valid\n",
+    }
+    for command, path in paths.items():
+        assert run(capsys, command, "--check", str(path), "--config", str(cfg)) == (
+            0, "", verdicts[command]
+        )
+    audit = str(paths["audit"])
+    assert run(capsys, "audit", "--check", audit, "--budget-states", "100000") == (
+        0, "", "castle audit: ok\n"
+    )
+    code, out, err = run(capsys, "audit", "--check", audit, "--budget-states", "8")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "budget" in err
+    cfg.write_text("budget_states = 8\n")
+    assert run(capsys, "audit", "--check", audit, "--config", str(cfg))[0] == 2
+    assert not (tmp_path / "results").exists()
 
 
 def test_a_config_file_with_every_key_runs_each_command(capsys, tmp_path, w9_file):
@@ -1122,7 +1264,8 @@ def test_a_config_file_with_every_key_runs_each_command(capsys, tmp_path, w9_fil
 
 def test_every_bench_command_line_parses(tmp_path):
     """The benchmark's producing commands, their checks and ``--help`` keep
-    parsing as the bench writes them."""
+    parsing as the bench writes them, each check under the rule that refuses
+    an argument the check does not read."""
     bench = str(Path(__file__).resolve().parents[1] / "bench")
     sys.path.insert(0, bench)
     try:
@@ -1132,8 +1275,9 @@ def test_every_bench_command_line_parses(tmp_path):
     parser = _build_parser()
     for workload in workloads.WORKLOADS.values():
         for op in workload.inputs(tmp_path, 0):
-            assert parser.parse_args(op.produce).command == op.produce[0]
-            assert parser.parse_args(op.check("cert.json")).check == "cert.json"
+            assert _parse_args(op.produce).command == op.produce[0]
+            args = _parse_args(op.check("cert.json"))
+            assert (args.check, args.func) == ("cert.json", _check)
     with pytest.raises(SystemExit) as info:
         parser.parse_args(["--help"])
     assert info.value.code == 0
