@@ -649,43 +649,44 @@ def _walk(
 
 
 def audit_castle(
-    castle: Castle,
-    gamma: WreathElement,
-    window: Window,
-    budget: int = DEFAULT_STATE_BUDGET,
+    castle: Castle, gamma: WreathElement, window: Window, budget: int = DEFAULT_STATE_BUDGET
 ) -> dict:
-    """Check well-formedness, then the fixed-set bound.
-
-    Well-formed means: every tower has base states and shapes, and all
-    translates (one per tower shape) are pairwise disjoint and together
-    cover the state space; a shape repeated in a tower gives two equal
-    translates.  MalformedCastleError carries a witness — the
-    doubly covered or missed state.  For the test set {inverse of gamma},
-    the measure of the set of gamma-fixed states is at most the sum over
-    towers of |KS △ S| times the base measure; the audit recomputes both
-    sides exactly.  The record's ``ok`` holds when the inequality does and
-    no defect reaches a given tolerance.
-
-    The defect reads off the tiling: |KS △ S| = 2 (|S| - kept), as |KS| = |S|,
-    with kept = #{s in S : gamma^-1 s in S}.  Lemma: for v in the tower's base,
-    gamma^-1 s is in S iff it equals the owner s' of gamma^-1 (s v), the shape
-    whose translate covers that state, and s' is in the tower.  Proof: if
-    gamma^-1 s = s' is in S, the state is s' v, and translates are disjoint.
-    The audit takes v = min V; for s' = s, gamma^-1 s = s iff gamma = e.
-    """
+    """The audit record of a castle: its inputs, then the fixed-set bound
+    (see :func:`_measure`) when the castle is well formed, else
+    ``well_formed: false``, the error and its witness (see :func:`_tile`)."""
     if window.size > budget:
         raise BudgetExceededError(window.size, budget)
+    try:
+        fields = _measure(castle, gamma, window, _tile(castle, window))
+    except MalformedCastleError as exc:
+        fields = {"well_formed": False, "error": str(exc), "witness": exc.witness}
+    return {
+        "kind": "castle-audit",
+        "v": SCHEMA_VERSION,
+        "window": [dat.to_dict() for dat in window.data],
+        "castle": castle.to_dict(window),
+        "gamma": gamma.text(),
+        **fields,
+    }
+
+
+def _tile(castle: Castle, window: Window) -> Tuple[List[int], List[int], List[List[int]]]:
+    """The tiling of a well-formed castle: ``owner[i]`` numbers the shape,
+    counted through the castle from ``starts[ti]`` for tower ti, whose
+    translate covers flat index i; ``heads[ti]`` lists s v for tower ti's
+    shapes s and v = min V.  Well formed means: every tower has base states
+    and shapes, and the translates (one per tower shape, so a repeated shape
+    gives two equal ones) are pairwise disjoint and cover the state space.
+    Else MalformedCastleError names the tower or the doubly covered or missed
+    state; translates go shape by shape, then base state by base state, so
+    the overlap witness is the first collision in that order."""
     # Towers read from a castle file against this window's group are walked
     # (see _walk) unless the castle has more translates than states: it
     # cannot tile, and the chunks below find its first overlap early.
     walk = sum(len(t.base) * len(t.shapes) for t in castle.towers) <= window.size
     tables: List[array] = []
     memos: Dict[Tuple[int, State], Dict[int, int]] = {}
-    # owner[i] numbers the shape, counted through the castle, whose translate
-    # covers flat index i (-1: none yet).  Translates go shape by shape, then
-    # base state by base state, so the overlap witness is the first collision
-    # in that order.  heads[ti] lists s v for tower ti's shapes s and v = min V.
-    owner = [-1] * window.size
+    owner = [-1] * window.size  # -1: no translate covers the index yet
     starts = list(accumulate((len(t.shapes) for t in castle.towers), initial=0))
     heads: List[List[int]] = []
     for ti, (tower, start) in enumerate(zip(castle.towers, starts)):
@@ -734,6 +735,24 @@ def audit_castle(
             "castle translates do not cover the state space",
             witness={"missing_state": window.state_text(window.state_at(owner.index(-1)))},
         )
+    return owner, starts, heads
+
+
+def _measure(castle: Castle, gamma: WreathElement, window: Window, tiling: tuple) -> dict:
+    """The fixed-set bound of a well-formed castle, from its :func:`_tile`:
+    for the test set {inverse of gamma}, the measure of the set of gamma-fixed
+    states is at most the sum over towers of |KS △ S| times the base measure,
+    and the audit recomputes both sides exactly.  The record's ``ok`` holds
+    when the inequality does and no defect reaches a given tolerance.
+
+    The defect reads off the tiling: |KS △ S| = 2 (|S| - kept), as |KS| = |S|,
+    with kept = #{s in S : gamma^-1 s in S}.  Lemma: for v in the tower's base,
+    gamma^-1 s is in S iff it equals the owner s' of gamma^-1 (s v), the shape
+    whose translate covers that state, and s' is in the tower.  Proof: if
+    gamma^-1 s = s' is in S, the state is s' v, and translates are disjoint.
+    The audit takes v = min V; for s' = s, gamma^-1 s = s iff gamma = e.
+    """
+    owner, starts, heads = tiling
     inv = gamma.inverse()
     pre = window.index_map(inv)
     trivial = inv.is_identity()
@@ -764,11 +783,6 @@ def audit_castle(
     eps = castle.epsilon
     within = None if eps is None else all(defect < eps for defect in defects)
     return {
-        "kind": "castle-audit",
-        "v": SCHEMA_VERSION,
-        "window": [dat.to_dict() for dat in window.data],
-        "castle": castle.to_dict(window),
-        "gamma": gamma.text(),
         "towers": towers,
         "fix_measure": frac_str(fix_measure),
         "bound": frac_str(bound),
@@ -779,36 +793,16 @@ def audit_castle(
     }
 
 
-def malformed_castle_record(
-    exc: MalformedCastleError, castle: Castle, gamma: WreathElement, window: Window
-) -> dict:
-    """The audit record of a castle that is not well formed: the audit's
-    inputs, then the error and its witness instead of the fixed-set bound."""
-    return {
-        "kind": "castle-audit",
-        "v": SCHEMA_VERSION,
-        "window": [dat.to_dict() for dat in window.data],
-        "castle": castle.to_dict(window),
-        "gamma": gamma.text(),
-        "well_formed": False,
-        "error": str(exc),
-        "witness": exc.witness,
-    }
-
-
 def check_castle_audit(rec: dict, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     """Re-run a serialized audit and require the record to serialize exactly
-    as the rerun, which for a castle that is not well formed is its
-    :func:`malformed_castle_record`; such a record checks as not ok."""
+    as the rerun; the record of a castle that is not well formed checks as
+    not ok."""
     _require_kind(rec, "castle-audit", "castle audit")
     with _malformed("castle audit"):
         window = window_from_records(rec["window"])
         castle = Castle.from_dict(rec["castle"], window)
         gamma = window.group.parse_element(rec["gamma"])
-    try:
-        fresh = audit_castle(castle, gamma, window, budget)
-    except MalformedCastleError as exc:
-        fresh = malformed_castle_record(exc, castle, gamma, window)
+    fresh = audit_castle(castle, gamma, window, budget)
     _require_same(rec, fresh)
     return fresh.get("ok", False)
 

@@ -15,8 +15,7 @@ import json
 import os
 import sys
 
-from .errors import AllosteryError, CertificateError, DatumInvariantError
-from .errors import MalformedCastleError, TextParseError
+from .errors import AllosteryError, CertificateError, DatumInvariantError, TextParseError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # for annotations only: each command imports what it runs
@@ -220,7 +219,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     if not args.castle or not args.window or not args.gamma:
         raise TextParseError("audit needs a castle file, --window and --gamma (or --check)")
-    from .certificates import malformed_castle_record, parse_tolerance
+    from .certificates import parse_tolerance
 
     window = _load_window(args.window)
     castle = _read(args.castle, lambda text: parse_castle_file(text, window), text=True)
@@ -229,13 +228,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
     gamma = window.group.parse_element(args.gamma)
     if gamma.is_identity():
         raise TextParseError("audit needs a nontrivial element")
-    try:
-        audit = audit_castle(castle, gamma, window, args.cfg.budget_states)
-    except MalformedCastleError as exc:
-        _emit_json(malformed_castle_record(exc, castle, gamma, window), args.cfg, "audit")
-        _say(f"malformed castle: {exc}")
-        return EXIT_FAILED
+    audit = audit_castle(castle, gamma, window, args.cfg.budget_states)
     _emit_json(audit, args.cfg, "audit")
+    if "error" in audit:
+        _say(f"malformed castle: {audit['error']}")
+        return EXIT_FAILED
     verdict = "ok" if audit["inequality_ok"] else "VIOLATED"
     if audit["epsilon"] is not None:
         within = "ok" if audit["defects_within_epsilon"] else "EXCEEDED"

@@ -39,7 +39,7 @@ class MeasureConditionError(AllosteryError):
 
 
 class MalformedCastleError(AllosteryError):
-    """A castle's translates overlap or fail to cover the space."""
+    """A castle is not well formed: audit_castle records the error and its witness."""
 
     def __init__(self, message: str, witness: dict | None = None):
         self.witness = witness or {}

@@ -406,7 +406,7 @@ class WreathGroup(tuple):
     def parse_element(self, text: str, line: int | None = None) -> WreathElement:
         return parse_element(text, d=self.d, m=self.m, line=line)
 
-    def ball(self, radius: int, max_radius: int = DEFAULT_MAX_RADIUS) -> list[BallEntry]:
+    def ball(self, radius: int) -> list[BallEntry]:
         """All elements of word length <= radius, each with a witnessing word.
 
         Ordered by word length, then lexicographically by canonical text
@@ -416,8 +416,8 @@ class WreathGroup(tuple):
         """
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        if radius > max_radius:
-            raise BudgetExceededError(radius, max_radius, what="ball radius")
+        if radius > DEFAULT_MAX_RADIUS:
+            raise BudgetExceededError(radius, DEFAULT_MAX_RADIUS, what="ball radius")
         gens = self.generators()
         seen: dict[WreathElement, Word] = {self.identity(): ()}
         out: list[BallEntry] = [BallEntry(self.identity(), ())]

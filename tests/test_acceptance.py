@@ -30,7 +30,6 @@ from allostery import (
     window_from_records,
 )
 from allostery.certificates import record_ok
-from allostery.errors import MalformedCastleError
 
 from conftest import HALF, fresh_rng, make_transversal_castle
 from oracle import check_inverse_system, is_transitive
@@ -175,11 +174,8 @@ def test_acceptance_8_negative_controls(announce, d32, w9, group11):
             Tower(base=frozenset({(0,)}), shapes=(identity,)),
         )
     )
-    try:
-        audit_castle(overlapping, group11.parse_element("{};(1)"), w9)
-        control_c = False
-    except MalformedCastleError as exc:
-        control_c = exc.witness.get("state") == "(0)|((0))"
+    malformed = audit_castle(overlapping, group11.parse_element("{};(1)"), w9)
+    control_c = malformed.get("witness", {}).get("state") == "(0)|((0))"
     ok = control_a and control_b and control_c
     announce(8, "all three negative controls are rejected with evidence", ok)
 

@@ -33,11 +33,10 @@ from allostery import (
     window_from_records,
 )
 from allostery import certificates
-from allostery.certificates import frac_str, malformed_castle_record, parse_frac, record_ok
+from allostery.certificates import frac_str, parse_frac, record_ok
 from allostery.errors import (
     BudgetExceededError,
     CertificateError,
-    MalformedCastleError,
     MeasureConditionError,
     RankMismatchError,
     TextParseError,
@@ -483,9 +482,9 @@ def test_overlap_witness(w9, group11):
             Tower(base=frozenset({orb.start}), shapes=tuple(shapes[4:9])),
         )
     )
-    with pytest.raises(MalformedCastleError) as info:
-        audit_castle(castle, group11.parse_element("{};(1)"), w9)
-    witness = info.value.witness
+    rec = audit_castle(castle, group11.parse_element("{};(1)"), w9)
+    assert (rec["well_formed"], rec["error"]) == (False, "castle translates overlap")
+    witness = rec["witness"]
     assert witness["state"] == w9.state_text(orb.order[4])
     assert witness["first"]["tower"] == 0 and witness["second"]["tower"] == 1
 
@@ -493,9 +492,9 @@ def test_overlap_witness(w9, group11):
 def test_covering_witness(w9, w9_transversal, group11):
     (tower,) = w9_transversal.towers
     holed = Castle(towers=(Tower(base=tower.base, shapes=tower.shapes[:-1]),))
-    with pytest.raises(MalformedCastleError) as info:
-        audit_castle(holed, group11.parse_element("{};(1)"), w9)
-    assert "missing_state" in info.value.witness
+    rec = audit_castle(holed, group11.parse_element("{};(1)"), w9)
+    assert rec["error"] == "castle translates do not cover the state space"
+    assert "missing_state" in rec["witness"]
 
 
 def test_duplicate_shape_witness(w9, group11):
@@ -503,10 +502,9 @@ def test_duplicate_shape_witness(w9, group11):
     the shape's text twice."""
     e = w9.group.identity()
     castle = Castle(towers=(Tower(base=frozenset({(0,)}), shapes=(e, e)),))
-    with pytest.raises(MalformedCastleError) as info:
-        audit_castle(castle, group11.parse_element("{};(1)"), w9)
-    assert str(info.value) == "castle translates overlap"
-    assert info.value.witness == {
+    rec = audit_castle(castle, group11.parse_element("{};(1)"), w9)
+    assert rec["error"] == "castle translates overlap"
+    assert rec["witness"] == {
         "state": w9.state_text((0,)),
         "first": {"tower": 0, "shape": "{};(0)"},
         "second": {"tower": 0, "shape": "{};(0)"},
@@ -526,10 +524,9 @@ def test_duplicate_shape_witness_is_first_repeat_by_position(w9, w9_transversal,
         (shapes[:2] + (shapes[1], shapes[0]), shapes[1]),
     ):
         castle = Castle(towers=(Tower(base=tower.base, shapes=repeated),))
-        with pytest.raises(MalformedCastleError) as info:
-            audit_castle(castle, gamma, w9)
-        assert str(info.value) == "castle translates overlap"
-        assert info.value.witness == {
+        rec = audit_castle(castle, gamma, w9)
+        assert rec["error"] == "castle translates overlap"
+        assert rec["witness"] == {
             "state": w9.state_text(window_act(w9, dup, v)),
             "first": {"tower": 0, "shape": dup.text()},
             "second": {"tower": 0, "shape": dup.text()},
@@ -541,10 +538,38 @@ def test_audit_rejects_a_tower_with_no_base_states(w9, w9_transversal, group11):
     when the other towers tile."""
     (tower,) = w9_transversal.towers
     castle = Castle(towers=(tower, Tower(base=frozenset(), shapes=tower.shapes[:1])))
-    with pytest.raises(MalformedCastleError) as info:
-        audit_castle(castle, group11.parse_element("{(0):(1)};(0)"), w9)
-    assert str(info.value) == "tower has no base states"
-    assert info.value.witness == {"tower": 1}
+    rec = audit_castle(castle, group11.parse_element("{(0):(1)};(0)"), w9)
+    assert rec["error"] == "tower has no base states"
+    assert rec["witness"] == {"tower": 1}
+
+
+MALFORMED = {
+    "overlap": "castle translates overlap",
+    "missing state": "castle translates do not cover the state space",
+    "no shapes": "tower has no shapes",
+    "no base states": "tower has no base states",
+    "oversize": "castle translates overlap",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_a_malformed_castle_audits_as_a_record_that_checks_as_failed(w9, w9_transversal, kind):
+    """The audit of a castle that is not well formed returns its record, not
+    an exception: the inputs, ``well_formed: false``, the error and a
+    witness.  The check reruns it to the same record and returns False."""
+    (tower,) = w9_transversal.towers
+    (v,) = tower.base
+    towers = {
+        "overlap": (tower, tower),
+        "missing state": (Tower(tower.base, tower.shapes[:-1]),),
+        "no shapes": (tower, Tower(tower.base, ())),
+        "no base states": (tower, Tower(frozenset(), tower.shapes[:1])),
+        "oversize": (Tower(tower.base | {window_act(w9, tower.shapes[1], v)}, tower.shapes),),
+    }[kind]
+    rec = audit_castle(Castle(towers=towers), w9.group.parse_element("{};(1)"), w9)
+    assert list(rec)[5:] == ["well_formed", "error", "witness"]
+    assert (rec["well_formed"], rec["error"]) == (False, MALFORMED[kind]) and rec["witness"]
+    assert check_castle_audit(json.loads(json.dumps(rec))) is False
 
 
 @pytest.mark.parametrize("repeat_first", [True, False])
@@ -593,14 +618,13 @@ def test_overlap_witness_follows_shape_major_order(w288, group11):
     tv = w288.prepare(t1).apply(v)
     assert v < tv
     castle = Castle(towers=(Tower(base=frozenset({v, tv}), shapes=(e, t1)),))
-    with pytest.raises(MalformedCastleError) as info:
-        audit_castle(castle, group11.parse_element("{};(1)"), w288)
-    assert info.value.witness == {
+    witness = audit_castle(castle, group11.parse_element("{};(1)"), w288)["witness"]
+    assert witness == {
         "state": w288.state_text(tv),
         "first": {"tower": 0, "shape": e.text()},
         "second": {"tower": 0, "shape": t1.text()},
     }
-    assert info.value.witness == tiling_witness(castle, w288)
+    assert witness == tiling_witness(castle, w288)
 
 
 def test_missing_state_is_the_least_uncovered_index(w288, group11):
@@ -613,11 +637,10 @@ def test_missing_state_is_the_least_uncovered_index(w288, group11):
     )
     kept = tuple(x for k, x in enumerate(tower.shapes) if k not in dropped)
     holed = Castle(towers=(Tower(base=tower.base, shapes=kept),))
-    with pytest.raises(MalformedCastleError) as info:
-        audit_castle(holed, group11.parse_element("{};(1)"), w288)
+    witness = audit_castle(holed, group11.parse_element("{};(1)"), w288)["witness"]
     least = min(w288.flat_index(orb.order[k]) for k in dropped)
-    assert info.value.witness == {"missing_state": w288.state_text(w288.state_at(least))}
-    assert info.value.witness == tiling_witness(holed, w288)
+    assert witness == {"missing_state": w288.state_text(w288.state_at(least))}
+    assert witness == tiling_witness(holed, w288)
 
 
 @settings(max_examples=60, deadline=None)
@@ -641,12 +664,7 @@ def test_tiling_witness_matches_tuple_oracle(w288, group11, data):
     castle = Castle(towers=tuple(towers))
     expected = tiling_witness(castle, w288)
     gamma = group11.parse_element("{(0):(1)};(0)")
-    if expected is None:
-        audit_castle(castle, gamma, w288)
-    else:
-        with pytest.raises(MalformedCastleError) as info:
-            audit_castle(castle, gamma, w288)
-        assert info.value.witness == expected
+    assert audit_castle(castle, gamma, w288).get("witness") == expected
 
 
 def pair_castle(window, gamma):
@@ -883,14 +901,6 @@ def test_seeded_w7200_castle_audits_as_its_word_elements(d32, d9, d25):
     assert record["ok"] and check_castle_audit(record)
 
 
-def audit_record(castle, gamma, window):
-    """The audit record of a castle, or its malformed-castle record."""
-    try:
-        return audit_castle(castle, gamma, window)
-    except MalformedCastleError as exc:
-        return malformed_castle_record(exc, castle, gamma, window)
-
-
 def schreier_castle_file(window, rng, keep, extra):
     """Schreier-tree words of the window in shuffled order, each kept with
     probability keep (so some tails are missing), plus the extra words, cut
@@ -927,7 +937,7 @@ def test_castle_words_match_letter_by_letter(w288, rng, data):
         [group.word_element(group.parse_word(w)) for w in words] for words in lines
     ]
     gamma = data.draw(st.sampled_from(group.ball(2)[1:]), label="gamma").element
-    assert audit_record(castle, gamma, w288) == audit_record(from_record(castle, w288), gamma, w288)
+    assert audit_castle(castle, gamma, w288) == audit_castle(from_record(castle, w288), gamma, w288)
 
 
 def from_record(castle, window):
@@ -943,9 +953,9 @@ def test_walked_fiber_castle_audits_as_its_record(w288, gamma, monkeypatch):
     counts = count_translates(monkeypatch)
     castle = parse_castle_file((GOLDEN / "castle_w288_fibers.txt").read_text(), w288)
     element = w288.group.ball(2)[gamma].element
-    walked = audit_record(castle, element, w288)
+    walked = audit_castle(castle, element, w288)
     assert counts["walk"] and not counts["images"]
-    assert walked == audit_record(from_record(castle, w288), element, w288)
+    assert walked == audit_castle(from_record(castle, w288), element, w288)
 
 
 @settings(max_examples=30, deadline=None)
@@ -958,7 +968,7 @@ def test_walked_chunked_castle_audits_as_its_record(w288, rng, data):
     built = random_chunked_castle(random.Random(seed), w288)
     assert castle == built
     gamma = data.draw(st.sampled_from(w288.group.ball(2)[1:]), label="gamma").element
-    assert audit_record(castle, gamma, w288) == audit_record(built, gamma, w288)
+    assert audit_castle(castle, gamma, w288) == audit_castle(built, gamma, w288)
 
 
 def count_translates(monkeypatch):
@@ -1000,9 +1010,7 @@ def test_a_castle_with_more_translates_than_states_is_not_walked(w288, group11, 
     assert [len(memo) for memo in counts.pop("memos").values()] == [w288.size]
     counts.update(images=[], walk=[])
     oversize = parse_castle_file(f"V= {v} {w288.state_text(orb.order[5])} ; S= {words}", w288)
-    with pytest.raises(MalformedCastleError) as info:
-        audit_castle(oversize, gamma, w288)
-    assert info.value.witness == tiling_witness(oversize, w288)
+    assert audit_castle(oversize, gamma, w288)["witness"] == tiling_witness(oversize, w288)
     assert counts == {"images": [w288.size // 2] * 2, "walk": []}
 
 
@@ -1021,10 +1029,10 @@ def test_a_tower_with_a_missing_tail_is_not_walked(w288, monkeypatch):
     text = f"V= {v} ; S= {' '.join(names[:k])}\nV= {v} ; S= {' '.join(names[k + 1 :])}\n"
     castle = parse_castle_file(text, w288)
     gamma = w288.group.parse_element("{(0):(1)};(0)")
-    record = audit_record(castle, gamma, w288)
+    record = audit_castle(castle, gamma, w288)
     assert counts["walk"] == [k] and counts["images"] == [len(names) - k - 1]
     assert record["witness"] == {"missing_state": w288.state_text(orb.order[k])}
-    assert record == audit_record(from_record(castle, w288), gamma, w288)
+    assert record == audit_castle(from_record(castle, w288), gamma, w288)
 
 
 def test_castle_read_against_other_ranks_is_checked_and_not_walked(w9, monkeypatch):
@@ -1161,14 +1169,12 @@ def test_records_are_plain_unaliased_json(cert288, d32, d9, w288, group11):
     s1 = group11.parse_element("{(0):(1)};(0)")
     e = group11.identity()
     overlapping = Castle(towers=(Tower(frozenset({(0, 0)}), (e,)),) * 2)
-    with pytest.raises(MalformedCastleError) as info:
-        audit_castle(overlapping, s1, w288)
     records = {
         "verify": build_criterion([d32, d9]),
         "report": non_af_report(cert288),
         "compare": comparison_certificate([(0, 0)], [(1, 1), (2, 2)], w288),
         "audit": audit_castle(make_transversal_castle(w288), s1, w288),
-        "malformed audit": malformed_castle_record(info.value, overlapping, s1, w288),
+        "malformed audit": audit_castle(overlapping, s1, w288),
     }
     for name, rec in records.items():
         assert json.loads(json.dumps(rec)) == rec, name

@@ -215,7 +215,7 @@ def test_forge_scans_k_once(group11, monkeypatch, d32):
     assert (len(scans), len(prime_tests)) == (1, 2)
     scans.clear()
     prime_tests.clear()
-    SubgroupDatum.from_dict(d32.to_dict())
+    SubgroupDatum.from_dict(d32.to_dict(), "d32")
     assert (len(scans), len(prime_tests)) == (1, 2)
     with pytest.raises(DatumInvariantError, match="p=4 is not prime"):
         d32._replace(p=4, k=0).validate()
@@ -225,8 +225,8 @@ def test_round_trip(d32, d9):
     for datum in (d32, d9):
         rec = datum.to_dict()
         assert list(rec) == ["gamma", "p", "k", "l", "E", "epsilon", "d", "m"]
-        assert SubgroupDatum.from_dict(rec) == datum
-        assert SubgroupDatum.from_dict(json.loads(json.dumps(rec))) == datum
+        assert SubgroupDatum.from_dict(rec, "rec") == datum
+        assert SubgroupDatum.from_dict(json.loads(json.dumps(rec)), "rec") == datum
     assert d32.to_dict()["epsilon"] == "1/2"
     assert d32.to_dict()["E"] == [[0], [1]]
 

@@ -26,9 +26,10 @@ from oracle import fixed_states, window_states
 GOLDEN = Path(__file__).parent / "golden"
 CASTLE = GOLDEN / "castle_w288.txt"
 FIBERS = GOLDEN / "castle_w288_fibers.txt"
+OVERLAP = GOLDEN / "castle_w288_overlap.txt"
 GAMMA = "{(0):(1)};(0)"
 
-# name -> (arguments, exit code); W81, W288, W7200, CASTLE and FIBERS stand for input paths,
+# name -> (arguments, exit code); W81, W288, W7200, CASTLE, FIBERS and OVERLAP stand for input paths,
 # FIXED48 and MOVED for the state specs of :func:`block_specs`.
 CASES = {
     "verify": (("verify",), 0),
@@ -49,6 +50,7 @@ CASES = {
     ),
     "audit_w288": (("audit", "CASTLE", "--window", "W288", "--gamma", GAMMA), 0),
     "audit_w288_fibers": (("audit", "FIBERS", "--window", "W288", "--gamma", GAMMA), 0),
+    "audit_w288_overlap": (("audit", "OVERLAP", "--window", "W288", "--gamma", GAMMA), 1),
 }
 
 
@@ -90,6 +92,12 @@ def fiber_castle_text(window):
     )
 
 
+def overlap_castle_text(window):
+    """Two towers whose one shape ``e`` covers the identity thread: the
+    second translate collides with the first, so the castle is malformed."""
+    return f"V= {window.state_text(window.identity_thread())} ; S= e\n" * 2
+
+
 def block_specs(window):
     """``idx:`` specs for the first 48 states GAMMA fixes and the states it
     moves; on W288 their atoms have 12 states each, so the comparison has
@@ -105,7 +113,8 @@ def block_specs(window):
 
 def write_inputs(directory):
     windows = forge_windows()
-    paths = {"CASTLE": str(CASTLE), "FIBERS": str(FIBERS), **block_specs(windows["W288"])}
+    paths = {"CASTLE": str(CASTLE), "FIBERS": str(FIBERS), "OVERLAP": str(OVERLAP)}
+    paths.update(block_specs(windows["W288"]))
     for name, window in windows.items():
         path = Path(directory) / f"{name}.json"
         path.write_text(json.dumps([dat.to_dict() for dat in window.data]))
@@ -135,11 +144,12 @@ def test_stdout_matches_golden(name, paths):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_passes_its_own_check(name):
-    """Each golden is a valid certificate, not only the bytes of a past run:
-    its command's ``--check`` accepts it."""
+    """Each golden is a certificate, not only the bytes of a past run: its
+    command's ``--check`` reruns it and gives the verdict, and so the exit
+    code, of the command that printed it (1 for the malformed castle)."""
     command = CASES[name][0][0]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main([command, "--check", str(GOLDEN / f"{name}.out")]) == 0
+        assert main([command, "--check", str(GOLDEN / f"{name}.out")]) == CASES[name][1]
 
 
 def test_comparison_searches_once(paths, monkeypatch):
@@ -248,6 +258,13 @@ def test_fiber_castle_file_has_several_base_states_per_tower(w288):
     assert [(len(t.base), len(t.shapes)) for t in castle.towers] == [(16, 9), (16, 5), (16, 4)]
 
 
+def test_overlap_castle_file_covers_the_identity_thread_twice(w288):
+    text = OVERLAP.read_text()
+    assert overlap_castle_text(w288) == text
+    castle = parse_castle_file(text, w288)
+    assert [t.base for t in castle.towers] == [frozenset({w288.identity_thread()})] * 2
+
+
 def test_castle_with_no_castle_tails_parses_and_audits_the_same(w288, paths, tmp_path):
     """Every word of the transversal castle prefixed by ``t1.T1.``: the
     elements stay the same, but no word's tail is a castle word, so each is
@@ -270,6 +287,7 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     CASTLE.write_text(transversal_castle_text(forge_windows()["W288"]))
     FIBERS.write_text(fiber_castle_text(forge_windows()["W288"]))
+    OVERLAP.write_text(overlap_castle_text(forge_windows()["W288"]))
     with tempfile.TemporaryDirectory() as tmp:
         inputs = write_inputs(tmp)
         for case in CASES:

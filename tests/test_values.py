@@ -107,7 +107,7 @@ def test_datum_keywords_and_replace_round_trip(d32):
     assert lowered.epsilon == Fraction(1, 8) and d32.epsilon == Fraction(1, 2)
     assert lowered._replace(epsilon=d32.epsilon) == d32
     assert hash(lowered._replace(epsilon=d32.epsilon)) == hash(d32)
-    assert SubgroupDatum.from_dict(d32.to_dict()) == d32
+    assert SubgroupDatum.from_dict(d32.to_dict(), "d32") == d32
     assert d32.index() == 32 and (d32.modulus, d32.shift_index) == (8, 8)
 
 
