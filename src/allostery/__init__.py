@@ -27,8 +27,8 @@ _EXPORTS = {
     ),
     "errors": (
         "AllosteryError", "BudgetExceededError", "CertificateError", "DatumInvariantError",
-        "ForgeError", "MalformedCastleError", "MeasureConditionError", "RankMismatchError",
-        "TextParseError", "WindowError",
+        "ForgeError", "MeasureConditionError", "RankMismatchError", "TextParseError",
+        "WindowError",
     ),
     "forge": (
         "PrimeAssignment", "SubgroupDatum", "assign_primes", "default_epsilon", "forge",

@@ -42,7 +42,6 @@ from .errors import (
     BudgetExceededError,
     CertificateError,
     DatumInvariantError,
-    MalformedCastleError,
     MeasureConditionError,
     TextParseError,
 )
@@ -548,8 +547,9 @@ def parse_castle_file(text: str, window: Window) -> Castle:
     Lines are read in file order up to the first fault of form or state.
     Then each distinct word of those lines is evaluated once, shortest
     first: a word ``g.rest`` whose tail ``rest`` is also a word of the
-    castle is generator g times the tail's element, one product, so the
-    words of a Schreier tree cost one step each; any other word goes
+    castle is generator g times the tail's element, one product through
+    g's :meth:`~WreathElement.left_multiplier`, so the words of a Schreier
+    tree cost one step each; any other word goes
     through :meth:`WreathGroup.parse_word`.  The first word in file order
     that does not evaluate raises parse_word's error at its line; then the
     fault that ended the reading, if any.
@@ -584,7 +584,7 @@ def parse_castle_file(text: str, window: Window) -> Castle:
     else:
         fault = None if lines else TextParseError("castle file holds no towers")
     lookup = group._name_index
-    gens = group.generators()
+    times = [gen.left_multiplier() for gen in group.generators()]
     identity = group.identity()
     elements: Dict[str, WreathElement] = {}
     ids = {"": -1}  # plan index of each planned word; "": no tail
@@ -600,7 +600,7 @@ def parse_castle_file(text: str, window: Window) -> Castle:
             except TextParseError:
                 pass  # raised below, at the word's line
             continue
-        elements[tok] = gens[g] * rest
+        elements[tok] = times[g](rest)
         if tail in ids:
             ids[tok] = len(tails)
             tails.append(ids[tail])
@@ -648,6 +648,15 @@ def _walk(
     return rows
 
 
+class _MalformedCastle(Exception):
+    """A castle is not well formed: :func:`_tile` raises it with a witness,
+    and :func:`audit_castle` records both, so it never leaves the module."""
+
+    def __init__(self, message: str, witness: dict):
+        self.witness = witness
+        super().__init__(message)
+
+
 def audit_castle(
     castle: Castle, gamma: WreathElement, window: Window, budget: int = DEFAULT_STATE_BUDGET
 ) -> dict:
@@ -658,7 +667,7 @@ def audit_castle(
         raise BudgetExceededError(window.size, budget)
     try:
         fields = _measure(castle, gamma, window, _tile(castle, window))
-    except MalformedCastleError as exc:
+    except _MalformedCastle as exc:
         fields = {"well_formed": False, "error": str(exc), "witness": exc.witness}
     return {
         "kind": "castle-audit",
@@ -677,7 +686,7 @@ def _tile(castle: Castle, window: Window) -> Tuple[List[int], List[int], List[Li
     shapes s and v = min V.  Well formed means: every tower has base states
     and shapes, and the translates (one per tower shape, so a repeated shape
     gives two equal ones) are pairwise disjoint and cover the state space.
-    Else MalformedCastleError names the tower or the doubly covered or missed
+    Else _MalformedCastle names the tower or the doubly covered or missed
     state; translates go shape by shape, then base state by base state, so
     the overlap witness is the first collision in that order."""
     # Towers read from a castle file against this window's group are walked
@@ -692,9 +701,9 @@ def _tile(castle: Castle, window: Window) -> Tuple[List[int], List[int], List[Li
     for ti, (tower, start) in enumerate(zip(castle.towers, starts)):
         shapes = tower.shapes
         if not shapes:
-            raise MalformedCastleError("tower has no shapes", witness={"tower": ti})
+            raise _MalformedCastle("tower has no shapes", witness={"tower": ti})
         if not tower.base:
-            raise MalformedCastleError("tower has no base states", witness={"tower": ti})
+            raise _MalformedCastle("tower has no base states", witness={"tower": ti})
         ranked = tower.group == window.group  # built with the window's ranks
         if not ranked:
             for shape in shapes:
@@ -721,7 +730,7 @@ def _tile(castle: Castle, window: Window) -> Tuple[List[int], List[int], List[Li
                     if first >= 0:
                         tj = bisect_right(starts, first) - 1
                         first_text = castle.towers[tj].shape_texts[first - starts[tj]]
-                        raise MalformedCastleError(
+                        raise _MalformedCastle(
                             "castle translates overlap",
                             witness={
                                 "state": window.state_text(window.state_at(img)),
@@ -731,7 +740,7 @@ def _tile(castle: Castle, window: Window) -> Tuple[List[int], List[int], List[Li
                         )
                     owner[img] = k
     if -1 in owner:
-        raise MalformedCastleError(
+        raise _MalformedCastle(
             "castle translates do not cover the state space",
             witness={"missing_state": window.state_text(window.state_at(owner.index(-1)))},
         )
@@ -754,7 +763,8 @@ def _measure(castle: Castle, gamma: WreathElement, window: Window, tiling: tuple
     """
     owner, starts, heads = tiling
     inv = gamma.inverse()
-    pre = window.index_map(inv)
+    pre = window.index_map(inv)  # rejects a gamma of other ranks
+    times = inv.left_multiplier()  # _tile has checked the shapes' ranks
     trivial = inv.is_identity()
     towers: List[dict] = []
     defects: List[Fraction] = []
@@ -764,7 +774,7 @@ def _measure(castle: Castle, gamma: WreathElement, window: Window, tiling: tuple
         kept = 0
         for si, img in enumerate(head):
             sj = owner[pre[img]] - start  # the owner of gamma^-1 (s v), if in this tower
-            if 0 <= sj < len(shapes) and (trivial if sj == si else inv * shapes[si] == shapes[sj]):
+            if 0 <= sj < len(shapes) and (trivial if sj == si else times(shapes[si]) == shapes[sj]):
                 kept += 1
         count = 2 * (len(shapes) - kept)
         defects.append(Fraction(count, len(shapes)))

@@ -368,9 +368,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     """The arguments of ``argv``; one the subcommand does not take, or one beside
     ``--check`` that the check does not read, is the subcommand's usage error."""
-    args, unknown = _build_parser().parse_known_args(argv)
+    parser = _build_parser()
+    args, unknown = parser.parse_known_args(argv)
     if unknown:
-        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        # Parse again with each settings flag that the subcommand does not take,
+        # so that the error names it with its value, which a positional such as
+        # audit's castle file would otherwise have taken.
+        for flag in _SETTINGS.keys() - {a.dest.replace("_", "-") for a in args.parser._actions}:
+            args.parser.add_argument(
+                f"--{flag}", dest="unread", action="append", nargs="?", const="",
+                type=f"--{flag} {{}}".format, default=argparse.SUPPRESS,
+            )
+        args, unknown = parser.parse_known_args(argv)
+        unread = [given.rstrip() for given in getattr(args, "unread", [])]
+        args.parser.error(f"unrecognized arguments: {' '.join(unread + unknown)}")
     if getattr(args, "check", None) is not None:
         reads = {"check", "config", *_CHECKS[args.command][3]}
         given = [(a.option_strings or [a.dest])[0] for a in args.parser._actions

@@ -38,14 +38,6 @@ class MeasureConditionError(AllosteryError):
     """The strict measure inequality required for comparison fails."""
 
 
-class MalformedCastleError(AllosteryError):
-    """A castle is not well formed: audit_castle records the error and its witness."""
-
-    def __init__(self, message: str, witness: dict | None = None):
-        self.witness = witness or {}
-        super().__init__(message)
-
-
 class CertificateError(AllosteryError):
     """A certificate is structurally unusable (wrong kind, invalid input)."""
 

@@ -17,7 +17,7 @@ import operator
 import re
 import sys
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, NamedTuple, Tuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Tuple
 
 from .base import Vec, add, is_zero, neg, zero
 from .errors import BudgetExceededError, RankMismatchError, TextParseError
@@ -101,6 +101,24 @@ def _translated(entries: Tuple[Tuple[Vec, Vec], ...], by: Vec) -> Tuple[Tuple[Ve
     return tuple([(tuple(map(operator.add, p, by)), v) for p, v in entries])
 
 
+def _merged(long: Iterable[Tuple[Vec, Vec]], short: Iterable[Tuple[Vec, Vec]]) -> Lamp:
+    """The lamp whose entries sum those of `long` and `short` by position:
+    `short` is merged into a dict copy of `long`, dropping the sums that
+    cancel."""
+    acc = dict(long)
+    for pos, val in short:
+        old = acc.get(pos)
+        if old is None:
+            acc[pos] = val
+            continue
+        val = add(old, val)
+        if any(val):
+            acc[pos] = val
+        else:
+            del acc[pos]
+    return Lamp._trusted(sorted(acc.items()))
+
+
 class WreathElement(tuple):
     """The element (lamp, shift) of Z^d wr Z^m, as that pair."""
 
@@ -126,20 +144,27 @@ class WreathElement(tuple):
         elif not f:
             lamp = Lamp._trusted(right)
         else:
-            short, long = (f, right) if len(f) <= len(right) else (right, f)
-            acc = dict(long)
-            for pos, val in short:
-                old = acc.get(pos)
-                if old is None:
-                    acc[pos] = val
-                    continue
-                val = add(old, val)
-                if any(val):
-                    acc[pos] = val
-                else:
-                    del acc[pos]
-            lamp = Lamp._trusted(sorted(acc.items()))
+            lamp = _merged(right, f) if len(f) <= len(right) else _merged(f, right)
         return tuple.__new__(WreathElement, (lamp, tuple(map(operator.add, a, b))))
+
+    def left_multiplier(self) -> Callable[["WreathElement"], "WreathElement"]:
+        """The map x -> self * x, specialised to self once.  Precondition,
+        unchecked: x has self's ranks.  A shift-only self translates x's lamp
+        and adds the shifts, with no merge; a lamp-only self merges its
+        entries into a dict copy of x's lamp, dropping the sums that cancel;
+        any other self is the general product."""
+        f, a = self
+        if not any(a):  # lamp-only, or the identity
+            return lambda x: tuple.__new__(WreathElement, (_merged(x[0], f), x[1]))
+        if f:
+            return self.__mul__
+
+        def shifted(x: WreathElement) -> WreathElement:
+            lamp, b = x
+            moved = Lamp._trusted([(tuple(map(operator.add, p, a)), v) for p, v in lamp])
+            return tuple.__new__(WreathElement, (moved, tuple(map(operator.add, a, b))))
+
+        return shifted
 
     def inverse(self) -> "WreathElement":
         sh = neg(self.shift)

@@ -572,6 +572,17 @@ def test_a_malformed_castle_audits_as_a_record_that_checks_as_failed(w9, w9_tran
     assert check_castle_audit(json.loads(json.dumps(rec))) is False
 
 
+def test_no_malformed_castle_error_is_exported():
+    """A malformed castle is an audit record, so the package exports no
+    exception for it."""
+    import allostery
+    from allostery import errors
+
+    assert not [name for name in allostery.__all__ if "Malformed" in name]
+    assert not hasattr(allostery, "MalformedCastleError")
+    assert not hasattr(errors, "MalformedCastleError")
+
+
 @pytest.mark.parametrize("repeat_first", [True, False])
 def test_audit_names_the_first_bad_shape(w288, group11, repeat_first):
     """A tower with both a repeated shape and a shape of the wrong rank fails
@@ -872,10 +883,11 @@ def test_castle_file_accepts_the_words_of_the_word_pattern(ranks, word, tail_in_
         assert castle.towers[1].shapes[1] == group.word_element(group.parse_word(word))
 
 
-def test_seeded_w7200_castle_audits_as_its_word_elements(d32, d9, d25):
-    """The audit of a castle file of shuffled Schreier words on W7200, whose
-    shapes come from one product per word, equals the audit of the castle
-    whose shapes are the words evaluated letter by letter."""
+@pytest.fixture(scope="module")
+def w7200_castle(d32, d9, d25):
+    """W7200, a castle file of its Schreier words from a seeded start state,
+    shuffled and dealt into four towers over that state, and the castle of
+    those words evaluated letter by letter."""
     window = Window([d32, d9, d25])
     group = window.group
     rng = fresh_rng(21)
@@ -887,18 +899,47 @@ def test_seeded_w7200_castle_audits_as_its_word_elements(d32, d9, d25):
     text = "".join(
         f"V= {base} ; S= " + " ".join(map(group.word_name, tower)) + "\n" for tower in towers
     )
-    parsed = parse_castle_file(text, window)
     built = Castle(
         towers=tuple(
             Tower(base=frozenset({orb.start}), shapes=tuple(map(group.word_element, tower)))
             for tower in towers
         )
     )
+    return window, text, built
+
+
+def test_seeded_w7200_castle_audits_as_its_word_elements(w7200_castle):
+    """The audit of a castle file of shuffled Schreier words on W7200, whose
+    shapes come from one product per word, equals the audit of the castle
+    whose shapes are the words evaluated letter by letter."""
+    window, text, built = w7200_castle
+    parsed = parse_castle_file(text, window)
     assert parsed == built
-    gamma = group.parse_element("{(0):(1)};(0)")
+    gamma = window.group.parse_element("{(0):(1)};(0)")
     record = audit_castle(parsed, gamma, window)
     assert record == audit_castle(built, gamma, window)
     assert record["ok"] and check_castle_audit(record)
+
+
+def test_the_seeded_w7200_castle_takes_no_general_product(w7200_castle, monkeypatch):
+    """Reading the castle file and auditing it multiply by a fixed element
+    (a generator, then gamma^-1) through that element's left multiplier:
+    neither calls the general product WreathElement.__mul__."""
+    window, text, _ = w7200_castle
+    gamma = window.group.parse_element("{(0):(1)};(0)")
+    products = []
+    mul = WreathElement.__mul__
+
+    def counted(self, other):
+        products.append(self)
+        return mul(self, other)
+
+    monkeypatch.setattr(WreathElement, "__mul__", counted)
+    castle = parse_castle_file(text, window)
+    assert products == []
+    record = audit_castle(castle, gamma, window)
+    assert products == []
+    assert record["ok"]
 
 
 def schreier_castle_file(window, rng, keep, extra):

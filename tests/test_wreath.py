@@ -1,13 +1,16 @@
+import operator
 from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
 
-from allostery import Lamp, WreathElement, WreathGroup, format_element, parse_element
+from allostery import Lamp, WreathElement, WreathGroup, audit_castle, format_element, parse_element
+from allostery.base import neg
 from allostery.errors import BudgetExceededError, RankMismatchError, TextParseError
 from allostery import wreath
 from allostery.wreath import format_vec, read_canonical
 
+from conftest import make_transversal_castle
 from oracle import grammar_element, scan_element
 
 
@@ -141,6 +144,61 @@ def test_word_element_is_the_fold_of_generator_products(ranks, data):
     for g in word:
         expected = expected * gens[g]
     assert group.word_element(word) == expected
+
+
+LEFT_FACTORS = ("generator", "identity", "lamp-only", "shift-only", "mixed")
+RANKS_TO_3 = [(d, m) for d in (1, 2, 3) for m in (1, 2, 3)]
+
+
+def left_factor(draw, group, kind):
+    """A random g of the kind; lamp-only and mixed g have a nonzero lamp,
+    shift-only and mixed g a nonzero shift."""
+    d, m = group
+    if kind == "generator":
+        return draw(st.sampled_from(group.generators()))
+    lamp, shift = Lamp(), (0,) * m
+    if kind in ("lamp-only", "mixed"):
+        lamp = Lamp.of(draw(st.dictionaries(vecs(m), vecs(d).filter(any), min_size=1, max_size=3)))
+    if kind in ("shift-only", "mixed"):
+        shift = draw(vecs(m).filter(any))
+    return WreathElement(lamp, shift)
+
+
+@given(st.sampled_from(RANKS_TO_3), st.data())
+def test_left_multiplier_is_the_product(ranks, data):
+    """g.left_multiplier() maps x to g * x, for every kind of g.  Some x
+    hold, at each position of g's lamp moved back by g's shift, the
+    negation of g's entry, so that the entry cancels and is pruned."""
+    group = WreathGroup(*ranks)
+    g = left_factor(data.draw, group, data.draw(st.sampled_from(LEFT_FACTORS), label="kind"))
+    times = g.left_multiplier()
+    x = data.draw(elements(*ranks), label="x")
+    cancel = data.draw(st.booleans(), label="cancel")
+    if cancel:
+        back = {tuple(map(operator.sub, p, g.shift)): neg(v) for p, v in g.lamp}
+        x = WreathElement(Lamp.of({**dict(x.lamp), **back}), x.shift)
+    product = times(x)
+    assert product == g * x
+    assert type(product) is WreathElement and type(product.lamp) is Lamp
+    if cancel:
+        assert not set(g.lamp.support) & set(product.lamp.support)
+
+
+@pytest.mark.parametrize("ranks", RANKS_TO_3)
+def test_left_multiplier_of_each_generator_and_the_identity(ranks):
+    group = WreathGroup(*ranks)
+    xs = [group.identity(), *group.generators(), group.word_element(range(len(group.generators())))]
+    for g in (group.identity(), *group.generators()):
+        times = g.left_multiplier()
+        assert [times(x) for x in xs] == [g * x for x in xs]
+
+
+@pytest.mark.parametrize("gamma", ["{(0,0):(1)};(0,0)", "{(0):(1,1)};(0)", "{};(1,0)"])
+def test_audit_of_a_gamma_of_other_ranks_raises(w9, gamma):
+    """The audit multiplies by gamma^-1 without checking ranks, after the
+    window has rejected a gamma of other ranks."""
+    with pytest.raises(RankMismatchError):
+        audit_castle(make_transversal_castle(w9), parse_element(gamma), w9)
 
 
 @pytest.mark.parametrize("letter", [-1, 99])
