@@ -371,13 +371,18 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     parser = _build_parser()
     args, unknown = parser.parse_known_args(argv)
     if unknown:
-        # Parse again with each settings flag that the subcommand does not take,
-        # so that the error names it with its value, which a positional such as
-        # audit's castle file would otherwise have taken.
-        for flag in _SETTINGS.keys() - {a.dest.replace("_", "-") for a in args.parser._actions}:
+        # Parse again with each unknown flag taking the word after it, if any,
+        # so that the error names it with that word, which a positional such as
+        # audit's castle file would otherwise have taken; a positional left
+        # without a word is then no error of its own.  The flags stay out of
+        # the usage line, which is then the subcommand's --help usage.
+        for action in args.parser._actions:
+            action.required = action.required and bool(action.option_strings)
+        flags = (given.partition("=")[0] for given in unknown if given[:1] == "-")
+        for flag in dict.fromkeys(f for f in flags if f.lstrip("-")[:1].isalpha()):
             args.parser.add_argument(
-                f"--{flag}", dest="unread", action="append", nargs="?", const="",
-                type=f"--{flag} {{}}".format, default=argparse.SUPPRESS,
+                flag, dest="unread", action="append", nargs="?", const="",
+                type=f"{flag} {{}}".format, default=argparse.SUPPRESS, help=argparse.SUPPRESS,
             )
         args, unknown = parser.parse_known_args(argv)
         unread = [given.rstrip() for given in getattr(args, "unread", [])]

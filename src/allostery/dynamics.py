@@ -72,6 +72,7 @@ class FiniteLevel:
         self._lamp_size = self.p ** (self.l * self.d)
         self._radices = (self.p,) * (self.l * self.d) + (self.modulus,) * self.m  # least first
         self._tables: Dict[int, List[int]] = {}
+        self._kept: tuple = (None,)  # the last state's tables, see images
 
     def digits(self, idx: int) -> Tuple[List[int], List[int]]:
         """The m base digits and the l*d lamp digits of a state index, each
@@ -101,12 +102,23 @@ class FiniteLevel:
         block and a map from the classes (b + delta) + E[j] to their lamp
         digit group j are kept.  An element then adds only its lamp entries
         that land in one of those l classes.  The elements must have the
-        level's ranks (see :meth:`WreathGroup.validate_element`)."""
+        level's ranks (see :meth:`WreathGroup.validate_element`).
+
+        The level keeps these tables for the last state it was asked about,
+        with each lamp position's residue mod M: the next call on that state
+        builds only the blocks of shifts it has not met, and a call on
+        another state replaces them, so a level holds one state's tables at
+        most.  An audit acts by each tower's shapes on its base states, and
+        towers may share them: on the seeded castle of four towers over one
+        state that tiles W7200, this builds 363 blocks (121 shifts on each
+        of 3 levels), where tables built afresh on each call made 1,452."""
         M, p, d, L = self.modulus, self.p, self.d, self._lamp_size
-        base, lamp = self.digits(i)
-        offset = i % L
-        by_shift: Dict[Vec, Tuple[int, Dict[Vec, int]]] = {}
-        residue: Dict[Vec, Vec] = {}  # each lamp position reduced mod M once
+        if self._kept[0] != i:
+            base, lamp = self.digits(i)
+            # Then each shift's image block and class map, and each lamp
+            # position's residue mod M, as they are first met.
+            self._kept = (i, base, lamp, i % L, {}, {})
+        _, base, lamp, offset, by_shift, residue = self._kept
         out: List[int] = []
         for entries, shift in xs:
             seen = by_shift.get(shift)
@@ -422,14 +434,11 @@ class Window:
     def _spell(self, tabs: Sequence[Sequence[int]]) -> array:
         """The permutation of flat indices (see :meth:`flat_index`) that acts
         on each level by its table in tabs."""
-        flat = array("l", [0])
+        flat = [0]
         for level, tab in zip(self.levels, tabs):
             n = level.size
-            out = array("l")
-            for f in flat:
-                out.extend(map((f * n).__add__, tab))
-            flat = out
-        return flat
+            flat = [f * n + t for f in flat for t in tab]
+        return array("l", flat)
 
     def index_map(self, x: WreathElement) -> array:
         """The image of every flat index under x."""

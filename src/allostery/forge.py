@@ -20,8 +20,9 @@ the plain integers p^k (:attr:`SubgroupDatum.modulus`) and m.
 :meth:`SubgroupDatum.reduce` reads an element modulo the subgroup: its shift
 mod p^k and its nonzero lamp class sums mod p.  Membership and the coset
 action of :mod:`allostery.dynamics` read that, but ``FiniteLevel.images``
-reduces each lamp position itself, once across all the elements it maps:
-with a reduce per element the bench castle's audit check took 1.7 times as
+reduces each lamp position itself, once across all the elements it maps
+on one state, over every call until it is asked about another state: with
+a reduce per element the bench castle's audit check took 1.7 times as
 long.  The index formula p^{km} * p^{ld} and the closed-form fraction of
 states fixed by the lamp generators read off the datum directly.
 """

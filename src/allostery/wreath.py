@@ -33,8 +33,8 @@ class Lamp(tuple):
     A lamp is the tuple of its (position, value) entries, sorted by position
     with no zero values; construct through :meth:`of` to get this normal
     form.  A direct ``Lamp(entries)`` checks it.  The group operations below
-    keep it by construction, so they build their results through
-    :meth:`_trusted` without the check.
+    keep it by construction, so they build their results unchecked, as
+    ``tuple.__new__(Lamp, entries)``.
     """
 
     __slots__ = ()
@@ -48,10 +48,6 @@ class Lamp(tuple):
             if is_zero(val):
                 raise ValueError("lamp values must be nonzero")
         return tuple.__new__(cls, entries)
-
-    # Lamp._trusted(entries): a lamp from entries already in normal form,
-    # unchecked.
-    _trusted = classmethod(tuple.__new__)
 
     @property
     def entries(self) -> Tuple[Tuple[Vec, Vec], ...]:
@@ -67,7 +63,7 @@ class Lamp(tuple):
             if pos in acc:
                 val = add(acc[pos], val)
             acc[pos] = val
-        return cls._trusted(tuple(sorted([e for e in acc.items() if any(e[1])])))
+        return tuple.__new__(cls, sorted([e for e in acc.items() if any(e[1])]))
 
     @property
     def support(self) -> Tuple[Vec, ...]:
@@ -77,12 +73,12 @@ class Lamp(tuple):
         return not self
 
     def neg(self) -> "Lamp":
-        return Lamp._trusted(tuple((p, neg(v)) for p, v in self))
+        return tuple.__new__(Lamp, [(p, neg(v)) for p, v in self])
 
     def shifted(self, by: Vec) -> "Lamp":
         """The translate: position lambda now holds the value formerly at
         lambda - by."""
-        return Lamp._trusted(_translated(self, by))
+        return tuple.__new__(Lamp, _translated(self, by))
 
     def __repr__(self) -> str:
         return f"Lamp(entries={tuple(self)!r})"
@@ -116,7 +112,7 @@ def _merged(long: Iterable[Tuple[Vec, Vec]], short: Iterable[Tuple[Vec, Vec]]) -
             acc[pos] = val
         else:
             del acc[pos]
-    return Lamp._trusted(sorted(acc.items()))
+    return tuple.__new__(Lamp, sorted(acc.items()))
 
 
 class WreathElement(tuple):
@@ -142,7 +138,7 @@ class WreathElement(tuple):
         if not right:
             lamp = f
         elif not f:
-            lamp = Lamp._trusted(right)
+            lamp = tuple.__new__(Lamp, right)
         else:
             lamp = _merged(right, f) if len(f) <= len(right) else _merged(f, right)
         return tuple.__new__(WreathElement, (lamp, tuple(map(operator.add, a, b))))
@@ -161,7 +157,7 @@ class WreathElement(tuple):
 
         def shifted(x: WreathElement) -> WreathElement:
             lamp, b = x
-            moved = Lamp._trusted([(tuple(map(operator.add, p, a)), v) for p, v in lamp])
+            moved = tuple.__new__(Lamp, [(tuple(map(operator.add, p, a)), v) for p, v in lamp])
             return tuple.__new__(WreathElement, (moved, tuple(map(operator.add, a, b))))
 
         return shifted
@@ -223,7 +219,7 @@ def read_canonical(text, d: int, m: int) -> WreathElement | None:
         return None
     if len(shift) != m:
         return None
-    return tuple.__new__(WreathElement, (Lamp._trusted(entries), shift))
+    return tuple.__new__(WreathElement, (tuple.__new__(Lamp, entries), shift))
 
 
 def format_element(x: WreathElement) -> str:
@@ -404,7 +400,7 @@ class WreathGroup(tuple):
                 shift[axis - self.d] += sign
                 pos = tuple(shift)
         entries = sorted((p, tuple(v)) for p, v in lamps.items() if any(v))
-        return WreathElement(Lamp._trusted(entries), pos)
+        return WreathElement(tuple.__new__(Lamp, entries), pos)
 
     def word_name(self, word: Word) -> str:
         if not word:

@@ -43,7 +43,7 @@ from allostery.errors import (
     WindowError,
 )
 
-from allostery.dynamics import DEFAULT_STATE_BUDGET
+from allostery.dynamics import DEFAULT_STATE_BUDGET, FiniteLevel
 
 from conftest import HALF, fresh_rng, make_transversal_castle
 from sampling import random_castle, random_chunked_castle, random_chunked_castle_file
@@ -940,6 +940,32 @@ def test_the_seeded_w7200_castle_takes_no_general_product(w7200_castle, monkeypa
     record = audit_castle(castle, gamma, window)
     assert products == []
     assert record["ok"]
+
+
+def test_the_seeded_w7200_castle_builds_each_shift_block_once(w7200_castle, monkeypatch):
+    """The images of the four towers' shapes, which share one base state, build
+    one image block per level and distinct shift (FiniteLevel._index_of spells
+    each): 121 shifts on 3 levels, where blocks kept per call built 1,452.  The
+    audit of that castle still checks."""
+    window, _, built = w7200_castle
+    window = Window(window.data)  # levels that keep no tables yet
+    spelled = []
+    index_of = FiniteLevel._index_of
+
+    def counted(self, base, lamp):
+        spelled.append(self)
+        return index_of(self, base, lamp)
+
+    monkeypatch.setattr(FiniteLevel, "_index_of", counted)
+    (v,) = built.towers[0].base
+    for tower in built.towers:
+        assert tower.base == {v}
+        window.images(v, tower.shapes)
+    shifts = {shape.shift for tower in built.towers for shape in tower.shapes}
+    assert len(spelled) == len(shifts) * len(window.levels) == 363
+    monkeypatch.undo()
+    record = audit_castle(built, window.group.parse_element("{(0):(1)};(0)"), window)
+    assert check_castle_audit(json.loads(json.dumps(record)))
 
 
 def schreier_castle_file(window, rng, keep, extra):

@@ -1098,6 +1098,36 @@ def test_a_subcommand_takes_only_the_settings_it_reads(capsys, command, flag):
         )
 
 
+def help_usage(capsys, command):
+    """The usage line that ``allostery <command> --help`` prints."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    return capsys.readouterr().out.split("\n\n")[0] + "\n"
+
+
+@pytest.mark.parametrize("flag", ["--bogus", "--unread"])
+@pytest.mark.parametrize("command", READS)
+def test_an_unknown_flag_is_named_with_its_word_under_the_help_usage(capsys, command, flag):
+    """A flag the subcommand does not take, whether no subcommand takes it or
+    it is a settings flag of another, is named with the word after it, which
+    no positional takes instead, under the usage line of the subcommand's
+    --help, which lists no flag it does not take."""
+    positional, reads = READS[command]
+    if flag == "--unread":
+        flag = "--" + next(f for f in SETTINGS if f not in reads.split())
+    argv = [command, flag, "md", *([positional] if positional else [])]
+    if command == "forge":
+        argv += ["--p", "2"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, _, error = err.rpartition(f"allostery {command}: error: ")
+    assert error == f"unrecognized arguments: {flag} md\n"
+    assert usage == help_usage(capsys, command)
+
+
 def test_an_abbreviated_flag_is_the_subcommands_usage_error(capsys, w9_file):
     with pytest.raises(SystemExit) as info:
         main(["compare", "--win", w9_file, "--a", "idx:0", "--b", "idx:3,6"])

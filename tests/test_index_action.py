@@ -8,6 +8,7 @@ their tables, as the comparison's transporter search uses it.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from allostery import (
@@ -21,8 +22,9 @@ from allostery import (
     forge,
 )
 from allostery.dynamics import _bfs
-from allostery.errors import ForgeError
+from allostery.errors import ForgeError, RankMismatchError
 
+from conftest import HALF
 from oracle import act, apply_state, coset_at, fixed_states, index_of, iter_states, window_act
 
 MAX_ORACLE_STATES = 3200
@@ -249,3 +251,48 @@ def test_level_structure_agrees_with_level_bfs(data):
     result = certify_transitive(Window([datum]))
     assert result["method"] == "level-structure"
     assert (result["status"] == "pass") == (level.orbit(0).size == level.size)
+
+
+def bench_levels():
+    """The levels of W288 and of W7200 (d32, d9 and d25), one object each,
+    kept across examples, so that each test meets the tables its level kept
+    from an earlier call."""
+    group = WreathGroup(1, 1)
+    d32, d9, d25 = (
+        forge(group.parse_element(gamma), p, HALF, 1, 1)
+        for gamma, p in (("{(0):(1)};(0)", 2), ("{};(1)", 3), ("{};(-1)", 5))
+    )
+    return Window([d32, d9]).levels + Window([d32, d9, d25]).levels
+
+
+KEEPING = bench_levels()
+BALL = [entry.element for entry in WreathGroup(1, 1).ball(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kept_tables_answer_as_a_fresh_level(data):
+    """Images asked of interleaved states, i then j then i again, equal a
+    fresh level's and the per-state action's: a level's kept tables are
+    those of the state it is asked about."""
+    level = data.draw(st.sampled_from(KEEPING), label="level")
+    states = st.integers(0, level.size - 1)
+    i, j = data.draw(st.tuples(states, states), label="i, j")
+    for state in (i, j, i, i, j, data.draw(states, label="k"), i):
+        xs = data.draw(st.lists(st.sampled_from(BALL), max_size=12), label="xs")
+        expected = [index_of(level, act(level, x, coset_at(level, state))) for x in xs]
+        assert level.images(state, xs) == FiniteLevel(level.datum).images(state, xs) == expected
+
+
+def test_a_shift_of_other_rank_raises_on_a_state_with_kept_tables():
+    """A level keeping the tables of state 5 still rejects an element whose
+    shift has another rank, before or after the shifts it has seen, and keeps
+    answering for that state."""
+    level = KEEPING[-1]
+    xs = BALL[:6]
+    expected = level.images(5, xs)
+    bad = WreathElement(Lamp.of({}), (1, 0))
+    for batch in ([bad], xs + [bad], [bad] + xs):
+        with pytest.raises(RankMismatchError):
+            level.images(5, batch)
+        assert level.images(5, xs) == expected == FiniteLevel(level.datum).images(5, xs)
