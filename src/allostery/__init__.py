@@ -14,12 +14,14 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "base": ("frac_str", "is_prime", "minimal_exponent", "primes"),
+    "castle": ("Castle", "Tower", "audit_castle", "check_castle_audit", "parse_castle_file"),
     "certificates": (
-        "Castle", "Tower", "audit_castle", "boolean_atoms", "build_criterion",
-        "certify_transitive", "check_castle_audit", "check_comparison_certificate",
-        "check_criterion_certificate", "check_non_af_report", "comparison_certificate",
-        "non_af_report", "parse_castle_file", "translate_closure", "verify_criterion",
-        "window_from_records",
+        "build_criterion", "certify_transitive", "check_criterion_certificate",
+        "check_non_af_report", "non_af_report", "verify_criterion", "window_from_records",
+    ),
+    "comparison": (
+        "boolean_atoms", "check_comparison_certificate", "comparison_certificate",
+        "translate_closure",
     ),
     "config": ("RunConfig", "apply_env", "load_config", "parse_config"),
     "dynamics": (

@@ -14,6 +14,7 @@ import gc
 import json
 import os
 import sys
+from importlib import import_module
 
 from .errors import AllosteryError, CertificateError, DatumInvariantError, TextParseError
 
@@ -26,29 +27,27 @@ if TYPE_CHECKING:  # for annotations only: each command imports what it runs
     from .dynamics import Window
 
 
-def _from_certificates(name: str):
-    """``certificates.<name>``, imported on the first call, so that a command
-    that makes or checks no certificate never loads that module.  Each such
-    name is a ``cli`` attribute from import on, and can be wrapped there."""
+def _from(module: str, name: str):
+    """``<module>.<name>``, imported on the first call, so that a command
+    loads only the certificate modules it runs.  Each such name is a ``cli``
+    attribute from import on, and can be wrapped there."""
 
     def call(*args, **kwargs):
-        from . import certificates
-
-        return getattr(certificates, name)(*args, **kwargs)
+        return getattr(import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
 
     call.__name__ = call.__qualname__ = name
     return call
 
 
-verify_criterion = _from_certificates("verify_criterion")
-non_af_report = _from_certificates("non_af_report")
-comparison_certificate = _from_certificates("comparison_certificate")
-parse_castle_file = _from_certificates("parse_castle_file")
-audit_castle = _from_certificates("audit_castle")
-check_criterion_certificate = _from_certificates("check_criterion_certificate")
-check_non_af_report = _from_certificates("check_non_af_report")
-check_comparison_certificate = _from_certificates("check_comparison_certificate")
-check_castle_audit = _from_certificates("check_castle_audit")
+verify_criterion = _from("certificates", "verify_criterion")
+non_af_report = _from("certificates", "non_af_report")
+comparison_certificate = _from("comparison", "comparison_certificate")
+parse_castle_file = _from("castle", "parse_castle_file")
+audit_castle = _from("castle", "audit_castle")
+check_criterion_certificate = _from("certificates", "check_criterion_certificate")
+check_non_af_report = _from("certificates", "check_non_af_report")
+check_comparison_certificate = _from("comparison", "check_comparison_certificate")
+check_castle_audit = _from("castle", "check_castle_audit")
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -365,6 +364,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Given(str):
+    """An argument with its place ``at`` in the argument list."""
+
+    def __new__(cls, word: str, at: int):
+        given = str.__new__(cls, word)
+        given.at = at
+        return given
+
+
+class _Unread(argparse.Action):
+    """An unknown flag: adds (place, the flag with the word it takes) to ``unread``."""
+
+    def __call__(self, *args):
+        _, namespace, values, flag = args  # argparse passes the parser first
+        word = values if isinstance(values, str) else ""
+        text = f"{flag.replace('=', ' ', 1)} {word}".rstrip()
+        vars(namespace).setdefault("unread", []).append((flag.at, text))
+
+
 def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     """The arguments of ``argv``; one the subcommand does not take, or one beside
     ``--check`` that the check does not read, is the subcommand's usage error."""
@@ -374,19 +392,21 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
         # Parse again with each unknown flag taking the word after it, if any,
         # so that the error names it with that word, which a positional such as
         # audit's castle file would otherwise have taken; a positional left
-        # without a word is then no error of its own.  The flags stay out of
-        # the usage line, which is then the subcommand's --help usage.
+        # without a word is then no error of its own.  Each word keeps its
+        # place, so the error names what is left in the order given.  The flags
+        # stay out of the usage line, which is then the subcommand's --help usage.
         for action in args.parser._actions:
             action.required = action.required and bool(action.option_strings)
-        flags = (given.partition("=")[0] for given in unknown if given[:1] == "-")
-        for flag in dict.fromkeys(f for f in flags if f.lstrip("-")[:1].isalpha()):
+        flags = (given for given in unknown if given[:1] == "-" and given.lstrip("-")[:1].isalpha())
+        for flag in dict.fromkeys(flags):
             args.parser.add_argument(
-                flag, dest="unread", action="append", nargs="?", const="",
-                type=f"{flag} {{}}".format, default=argparse.SUPPRESS, help=argparse.SUPPRESS,
+                flag, dest="unread", action=_Unread, nargs=0 if "=" in flag else "?",
+                default=argparse.SUPPRESS, help=argparse.SUPPRESS,
             )
-        args, unknown = parser.parse_known_args(argv)
-        unread = [given.rstrip() for given in getattr(args, "unread", [])]
-        args.parser.error(f"unrecognized arguments: {' '.join(unread + unknown)}")
+        argv = sys.argv[1:] if argv is None else argv
+        args, unknown = parser.parse_known_args(map(_Given, argv, range(len(argv))))
+        unread = sorted([(word.at, word) for word in unknown] + getattr(args, "unread", []))
+        args.parser.error(f"unrecognized arguments: {' '.join(text for _, text in unread)}")
     if getattr(args, "check", None) is not None:
         reads = {"check", "config", *_CHECKS[args.command][3]}
         given = [(a.option_strings or [a.dest])[0] for a in args.parser._actions

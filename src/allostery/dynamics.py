@@ -41,7 +41,7 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 from math import prod
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .base import Vec
 from .errors import (
@@ -54,6 +54,9 @@ from .forge import SubgroupDatum
 from .wreath import Word, WreathElement, WreathGroup, format_vec, _parse_vec
 
 DEFAULT_STATE_BUDGET = 10**6
+
+State = Tuple[int, ...]  # a window state: one state index per level
+StateSet = FrozenSet[State]
 
 
 class FiniteLevel:

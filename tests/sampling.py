@@ -16,7 +16,7 @@ from math import lcm
 from typing import Dict, List, Tuple
 
 from allostery.base import Vec, zero
-from allostery.certificates import Castle, Tower
+from allostery.castle import Castle, Tower
 from allostery.dynamics import DEFAULT_STATE_BUDGET, Window
 from allostery.errors import WindowError
 from allostery.forge import SubgroupDatum

@@ -11,12 +11,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
 
 import traced  # noqa: E402
 from tracer import Tracer  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 from allostery import cli, dynamics  # noqa: E402
 
@@ -87,3 +90,46 @@ def test_tracer_installs_right_after_the_cli_import():
     assert out["code"] == 0
     assert {"certificates.criterion", "certificates.transitivity", "cli.emit"} <= set(out["spans"])
     assert out["restored"] and out["cli"]
+
+
+# Spans each workload's producing command and its check must record.  Those
+# of certificate functions that the package calls from another module (the
+# atoms and the check inside ``compare``, the audit inside its check) hold
+# only while the call goes through the traced name in ``certificates``.
+WORKLOAD_SPANS = {
+    "criterion": (
+        {"certificates.criterion", "certificates.transitivity", "dynamics.witness",
+         "certificates.non_af"},
+        {"certificates.check_report", "certificates.criterion", "certificates.transitivity",
+         "dynamics.witness"},
+    ),
+    "compare": (
+        {"certificates.atoms", "certificates.transporter", "certificates.check_comparison"},
+        {"certificates.check_comparison"},
+    ),
+    "audit": (
+        {"certificates.castle_parse", "certificates.audit"},
+        {"certificates.check_audit", "certificates.audit"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_each_workload_records_its_certificate_spans(name, tmp_path, monkeypatch, capsys):
+    """The first operation of the workload at seed 0, produced and then
+    checked under the tracer."""
+    monkeypatch.chdir(tmp_path)
+    op = WORKLOADS[name].inputs(tmp_path, 0)[0]
+    recorded = []
+    for argv in (op.produce, op.check("cert.json")):
+        tracer = Tracer()
+        assert traced.run(argv, tracer) == 0
+        if not recorded:
+            Path("cert.json").write_text(capsys.readouterr().out, encoding="utf-8")
+        recorded.append(({s.name for s in tracer.spans}, tracer.counts))
+    (produced, counts), (checked, _) = recorded
+    produce_spans, check_spans = WORKLOAD_SPANS[name]
+    assert sorted(produce_spans - produced) == []
+    assert sorted(check_spans - checked) == []
+    if name == "compare":
+        assert counts["certificates.atoms"] > 0

@@ -32,7 +32,7 @@ from allostery import (
     verify_criterion,
     window_from_records,
 )
-from allostery import certificates
+from allostery import castle
 from allostery.certificates import frac_str, parse_frac, record_ok
 from allostery.errors import (
     BudgetExceededError,
@@ -1042,7 +1042,7 @@ def count_translates(monkeypatch):
     """Count the translates that Window.images and the castle walk build,
     and keep the walk's memos."""
     counts = {"images": [], "walk": []}
-    images, walk = Window.images, certificates._walk
+    images, walk = Window.images, castle._walk
 
     def counted_images(self, state, xs):
         counts["images"].append(len(xs))
@@ -1054,7 +1054,7 @@ def count_translates(monkeypatch):
         return walk(tower, base, window, tables, memos)
 
     monkeypatch.setattr(Window, "images", counted_images)
-    monkeypatch.setattr(certificates, "_walk", counted_walk)
+    monkeypatch.setattr(castle, "_walk", counted_walk)
     return counts
 
 

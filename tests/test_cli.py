@@ -1128,6 +1128,29 @@ def test_an_unknown_flag_is_named_with_its_word_under_the_help_usage(capsys, com
     assert usage == help_usage(capsys, command)
 
 
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["report", "x", "--bogus", "md"], "x --bogus md"),
+        (["report", "x", "--seed", "3"], "x --seed 3"),
+        (["report", "--bogus=md", "x", "--seed"], "--bogus md x --seed"),
+        (["report", "x", "--epsilon", "1/2", "--bogus", "x"], "x --bogus x"),
+        (["audit", "y", "--window", "w.json", "--bogus", "md", "z"], "--bogus md z"),
+    ],
+)
+def test_unread_arguments_are_named_in_the_order_given(capsys, argv, unread):
+    """The error names each word the subcommand does not read, an unknown
+    flag with the word it takes, in the order of the command line."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, _, error = err.rpartition(f"allostery {argv[0]}: error: ")
+    assert error == f"unrecognized arguments: {unread}\n"
+    assert usage == help_usage(capsys, argv[0])
+
+
 def test_an_abbreviated_flag_is_the_subcommands_usage_error(capsys, w9_file):
     with pytest.raises(SystemExit) as info:
         main(["compare", "--win", w9_file, "--a", "idx:0", "--b", "idx:3,6"])

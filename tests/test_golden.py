@@ -155,15 +155,15 @@ def test_golden_passes_its_own_check(name):
 def test_comparison_searches_once(paths, monkeypatch):
     """The four-piece block comparison runs one BFS, over the whole window,
     and reads every transporter word off its tree."""
-    from allostery import certificates
+    from allostery import comparison
 
-    bfs, calls = certificates._bfs, []
+    bfs, calls = comparison._bfs, []
 
     def counting(*args):
         calls.append(args[1:])
         return bfs(*args)
 
-    monkeypatch.setattr(certificates, "_bfs", counting)
+    monkeypatch.setattr(comparison, "_bfs", counting)
     code, out = run_case("compare_w288_blocks", paths)
     assert code == 0
     assert len(json.loads(out)["pieces"]) == 4
@@ -173,7 +173,7 @@ def test_comparison_searches_once(paths, monkeypatch):
 def test_checking_an_audit_prints_only_gamma(monkeypatch):
     """The check takes the golden audit's shape texts as recorded, since
     each is canonical: of the elements it reads, only gamma is printed."""
-    from allostery import certificates, wreath
+    from allostery import castle, wreath
 
     fmt, printed = wreath.format_element, []
 
@@ -182,7 +182,7 @@ def test_checking_an_audit_prints_only_gamma(monkeypatch):
         return printed[-1]
 
     monkeypatch.setattr(wreath, "format_element", counting)
-    monkeypatch.setattr(certificates, "format_element", counting)
+    monkeypatch.setattr(castle, "format_element", counting)
     rec = json.loads((GOLDEN / "audit_w288.out").read_text())
     assert check_castle_audit(rec)
     assert printed == [rec["gamma"]]

@@ -57,6 +57,60 @@ def test_forge_loads_neither_certificates_nor_dynamics():
     ]
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# The modules that make or check a criterion certificate and its report.
+CRITERION_MODULES = [
+    "allostery", "allostery.base", "allostery.certificates", "allostery.cli",
+    "allostery.config", "allostery.dynamics", "allostery.errors", "allostery.forge",
+    "allostery.wreath",
+]
+
+
+def loaded_by(*argv):
+    """The sorted ``allostery`` modules that one command, which must exit 0,
+    loads in a fresh interpreter."""
+    code = (
+        "import contextlib, io\n"
+        "from allostery import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+        f"    assert cli.main({[str(arg) for arg in argv]!r}) == 0\n" + LOADED
+    )
+    return child(code)[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("report",), ("report", "--check", GOLDEN / "report_schedule.out"), ("verify",),
+     ("verify", "--check", GOLDEN / "verify.out")],
+    ids=["report", "report-check", "verify", "verify-check"],
+)
+def test_the_criterion_commands_load_no_castle_or_comparison(argv):
+    assert loaded_by(*argv) == CRITERION_MODULES
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("compare", "--window", GOLDEN / "compare_w81.out", "--a", "random:2", "--b", "random:5",
+      "--seed", "3"),
+     ("compare", "--check", GOLDEN / "compare_w81.out")],
+    ids=["compare", "compare-check"],
+)
+def test_compare_loads_no_castle(argv):
+    assert loaded_by(*argv) == sorted(CRITERION_MODULES + ["allostery.comparison"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("audit", GOLDEN / "castle_w288.txt", "--window", GOLDEN / "audit_w288.out",
+      "--gamma", "{(0):(1)};(0)"),
+     ("audit", "--check", GOLDEN / "audit_w288.out")],
+    ids=["audit", "audit-check"],
+)
+def test_audit_loads_no_comparison(argv):
+    assert loaded_by(*argv) == sorted(CRITERION_MODULES + ["allostery.castle"])
+
+
 FORGE_IS_THE_FUNCTION = (
     "import importlib, json, types, allostery; "
     "from allostery import forge; "
