@@ -13,6 +13,7 @@ vectors survives reduction mod p^k once k is large enough, and
 from __future__ import annotations
 
 import operator
+import sys
 from fractions import Fraction
 from itertools import count
 from typing import Iterable, Iterator, Tuple
@@ -129,5 +130,15 @@ def minimal_exponent(
 
 
 def frac_str(q: Fraction) -> str:
-    """A rational as ``numerator/denominator``, the form every record uses."""
-    return f"{q.numerator}/{q.denominator}"
+    """A rational as ``numerator/denominator``, the form every record uses.
+
+    Off the tolerance schedule a report's bound has about n * log10(1/eps)
+    digits for n window elements, past the interpreter's int-to-text digit
+    limit at large radii.  So the limit is lifted for this conversion only
+    and restored afterwards; input is still read under it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -101,6 +101,8 @@ def _load_window(path: str) -> Window:
     from .certificates import window_from_records
 
     def read(rec):
+        if isinstance(rec, dict) and isinstance(rec.get("criterion"), dict):
+            rec = rec["criterion"]  # a report's window is its criterion's
         return window_from_records(rec.get("window", [rec]) if isinstance(rec, dict) else rec)
 
     return _read(path, read)
@@ -111,8 +113,7 @@ def _criterion(cfg: RunConfig) -> dict:
     per nonidentity element of the ball of the configured radius."""
     from .wreath import WreathGroup
 
-    ball = WreathGroup(cfg.d, cfg.m).ball(cfg.radius)
-    gammas = [entry.element for entry in ball if not entry.element.is_identity()]
+    gammas = WreathGroup(cfg.d, cfg.m).ball(cfg.radius)[1:]  # the identity comes first
     return verify_criterion(
         gammas, cfg.d, cfg.m, epsilon=cfg.epsilon_arg(), witness_radius=cfg.radius
     )

@@ -17,7 +17,7 @@ import operator
 import re
 import sys
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple, Tuple
+from typing import Callable, Iterable, Mapping, Tuple
 
 from .base import Vec, add, is_zero, neg, zero
 from .errors import BudgetExceededError, RankMismatchError, TextParseError
@@ -303,11 +303,6 @@ def parse_element(
     return tuple.__new__(WreathElement, (lamp, shift))
 
 
-class BallEntry(NamedTuple):
-    element: WreathElement
-    word: Word
-
-
 class WreathGroup(tuple):
     """Ambient group Z^d wr Z^m together with its standard generating set:
     the pair (d, m).
@@ -427,34 +422,22 @@ class WreathGroup(tuple):
     def parse_element(self, text: str, line: int | None = None) -> WreathElement:
         return parse_element(text, d=self.d, m=self.m, line=line)
 
-    def ball(self, radius: int) -> list[BallEntry]:
-        """All elements of word length <= radius, each with a witnessing word.
+    def ball(self, radius: int) -> list[WreathElement]:
+        """All elements of word length <= radius.
 
         Ordered by word length, then lexicographically by canonical text
-        within each length; the identity comes first.  The stored word is the
-        first one found when expanding parents in that order, so the listing
-        is fully deterministic.
+        within each length; the identity comes first.
         """
         if radius < 0:
             raise ValueError("radius must be >= 0")
         if radius > DEFAULT_MAX_RADIUS:
             raise BudgetExceededError(radius, DEFAULT_MAX_RADIUS, what="ball radius")
         gens = self.generators()
-        seen: dict[WreathElement, Word] = {self.identity(): ()}
-        out: list[BallEntry] = [BallEntry(self.identity(), ())]
-        layer: list[BallEntry] = [out[0]]
+        layer = [self.identity()]
+        out, seen = list(layer), set(layer)
         for _ in range(radius):
-            found: dict[WreathElement, Word] = {}
-            for entry in layer:
-                for g, gen in enumerate(gens):
-                    y = entry.element * gen
-                    if y in seen or y in found:
-                        continue
-                    found[y] = entry.word + (g,)
-            layer = [
-                BallEntry(el, found[el])
-                for el in sorted(found, key=format_element)
-            ]
-            seen.update(found)
-            out.extend(layer)
+            found = {x * gen for x in layer for gen in gens} - seen
+            layer = sorted(found, key=format_element)
+            seen |= found
+            out += layer
         return out

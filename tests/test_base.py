@@ -1,6 +1,7 @@
 """Vectors of Z^m, primes, residues and exponents (``allostery.base``), and
 reading elements modulo a congruence subgroup (``SubgroupDatum.reduce``)."""
 
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from allostery import Lamp, SubgroupDatum, WreathElement, is_prime, minimal_exponent, primes
 from allostery import base
-from allostery.base import add, neg, residues, sub, zero
+from allostery.base import add, frac_str, neg, residues, sub, zero
 from allostery.errors import DatumInvariantError, RankMismatchError
 
 
@@ -206,3 +207,16 @@ def test_kernel_iff_zero_residue(v, p, k):
     assert dat.contains(shift(v)) == (delta == (0, 0))
     assert residue(p, k, delta) == delta
     assert dat.contains(shift(sub(v, delta)))
+
+
+def test_frac_str_passes_the_digit_limit_and_keeps_it(default_digit_limit):
+    """A record's rational may have more digits than the interpreter turns
+    into text by default; frac_str spells it whole, and the limit that
+    input is read under is as it was afterwards."""
+    q = Fraction(3, 10**5000)
+    with pytest.raises(ValueError):
+        str(q.denominator)
+    assert frac_str(q) == "3/1" + "0" * 5000
+    assert sys.get_int_max_str_digits() == 4300
+    with pytest.raises(ValueError):
+        int("9" * 5000)

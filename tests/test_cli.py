@@ -495,6 +495,36 @@ def test_scheduled_report_claims_the_limit(capsys, tmp_path):
     assert run(capsys, "report", "--check", str(path))[0] == 0
 
 
+def test_an_off_schedule_bound_past_the_digit_limit(capsys, tmp_path, default_digit_limit):
+    """At epsilon 10^-270 the radius-2 report's bound (1 - 10^-270)^16 has a
+    4,321-digit denominator, past the interpreter's int-to-text limit.  The
+    report prints it, its check accepts it, and input is still read under
+    the limit afterwards."""
+    code, out, _ = run(capsys, "report", "--radius", "2", "--epsilon", "1/1" + "0" * 270)
+    assert code == 0
+    assert json.loads(out)["bound"].endswith("/1" + "0" * 4320)
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    assert run(capsys, "report", "--check", str(path)) == (0, "", "report: valid\n")
+    assert sys.get_int_max_str_digits() == 4300
+
+
+def test_a_report_is_a_window_file_as_its_criterion_is(capsys, tmp_path, d32, d9):
+    """simulate and compare read a report's window from its criterion."""
+    cert = build_criterion([d32, d9])
+    files = {"criterion": cert, "report": non_af_report(cert)}
+    outs = {}
+    for name, rec in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(rec))
+        outs[name] = [
+            run(capsys, "simulate", "s1.t1", "--window", str(path), "--steps", "5"),
+            run(capsys, "compare", "--window", str(path), "--a", "random:3", "--b", "random:7"),
+        ]
+    assert [code for code, _, _ in outs["report"]] == [0, 0]
+    assert outs["report"] == outs["criterion"]
+
+
 def test_report_markdown(capsys):
     code, out, _ = run(capsys, "report", "--epsilon", "1/2", "--format", "md")
     assert code == 0

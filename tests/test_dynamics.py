@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from allostery import (
     FiniteLevel,
@@ -10,6 +11,8 @@ from allostery import (
     WreathElement,
     WreathGroup,
     assign_primes,
+    build_criterion,
+    default_epsilon,
     forge,
     stabilizer_witness,
 )
@@ -21,7 +24,8 @@ from allostery.errors import (
     WindowError,
 )
 
-from conftest import fresh_rng
+from conftest import HALF, fresh_rng
+from sampling import random_nontrivial
 from oracle import (
     Coset,
     _projection,
@@ -114,7 +118,6 @@ def test_tables_are_permutations(level32):
     for g in range(4):
         table = level32.table(g)
         assert sorted(table) == list(range(32))
-    assert level32.table(0) is level32.table(0)
 
 
 def test_level_orbit(level32, level9):
@@ -316,25 +319,46 @@ def test_inverse_system_chain(w32, w288, d25):
 
 def test_stabilizer_witness(w288, w32):
     witness = stabilizer_witness(w288)
-    assert witness["ok"]
-    assert all(g["moves_identity_thread"] for g in witness["window_gammas"])
+    assert list(witness) == ["ball_radius", "mover_count", "fixer_count", "fixers"]
     assert witness["fixers"] == ["{};(0)"]
     assert witness["mover_count"] == 4
     wide = stabilizer_witness(w32, ball_radius=2)
-    assert wide["ok"]
     assert wide["mover_count"] + len(wide["fixers"]) == 17
     assert set(wide["fixers"]) == {"{};(0)", "{(0):(-2)};(0)", "{(0):(2)};(0)"}
-    assert wide["ok"] is True and wide["fixer_count"] == 3
+    assert wide["fixer_count"] == 3
 
 
 @pytest.mark.parametrize("d, m, radius", [(1, 1, 1), (1, 1, 2), (1, 1, 3), (2, 2, 1)])
 def test_stabilizer_witness_matches_flat_indices(d, m, radius):
     """On the ball windows that ``verify`` certifies (schedule epsilon) the
     level-by-level witness equals the one read from flat indices."""
-    ball = WreathGroup(d, m).ball(radius)
-    gammas = [entry.element for entry in ball if not entry.element.is_identity()]
+    gammas = WreathGroup(d, m).ball(radius)[1:]
     window = Window(assign_primes(gammas).forge_all(d, m))
     assert stabilizer_witness(window, radius) == flat_stabilizer_witness(window, radius)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.integers(1, 2),
+    st.sampled_from([default_epsilon, HALF]),
+    st.integers(1, 4),
+    st.integers(0, 2**32),
+)
+def test_each_window_gamma_moves_the_thread_on_its_own_level(d, m, epsilon, n, seed):
+    """The fact that lets the stabilizer witness leave the window gammas out:
+    on a forged window of distinct primes, on the schedule or at 1/2, state 0
+    of level i is the coset H_i, so gamma_i moves it exactly when gamma_i is
+    not in H_i, which record i's ``not_in_subgroup`` states."""
+    group, rng = WreathGroup(d, m), fresh_rng(seed)
+    gammas = list(dict.fromkeys(random_nontrivial(rng, group) for _ in range(n)))
+    data = assign_primes(gammas, epsilon).forge_all(d, m)
+    cert = build_criterion(data)
+    assert cert["primes_distinct"]
+    for rec, dat, level in zip(cert["records"], data, Window(data).levels):
+        assert rec["gamma"] == dat.gamma.text()
+        assert rec["not_in_subgroup"]
+        assert level.images(0, [dat.gamma]) != [0]
 
 
 def test_stabilizer_witness_with_fixers_matches_flat_indices(w32, w288):

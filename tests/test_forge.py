@@ -126,7 +126,7 @@ def test_assign_primes_takes_skipped_primes_later(group11):
     texts = ["{(0):(30)};(0)", "{(0):(6)};(0)", "{(0):(2)};(0)", "{};(1)", "{(0):(1)};(0)"]
     gammas = [group11.parse_element(t) for t in texts]
     assert [p for _, p, _ in assign_primes(gammas).triples] == [7, 5, 3, 2, 11]
-    pool = [entry.element for entry in group11.ball(3)[1:]]
+    pool = group11.ball(3)[1:]
     used, expected = set(), []
     for g in pool:
         p = next(q for q in primes() if q not in used and prime_admissible(g, q))
@@ -232,7 +232,7 @@ def test_round_trip(d32, d9):
 
 
 def test_gamma_never_in_own_subgroup(group11):
-    pool = [e.element for e in group11.ball(2)[1:]]
+    pool = group11.ball(2)[1:]
     for datum in assign_primes(pool, epsilons=HALF).forge_all(1, 1):
         datum.validate()
         assert not datum.contains(datum.gamma)

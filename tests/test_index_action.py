@@ -37,7 +37,7 @@ def small_levels():
     for d in (1, 2):
         for m in (1, 2):
             group = WreathGroup(d, m)
-            gammas = [e.element for e in group.ball(1) if not e.element.is_identity()]
+            gammas = group.ball(1)[1:]
             data = assign_primes(gammas, epsilons=Fraction(1, 2)).forge_all(d, m)
             levels += [FiniteLevel(dat) for dat in data if dat.index() <= MAX_ORACLE_STATES]
     return levels
@@ -266,7 +266,7 @@ def bench_levels():
 
 
 KEEPING = bench_levels()
-BALL = [entry.element for entry in WreathGroup(1, 1).ball(3)]
+BALL = WreathGroup(1, 1).ball(3)
 
 
 @settings(max_examples=60, deadline=None)

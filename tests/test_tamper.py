@@ -34,10 +34,16 @@ CHECKERS = {
     "audit": check_castle_audit,
 }
 
+# The stabilizer witness's old restatement of the honest W32×W9 criterion.
+OLD_WINDOW_GAMMAS = [
+    {"gamma": "{(0):(1)};(0)", "moves_identity_thread": True},
+    {"gamma": "{};(1)", "moves_identity_thread": True},
+]
+
 INPUTS = {
     "criterion": [("window",)],
-    "report": [("window",), ("criterion", "window")],
-    "scheduled-report": [("window",), ("criterion", "window")],
+    "report": [("criterion", "window")],
+    "scheduled-report": [("criterion", "window")],
     "audit": [("window",), ("castle",), ("gamma",)],
 }
 
@@ -135,12 +141,27 @@ def test_one_edit_never_passes(honest, data):
         ("criterion", ("product_lower_bound",), "1/4"),
         ("criterion", ("window_fraction_ok",), True),
         ("report", ("product_lower_bound",), "1/4"),
+        # So are the records' not_in_subgroup, restated by the witness.
+        ("criterion", ("stabilizer", "ok"), True),
+        ("criterion", ("stabilizer", "window_gammas"), OLD_WINDOW_GAMMAS),
+        ("report", ("criterion", "stabilizer", "ok"), True),
+        ("report", ("criterion", "stabilizer", "window_gammas"), OLD_WINDOW_GAMMAS),
     ],
 )
 def test_named_edits_raise(honest, kind, path, value):
     rec = mutate(honest[kind], path, "set", value)
     with pytest.raises(CertificateError):
         CHECKERS[kind](rec)
+
+
+@pytest.mark.parametrize("kind", ["report", "scheduled-report"])
+def test_a_report_with_a_second_window_raises(honest, kind):
+    """The report's window is its criterion's; a copy beside it, as reports
+    once held, is an extra field."""
+    rec = copy.deepcopy(honest[kind])
+    rec["window"] = copy.deepcopy(rec["criterion"]["window"])
+    with pytest.raises(CertificateError, match="recorded 'window' disagrees"):
+        check_non_af_report(rec)
 
 
 def test_report_with_a_cut_chain_raises(honest):

@@ -19,7 +19,6 @@ from allostery import (
     WreathGroup,
     minimal_exponent,
 )
-from allostery.wreath import BallEntry
 
 
 def test_cli_import_loads_no_dataclasses():
@@ -75,7 +74,6 @@ def test_fields_cannot_be_assigned(group11, d32):
         (group11, "m"),
         (d32, "p"),
         (d32, "epsilon"),
-        (BallEntry(x, (0,)), "word"),
         (castle, "epsilon"),
         (Tower(base=frozenset(), shapes=()), "shapes"),
         (RunConfig(), "radius"),

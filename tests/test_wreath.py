@@ -209,23 +209,21 @@ def test_word_element_rejects_out_of_range_letter(group11, letter):
 
 def test_ball_radius_zero_and_one(group11):
     ball0 = group11.ball(0)
-    assert [entry.element.text() for entry in ball0] == ["{};(0)"]
+    assert [x.text() for x in ball0] == ["{};(0)"]
     ball1 = group11.ball(1)
     assert len(ball1) == 5
-    assert ball1[0].element.is_identity()
-    texts = [entry.element.text() for entry in ball1[1:]]
+    assert ball1[0].is_identity()
+    texts = [x.text() for x in ball1[1:]]
     assert texts == sorted(texts)
     assert {t for t in texts} == {"{(0):(-1)};(0)", "{(0):(1)};(0)", "{};(-1)", "{};(1)"}
 
 
 def test_ball_growth_and_words(group11):
-    ball1 = {e.element for e in group11.ball(1)}
+    ball1 = group11.ball(1)
     ball2 = group11.ball(2)
     assert len(ball2) == 17
-    assert ball1 <= {e.element for e in ball2}
-    for entry in ball2:
-        assert len(entry.word) <= 2
-        assert group11.word_element(entry.word) == entry.element
+    assert ball2[: len(ball1)] == ball1
+    assert set(ball2) == {x * g for x in ball1 for g in group11.generators()} | set(ball1)
 
 
 def test_ball_budget(group11):
